@@ -236,3 +236,136 @@ fn checkpointing_is_refused_under_parallel_jobs() {
     );
     let _ = std::fs::remove_file(&trace);
 }
+
+/// Runs `analyze --trace F` with `extra` flags and `env` overrides.
+fn analyze_env(trace: &std::path::Path, extra: &[&str], env: &[(&str, &str)]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_paragraph"))
+        .args(["analyze", "--trace", trace.to_str().expect("utf-8 path")])
+        .args(extra)
+        .envs(env.iter().copied())
+        .output()
+        .expect("failed to spawn the paragraph binary")
+}
+
+/// The fused `--jobs N` pipeline declines every input it could not
+/// analyze exactly; the streaming fallback must then be indistinguishable
+/// from `--jobs 1`: same exit code, same stdout, same stderr.
+#[test]
+fn declined_fused_runs_match_jobs_1_exactly() {
+    let clean = write_random_trace("fallback.pgtr", 20_000, 43);
+    let bytes = std::fs::read(&clean).expect("read trace");
+    let mut flipped = bytes.clone();
+    let at = flipped.len() * 3 / 4;
+    flipped[at] ^= 0x08;
+    let flipped_path = scratch("fallback-flipped.pgtr");
+    std::fs::write(&flipped_path, &flipped).expect("write flipped");
+    let truncated_path = scratch("fallback-truncated.pgtr");
+    std::fs::write(&truncated_path, &bytes[..bytes.len() * 2 / 3]).expect("write truncated");
+    let v1_path = scratch("fallback-v1.pgtr");
+    {
+        let file = File::create(&v1_path).expect("create v1 trace");
+        let mut writer =
+            TraceWriter::v1(BufWriter::new(file), SegmentMap::all_data()).expect("v1 header");
+        for record in synthetic::random_trace(20_000, 43) {
+            writer.write_record(&record).expect("v1 record");
+        }
+        writer.finish().expect("v1 finish");
+    }
+    // (what, trace, environment, expected exit code)
+    type Case<'a> = (&'a str, &'a PathBuf, &'a [(&'a str, &'a str)], i32);
+    let cases: [Case; 6] = [
+        ("bit flip", &flipped_path, &[], 4),
+        // A malformed override warns exactly once on either path.
+        (
+            "bit flip, malformed limit",
+            &flipped_path,
+            &[("PARAGRAPH_MAX_RECORDS", "1e6")],
+            4,
+        ),
+        ("truncation", &truncated_path, &[], 4),
+        ("v1 stream", &v1_path, &[], 0),
+        (
+            "deadline",
+            &clean,
+            &[("PARAGRAPH_DEADLINE_MS", "600000")],
+            0,
+        ),
+        (
+            "max records",
+            &clean,
+            &[("PARAGRAPH_MAX_RECORDS", "19999")],
+            7,
+        ),
+    ];
+    for (what, trace, env, code) in cases {
+        let oracle = analyze_env(trace, &["--jobs", "1"], env);
+        assert_eq!(oracle.status.code(), Some(code), "{what} at --jobs 1");
+        for jobs in ["2", "8"] {
+            let fused = analyze_env(trace, &["--jobs", jobs], env);
+            assert_eq!(
+                fused.status.code(),
+                oracle.status.code(),
+                "{what} --jobs {jobs}"
+            );
+            assert_eq!(fused.stdout, oracle.stdout, "{what} --jobs {jobs} stdout");
+            assert_eq!(fused.stderr, oracle.stderr, "{what} --jobs {jobs} stderr");
+        }
+    }
+    for path in [&clean, &flipped_path, &truncated_path, &v1_path] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn stall_branches_with_memory_sources_fall_back_to_the_same_report() {
+    let path = scratch("stall-mem.pgtr");
+    {
+        let file = File::create(&path).expect("create trace");
+        let mut writer =
+            TraceWriter::new(BufWriter::new(file), SegmentMap::all_data()).expect("header");
+        for (i, record) in synthetic::random_trace(20_000, 47).into_iter().enumerate() {
+            let record = if i == 15_000 {
+                paragraph_trace::TraceRecord::branch(record.pc(), &[paragraph_trace::Loc::mem(9)])
+            } else {
+                record
+            };
+            writer.write_record(&record).expect("record");
+        }
+        writer.finish().expect("finish");
+    }
+    let oracle = analyze_json(
+        &path,
+        "stall-seq.json",
+        &["--branch", "stall", "--jobs", "1"],
+    );
+    let fused = analyze_json(
+        &path,
+        "stall-par.json",
+        &["--branch", "stall", "--jobs", "2"],
+    );
+    assert_eq!(oracle, fused);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn fused_runs_record_one_timeline_lane_per_worker() {
+    let trace = write_random_trace("lanes.pgtr", 20_000, 53);
+    let timeline = scratch("lanes.json");
+    let out = analyze_env(
+        &trace,
+        &[
+            "--jobs",
+            "2",
+            "--timeline-out",
+            timeline.to_str().expect("utf-8 path"),
+        ],
+        &[],
+    );
+    assert_ok(&out, "fused run with a timeline");
+    let text = std::fs::read_to_string(&timeline).expect("read timeline");
+    for needle in ["\"analyze-1\"", "\"segment\"", "\"merge\""] {
+        assert!(text.contains(needle), "timeline lacks {needle}");
+    }
+    let _ = std::fs::remove_file(&trace);
+    let _ = std::fs::remove_file(&timeline);
+}

@@ -210,15 +210,19 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Re-borrow the full char (the input is valid UTF-8).
+                    // A run of plain bytes up to the next quote or escape,
+                    // validated once: both delimiters are ASCII, so the run
+                    // ends on a char boundary of valid input.
                     self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    let start = self.pos;
+                    let len = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - start);
+                    let run = std::str::from_utf8(&self.bytes[start..start + len])
                         .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    let Some(c) = rest.chars().next() else {
-                        return Err(self.err("unterminated string"));
-                    };
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos = start + len;
                 }
             }
         }
@@ -900,6 +904,47 @@ mod tests {
             "flow without id"
         );
         assert_eq!(validate(SAMPLE), Ok(8));
+    }
+
+    #[test]
+    fn strings_keep_multibyte_characters() {
+        let doc = parse_json(r#"["héllo \u00e9 ∑ 🦀", "a\"b→c"]"#).expect("document parses");
+        assert_eq!(
+            doc,
+            JsonValue::Arr(vec![
+                JsonValue::Str("héllo é ∑ 🦀".to_owned()),
+                JsonValue::Str("a\"b→c".to_owned()),
+            ])
+        );
+        assert!(parse_json("\"unterminated ∑").is_err());
+    }
+
+    #[test]
+    fn invalid_utf8_in_a_string_is_a_typed_error() {
+        // `parse_json` takes `&str`; the byte-level parser still refuses
+        // invalid sequences rather than panicking or mis-slicing.
+        let mut parser = Parser {
+            bytes: b"\"ab\xff\xfecd\"",
+            pos: 0,
+        };
+        let err = parser.string().expect_err("invalid utf-8 must not parse");
+        assert!(err.contains("invalid utf-8 in string"), "{err}");
+    }
+
+    #[test]
+    fn a_multi_megabyte_string_parses_in_linear_time() {
+        // Re-validating the rest of the document per character made this
+        // quadratic: minutes for a few megabytes.
+        let body = "ab∑".repeat(1 << 20);
+        let doc = format!("{{\"name\":\"{body}\"}}");
+        assert!(doc.len() >= 4 << 20);
+        let started = std::time::Instant::now();
+        let parsed = parse_json(&doc).expect("document parses");
+        assert_eq!(
+            parsed.get("name").and_then(JsonValue::as_str),
+            Some(body.as_str())
+        );
+        assert!(started.elapsed() < std::time::Duration::from_secs(10));
     }
 
     #[test]
