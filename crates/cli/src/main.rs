@@ -296,13 +296,11 @@ common options:
                     also PARAGRAPH_JOBS). For `analyze`: one trace is cut
                     at conservative-syscall firewalls into N segments
                     analyzed concurrently; the report is byte-identical to
-                    --jobs 1 (see docs/hotpath.md). On a plain run over a
-                    trace file, each worker decodes its own chunk range of
-                    the mapped file and analyzes it in place, so the trace
-                    is never held in memory. Configurations the cut rule
-                    cannot split exactly, damaged or v1 traces, and inputs
-                    a governor limit may reject fall back to one analysis
-                    thread
+                    --jobs 1 (see docs/hotpath.md). Configurations the cut
+                    rule cannot split exactly fall back to one thread. A
+                    plain run over a trace file streams it through the
+                    decode-ahead pipeline instead (one decode thread, one
+                    analysis thread), which measured faster on two cores
   --mmap / --no-mmap  force the trace input backend: memory-mapped or
                     buffered reads (default: map regular files, fall back
                     to buffered reads; identical records, errors, and
@@ -1130,14 +1128,18 @@ fn save_checkpoint_instrumented(
     Ok(())
 }
 
-/// Returns the trace path when `analyze` should stream the trace instead
-/// of loading it whole: a plain run over a trace file, with no phase
-/// window, recovery, checkpointing, heartbeats, or structured telemetry
-/// (those paths need the whole record vector, exact up-front counts, or
-/// decode bookkeeping the streaming paths do not reproduce). At `--jobs
-/// 1` it runs the decode-ahead pipeline ([`cmd_analyze_streaming`]); at
-/// `--jobs N` the fused per-range pipeline ([`analyze_fused`]), which
-/// falls back to decode-ahead whenever it declines.
+/// Returns the trace path when `analyze` should take the decode-ahead
+/// streaming path: the analyzer consumes chunk N while a helper thread
+/// CRC-checks and decodes chunk N+1, so decode and analysis overlap
+/// instead of running back to back. Only configurations whose stdout is
+/// trivially byte-identical to the load-then-analyze path are eligible: a
+/// plain run over a trace file, with no phase window, recovery,
+/// checkpointing, heartbeats, or structured telemetry (those paths need
+/// the whole record vector, exact up-front counts, or decode bookkeeping
+/// the pipeline does not reproduce). `--jobs N` takes this path too: on
+/// two cores decode-ahead outran loading the trace and cutting it into
+/// segments (docs/hotpath.md, "Parallel analyze"), and the report is the
+/// same either way.
 fn streaming_trace_path(opts: &Options, setup: &TelemetrySetup) -> Option<String> {
     let path = opts.trace.clone()?;
     let plain = !opts.no_decode_ahead
@@ -1151,37 +1153,17 @@ fn streaming_trace_path(opts: &Options, setup: &TelemetrySetup) -> Option<String
     plain.then_some(path)
 }
 
-/// `analyze --trace F --jobs N` on the streaming path: every worker
-/// decodes its own chunk range straight out of the mapped file and
-/// analyzes it in place ([`paragraph_core::parallel::analyze_mapped`]),
-/// so the trace is never materialized. Returns `None` when the fused
-/// pipeline declines — the input is not mapped, the configuration cannot
-/// be cut exactly, or the stream is damaged, v1, or one a governor limit
-/// may reject — and the caller then runs the decode-ahead path, which
-/// owns the exact error semantics.
-fn analyze_fused(
-    opts: &Options,
-    path: &str,
-    jobs: usize,
-    limits: &Limits,
-) -> Option<AnalysisReport> {
-    let bytes = open_trace_source(path, opts.mmap).ok()?.shared_bytes()?;
-    // `analyze_mapped` applies the trace header's own segment map.
-    let config = opts.config(SegmentMap::default());
-    paragraph_core::parallel::analyze_mapped(&bytes, &config, jobs, limits).ok()
-}
-
 /// `analyze --trace` through the decode-ahead pipeline (see
 /// [`streaming_trace_path`] for when this runs). The helper thread gets
 /// its own `decode-ahead` timeline lane, so a `--timeline-out` recording
 /// shows decode slices running ahead of the `livewell` slices that
 /// consume them.
-fn cmd_analyze_streaming(opts: &Options, path: &str, limits: Limits) -> Result<(), CliError> {
+fn cmd_analyze_streaming(opts: &Options, path: &str) -> Result<(), CliError> {
     use paragraph_trace::source::{DecodeAhead, DecodeEvent, DecodeObserver};
     let source = open_trace_source(path, opts.mmap)?;
     let reader = TraceReader::from_source(source)
         .map_err(|e| trace_err(path, e))?
-        .with_governor(ResourceGovernor::new(limits));
+        .with_governor(ResourceGovernor::new(Limits::from_env()));
     let segments = reader.segment_map();
     let mut analyzer = LiveWell::new(opts.config(segments));
     analyzer.set_trace_identity(None);
@@ -1197,6 +1179,7 @@ fn cmd_analyze_streaming(opts: &Options, path: &str, limits: Limits) -> Result<(
             }
         }) as DecodeObserver
     });
+    let mut artifact_failures: Vec<String> = Vec::new();
     let stream_err = {
         let mut span = paragraph_core::span!("analyze");
         let mut da = DecodeAhead::spawn(reader, observer).map_err(|e| io_err(path, e))?;
@@ -1235,14 +1218,7 @@ fn cmd_analyze_streaming(opts: &Options, path: &str, limits: Limits) -> Result<(
         let _tspan = telemetry::timeline::timeline_span("report");
         analyzer.finish()
     };
-    finish_streamed(&report, opts)
-}
-
-/// Writes a streamed analysis's report and timeline; any artifact that
-/// failed becomes the exit-3 error after everything else was written.
-fn finish_streamed(report: &AnalysisReport, opts: &Options) -> Result<(), CliError> {
-    let mut artifact_failures: Vec<String> = Vec::new();
-    print_report(report, opts, &mut artifact_failures);
+    print_report(&report, opts, &mut artifact_failures);
     if let Some(out) = &opts.timeline_out {
         export_timeline_degraded(out, &mut artifact_failures);
     }
@@ -1260,17 +1236,7 @@ fn cmd_analyze(opts: &Options) -> Result<(), CliError> {
     let setup = init_telemetry(opts)?;
     init_timeline(opts);
     if let Some(path) = streaming_trace_path(opts, &setup) {
-        // Read once: a malformed override warns once, whichever path runs.
-        let limits = Limits::from_env();
-        let jobs = opts
-            .jobs
-            .map_or(1, paragraph_core::parallel::effective_jobs);
-        if jobs > 1 {
-            if let Some(report) = analyze_fused(opts, &path, jobs, &limits) {
-                return finish_streamed(&report, opts);
-            }
-        }
-        return cmd_analyze_streaming(opts, &path, limits);
+        return cmd_analyze_streaming(opts, &path);
     }
     let loaded = load_records(opts)?;
     if let Some(stats) = &loaded.recovery {

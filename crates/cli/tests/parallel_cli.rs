@@ -247,11 +247,11 @@ fn analyze_env(trace: &std::path::Path, extra: &[&str], env: &[(&str, &str)]) ->
         .expect("failed to spawn the paragraph binary")
 }
 
-/// The fused `--jobs N` pipeline declines every input it could not
-/// analyze exactly; the streaming fallback must then be indistinguishable
-/// from `--jobs 1`: same exit code, same stdout, same stderr.
+/// A plain `--jobs N` run over a trace file streams it like `--jobs 1`,
+/// so damaged, legacy and governed inputs must be indistinguishable from
+/// `--jobs 1`: same exit code, same stdout, same stderr.
 #[test]
-fn declined_fused_runs_match_jobs_1_exactly() {
+fn damaged_and_governed_trace_runs_match_jobs_1_exactly() {
     let clean = write_random_trace("fallback.pgtr", 20_000, 43);
     let bytes = std::fs::read(&clean).expect("read trace");
     let mut flipped = bytes.clone();
@@ -275,7 +275,7 @@ fn declined_fused_runs_match_jobs_1_exactly() {
     type Case<'a> = (&'a str, &'a PathBuf, &'a [(&'a str, &'a str)], i32);
     let cases: [Case; 6] = [
         ("bit flip", &flipped_path, &[], 4),
-        // A malformed override warns exactly once on either path.
+        // A malformed override warns exactly once.
         (
             "bit flip, malformed limit",
             &flipped_path,
@@ -301,14 +301,20 @@ fn declined_fused_runs_match_jobs_1_exactly() {
         let oracle = analyze_env(trace, &["--jobs", "1"], env);
         assert_eq!(oracle.status.code(), Some(code), "{what} at --jobs 1");
         for jobs in ["2", "8"] {
-            let fused = analyze_env(trace, &["--jobs", jobs], env);
+            let parallel = analyze_env(trace, &["--jobs", jobs], env);
             assert_eq!(
-                fused.status.code(),
+                parallel.status.code(),
                 oracle.status.code(),
                 "{what} --jobs {jobs}"
             );
-            assert_eq!(fused.stdout, oracle.stdout, "{what} --jobs {jobs} stdout");
-            assert_eq!(fused.stderr, oracle.stderr, "{what} --jobs {jobs} stderr");
+            assert_eq!(
+                parallel.stdout, oracle.stdout,
+                "{what} --jobs {jobs} stdout"
+            );
+            assert_eq!(
+                parallel.stderr, oracle.stderr,
+                "{what} --jobs {jobs} stderr"
+            );
         }
     }
     for path in [&clean, &flipped_path, &truncated_path, &v1_path] {
@@ -338,34 +344,50 @@ fn stall_branches_with_memory_sources_fall_back_to_the_same_report() {
         "stall-seq.json",
         &["--branch", "stall", "--jobs", "1"],
     );
-    let fused = analyze_json(
-        &path,
-        "stall-par.json",
-        &["--branch", "stall", "--jobs", "2"],
-    );
-    assert_eq!(oracle, fused);
+    // Both `--jobs 2` paths: streamed, and loaded then (not) cut.
+    for extra in [&[][..], &["--no-decode-ahead"][..]] {
+        let mut flags = vec!["--branch", "stall", "--jobs", "2"];
+        flags.extend_from_slice(extra);
+        assert_eq!(oracle, analyze_json(&path, "stall-par.json", &flags));
+    }
     let _ = std::fs::remove_file(&path);
 }
 
-#[test]
-fn fused_runs_record_one_timeline_lane_per_worker() {
-    let trace = write_random_trace("lanes.pgtr", 20_000, 53);
+/// Returns the `--timeline-out` recording of `analyze --jobs 2` with
+/// `extra` flags.
+fn jobs_2_timeline(trace: &std::path::Path, extra: &[&str]) -> String {
     let timeline = scratch("lanes.json");
-    let out = analyze_env(
-        &trace,
-        &[
-            "--jobs",
-            "2",
-            "--timeline-out",
-            timeline.to_str().expect("utf-8 path"),
-        ],
-        &[],
-    );
-    assert_ok(&out, "fused run with a timeline");
+    let mut flags = vec![
+        "--jobs",
+        "2",
+        "--timeline-out",
+        timeline.to_str().expect("utf-8 path"),
+    ];
+    flags.extend_from_slice(extra);
+    let out = analyze_env(trace, &flags, &[]);
+    assert_ok(&out, "--jobs 2 run with a timeline");
     let text = std::fs::read_to_string(&timeline).expect("read timeline");
+    let _ = std::fs::remove_file(&timeline);
+    text
+}
+
+#[test]
+fn timelines_show_which_jobs_path_ran() {
+    let trace = write_random_trace("lanes.pgtr", 20_000, 53);
+    // A plain run streams: one decode-ahead lane, no segment workers.
+    let streamed = jobs_2_timeline(&trace, &[]);
+    assert!(
+        streamed.contains("\"decode-ahead\""),
+        "no decode-ahead lane"
+    );
+    assert!(
+        !streamed.contains("\"analyze-1\""),
+        "unexpected worker lane"
+    );
+    // Loading the trace cuts it: one lane per segment worker.
+    let cut = jobs_2_timeline(&trace, &["--no-decode-ahead"]);
     for needle in ["\"analyze-1\"", "\"segment\"", "\"merge\""] {
-        assert!(text.contains(needle), "timeline lacks {needle}");
+        assert!(cut.contains(needle), "timeline lacks {needle}");
     }
     let _ = std::fs::remove_file(&trace);
-    let _ = std::fs::remove_file(&timeline);
 }

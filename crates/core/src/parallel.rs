@@ -53,27 +53,14 @@
 //! Everything else — any window size, any renaming set, either memory
 //! model, issue limits, perfect or stall-always branches — parallelizes
 //! exactly.
-//!
-//! # Two drivers
-//!
-//! [`analyze_parallel`] cuts a decoded record slice ([`plan_cuts`]).
-//! [`analyze_mapped`] works on a trace *image* and never materializes it:
-//! each worker decodes its own chunk range and analyzes it in place,
-//! finding its cut by decoding up to the first syscall at or after its
-//! range boundary. It declines — rather than guess — on anything the
-//! sequential reader would answer differently.
 
 use crate::branch::BranchPolicy;
 use crate::config::{AnalysisConfig, SyscallPolicy};
 use crate::livewell::{LiveWell, SegmentOutcome};
 use crate::report::AnalysisReport;
-use crate::telemetry::timeline;
 use paragraph_isa::OpClass;
-use paragraph_trace::binary::{decode_span, ChunkSpan};
-use paragraph_trace::source::{admitted_scan, chunk_ranges};
-use paragraph_trace::{Limits, Loc, TraceRecord};
-use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use paragraph_trace::{Loc, TraceRecord};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Records between shared-progress updates inside a segment worker.
 const PROGRESS_STRIDE: usize = 1 << 16;
@@ -96,19 +83,6 @@ pub fn effective_jobs(jobs: usize) -> usize {
 /// Returns the human-readable reason parallel analysis would not be
 /// byte-identical to the sequential oracle.
 pub fn eligibility(records: &[TraceRecord], config: &AnalysisConfig) -> Result<(), &'static str> {
-    config_eligibility(config)?;
-    if stalls_on_memory_branches(config) && records.iter().any(touches_well_unplaced) {
-        return Err(UNPLACED_BRANCH);
-    }
-    Ok(())
-}
-
-/// Why a trace with a stall-always memory-sourced branch is not cut.
-const UNPLACED_BRANCH: &str =
-    "stall-always branches with memory sources touch the live well unplaced";
-
-/// The record-independent part of [`eligibility`].
-fn config_eligibility(config: &AnalysisConfig) -> Result<(), &'static str> {
     if config.syscall_policy() != SyscallPolicy::Conservative {
         return Err("optimistic syscalls insert no firewalls to cut at");
     }
@@ -121,19 +95,14 @@ fn config_eligibility(config: &AnalysisConfig) -> Result<(), &'static str> {
     if config.live_well_cap().is_some() {
         return Err("live-well eviction depends on global occupancy");
     }
+    if matches!(config.branch_policy(), BranchPolicy::StallAlways)
+        && records.iter().any(|r| {
+            r.class() == OpClass::Branch && r.srcs().iter().any(|s| matches!(s, Loc::Mem(_)))
+        })
+    {
+        return Err("stall-always branches with memory sources touch the live well unplaced");
+    }
     Ok(())
-}
-
-/// Whether `config`'s branch policy makes [`touches_well_unplaced`]
-/// records ineligible.
-fn stalls_on_memory_branches(config: &AnalysisConfig) -> bool {
-    matches!(config.branch_policy(), BranchPolicy::StallAlways)
-}
-
-/// A branch with a memory source: under stall-always branching it
-/// materializes a live-well entry without a placement.
-fn touches_well_unplaced(record: &TraceRecord) -> bool {
-    record.class() == OpClass::Branch && record.srcs().iter().any(|s| matches!(s, Loc::Mem(_)))
 }
 
 /// Plans firewall cuts over `records[start..]` for `jobs` workers: returns
@@ -256,192 +225,6 @@ pub fn analyze_parallel(
         // exact); the sequential oracle is always a correct answer.
         None => sequential(records),
     }
-}
-
-/// Why a fused worker stopped: another range declined first.
-const ABORTED: &str = "another range declined";
-
-/// Analyzes a complete in-memory v2 trace image across up to `jobs`
-/// threads (0 = all cores) and returns a report byte-identical to the
-/// sequential [`analyze_refs`](crate::analyze_refs) over the decoded
-/// records — without ever materializing the trace. The analyzer runs
-/// with the trace header's segment map in place of `config`'s, exactly as
-/// a reader-driven analysis configures itself.
-///
-/// The chunks are split into contiguous ranges balanced by payload bytes
-/// ([`chunk_ranges`]). Range `i > 0` owns the segment that starts right
-/// after the first conservative syscall at or after its first record and
-/// ends right after the first syscall at or after the first record of
-/// range `i + 1` (or at the end of the trace); range 0's segment starts
-/// at record 0 and runs on the calling thread. Each worker decodes its
-/// chunks one at a time into a reused buffer — reading past its own range
-/// to reach its end syscall — and feeds them straight to its live well,
-/// so memory stays at the live wells plus one chunk per worker. The
-/// segments partition the trace and every cut sits right after a
-/// syscall, so the outcomes splice exactly as in [`analyze_parallel`].
-///
-/// # Errors
-///
-/// Declines — with the reason, and after stopping every worker — whenever
-/// the answer could differ from the sequential reader's: an ineligible
-/// configuration (see [`eligibility`]), a stream that is not pristine v2
-/// or that `limits` might reject ([`admitted_scan`]), a chunk that fails
-/// its CRC or payload check, and a stall-always branch with a memory
-/// source in any analyzed record. The caller then analyzes sequentially,
-/// which owns the exact error and rejection semantics.
-pub fn analyze_mapped(
-    bytes: &[u8],
-    config: &AnalysisConfig,
-    jobs: usize,
-    limits: &Limits,
-) -> Result<AnalysisReport, &'static str> {
-    config_eligibility(config)?;
-    let scan = admitted_scan(bytes, limits)
-        .ok_or("not a pristine v2 stream within the governor's limits")?;
-    let config = config.clone().with_segments(scan.segments);
-    let worker_config = segment_config(&config);
-    let ranges = chunk_ranges(&scan, effective_jobs(jobs));
-    let check_branches = stalls_on_memory_branches(&config);
-    let abort = AtomicBool::new(false);
-    let run_range = |i: usize, analyzer: &mut LiveWell| {
-        let chunks = ranges[i].clone();
-        let outcome = fused_range(
-            bytes,
-            &scan.chunks,
-            chunks,
-            i > 0,
-            check_branches,
-            analyzer,
-            &abort,
-        );
-        if outcome.is_err() {
-            abort.store(true, Ordering::Relaxed);
-        }
-        outcome
-    };
-    let (primary, segments) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..ranges.len())
-            .map(|i| {
-                let (worker_config, run_range) = (&worker_config, &run_range);
-                scope.spawn(move || {
-                    // Each worker gets its own timeline lane, named so
-                    // Perfetto shows the segment fan-out.
-                    if let Some(timeline) = timeline::timeline_active() {
-                        timeline.set_thread_name(&format!("analyze-{i}"));
-                    }
-                    let mut tspan = timeline::timeline_span("segment");
-                    let mut analyzer = LiveWell::new(worker_config.clone());
-                    run_range(i, &mut analyzer)?;
-                    tspan.arg("records", analyzer.records_processed());
-                    if analyzer.records_processed() == 0 {
-                        // No syscall in the range: its records belong to
-                        // the segment before it.
-                        return Ok(None);
-                    }
-                    analyzer
-                        .into_segment_outcome()
-                        .map(Some)
-                        .ok_or("a segment profile was inexact")
-                })
-            })
-            .collect();
-        let mut primary = LiveWell::new(config);
-        let outcome = {
-            let mut tspan = timeline::timeline_span("livewell");
-            let outcome = run_range(0, &mut primary);
-            tspan.arg("records", primary.records_processed());
-            outcome
-        };
-        let segments: Vec<Result<Option<SegmentOutcome>, &'static str>> = handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect();
-        (outcome.map(|()| primary), segments)
-    });
-    // Report the range that declined, not the ones it stopped.
-    let declined = std::iter::once(primary.as_ref().err())
-        .chain(segments.iter().map(|s| s.as_ref().err()))
-        .flatten()
-        .copied()
-        .find(|&reason| reason != ABORTED);
-    if let Some(reason) = declined {
-        return Err(reason);
-    }
-    let mut primary = primary?;
-    let segments: Vec<SegmentOutcome> = segments
-        .into_iter()
-        .filter_map(Result::transpose)
-        .collect::<Result<_, _>>()?;
-    let covered =
-        primary.records_processed() + segments.iter().map(SegmentOutcome::records).sum::<u64>();
-    if covered != scan.total {
-        return Err("segments did not partition the trace");
-    }
-    {
-        let mut tspan = timeline::timeline_span("merge");
-        tspan.arg("segments", segments.len() as u64);
-        for segment in &segments {
-            primary.merge_segment(segment);
-        }
-    }
-    Ok(primary.finish())
-}
-
-/// Decodes and analyzes one range of [`analyze_mapped`]: chunks from
-/// `chunks.start`, skipping (when `seek`) every record up to and
-/// including the range's first syscall, then past the range's end up to
-/// and including the first syscall there. A seeking range that finds no
-/// syscall leaves `analyzer` untouched: its segment is empty. With
-/// `check_branches`, a record [`touches_well_unplaced`] declines.
-fn fused_range(
-    bytes: &[u8],
-    spans: &[ChunkSpan],
-    chunks: Range<usize>,
-    seek: bool,
-    check_branches: bool,
-    analyzer: &mut LiveWell,
-    abort: &AtomicBool,
-) -> Result<(), &'static str> {
-    let is_syscall = |r: &TraceRecord| r.class() == OpClass::Syscall;
-    let mut seeking = seek;
-    let mut block = Vec::new();
-    for (c, span) in spans.iter().enumerate().skip(chunks.start) {
-        if seeking && c >= chunks.end {
-            return Ok(());
-        }
-        if abort.load(Ordering::Relaxed) {
-            return Err(ABORTED);
-        }
-        block.clear();
-        if !decode_span(bytes, span, &mut block) {
-            return Err("a chunk failed its CRC or payload check");
-        }
-        let mut records = &block[..];
-        if seeking {
-            let Some(at) = records.iter().position(is_syscall) else {
-                continue;
-            };
-            records = &records[at + 1..];
-            seeking = false;
-        }
-        let end = (c >= chunks.end)
-            .then(|| records.iter().position(is_syscall))
-            .flatten();
-        if let Some(at) = end {
-            records = &records[..=at];
-        }
-        if check_branches && records.iter().any(touches_well_unplaced) {
-            return Err(UNPLACED_BRANCH);
-        }
-        analyzer.process_slice(records);
-        if end.is_some() {
-            break;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

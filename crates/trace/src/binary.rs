@@ -1805,14 +1805,18 @@ pub fn scan_chunks(bytes: &[u8]) -> Option<ChunkScan> {
     }
 }
 
-/// CRC-checks and decodes one [`ChunkSpan`] out of `bytes`, appending its
-/// records to `out`. Returns `false` on a CRC mismatch or a payload that
-/// does not decode to exactly `count` records — the caller must then fall
-/// back to the sequential reader for exact fault semantics.
-pub fn decode_span(bytes: &[u8], span: &ChunkSpan, out: &mut Vec<TraceRecord>) -> bool {
+/// CRC-checks and decodes one [`ChunkSpan`] out of `bytes` into `out`,
+/// which holds exactly `count` records' worth of slots. Returns `false` on
+/// a CRC mismatch, a payload that does not decode to `count` records, or
+/// an `out` of the wrong length — the caller must then fall back to the
+/// sequential reader for exact fault semantics.
+pub fn decode_span(bytes: &[u8], span: &ChunkSpan, out: &mut [TraceRecord]) -> bool {
     let Some(frame) = bytes.get(span.offset..span.offset + span.frame_len) else {
         return false;
     };
+    if out.len() as u64 != span.count {
+        return false;
+    }
     let varints = &frame[SYNC_MARKER.len()..span.header_len - 4];
     let mut stored = [0u8; 4];
     stored.copy_from_slice(&frame[span.header_len - 4..span.header_len]);
@@ -1824,8 +1828,17 @@ pub fn decode_span(bytes: &[u8], span: &ChunkSpan, out: &mut Vec<TraceRecord>) -
     if crc.finish() != stored {
         return false;
     }
-    let outcome = decode_chunk_payload(payload, span.count, 0, out, true);
-    outcome.fault.is_none() && outcome.delivered == span.count
+    // The pc-delta chain restarts at every chunk.
+    let (mut pos, mut last_pc) = (0usize, 0u64);
+    out.iter_mut().all(
+        |slot| match decode_record_slice_swar(payload, &mut pos, &mut last_pc) {
+            Ok(Some(record)) => {
+                *slot = record;
+                true
+            }
+            _ => false,
+        },
+    )
 }
 
 impl<R: Read> Iterator for TraceReader<R> {

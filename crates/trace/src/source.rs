@@ -19,12 +19,9 @@
 //! decoded while the analyzer consumes chunk N. And for pristine mapped
 //! streams, [`decode_all_parallel`] fans whole-file decoding out across
 //! threads (each chunk decodes independently: the pc-delta chain restarts
-//! per chunk), falling back to the sequential reader on any anomaly. Its
-//! admission test ([`admitted_scan`]) and work split ([`chunk_ranges`])
-//! also drive the fused decode + analyze pipeline in
-//! `paragraph_core::parallel`, which never materializes the trace.
+//! per chunk), falling back to the sequential reader on any anomaly.
 
-use crate::binary::{decode_span, scan_chunks, ByteStream, ChunkScan, RecoveryStats, TraceReader};
+use crate::binary::{decode_span, scan_chunks, ByteStream, RecoveryStats, TraceReader};
 use crate::error::TraceError;
 use crate::govern::Limits;
 use crate::record::TraceRecord;
@@ -32,7 +29,6 @@ use crate::segment::SegmentMap;
 use paragraph_isa::OpClass;
 use std::fs::File;
 use std::io::{self, BufReader, Read};
-use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
@@ -397,7 +393,7 @@ pub struct ParallelDecode {
 /// against the structural scan. Any stream a governed sequential reader
 /// might reject is declined here, so the caller's sequential fallback
 /// owns the (identical) rejection.
-fn admits(scan: &ChunkScan, stream_len: u64, limits: &Limits) -> bool {
+fn admits(scan: &crate::binary::ChunkScan, stream_len: u64, limits: &Limits) -> bool {
     if limits.deadline.is_some() {
         // Wall-clock budgets need the sequential reader's bookkeeping.
         return false;
@@ -412,94 +408,70 @@ fn admits(scan: &ChunkScan, stream_len: u64, limits: &Limits) -> bool {
     })
 }
 
-/// The admission test for decoding a complete in-memory stream out of
-/// order: its chunk map if the stream is pristine (see [`scan_chunks`])
-/// and a governed sequential reader with `limits` would accept all of it,
-/// `None` otherwise — the caller then reads sequentially, which owns the
-/// exact error, rejection and recovery semantics.
-pub fn admitted_scan(bytes: &[u8], limits: &Limits) -> Option<ChunkScan> {
-    let scan = scan_chunks(bytes)?;
-    admits(&scan, bytes.len() as u64, limits).then_some(scan)
-}
-
-/// Splits `scan`'s chunks into at most `jobs` contiguous index ranges
-/// balanced by payload bytes, so one huge chunk does not serialize the
-/// fan-out. The ranges cover every chunk in order; a scan without chunks
-/// yields the single empty range `0..0`.
-pub fn chunk_ranges(scan: &ChunkScan, jobs: usize) -> Vec<Range<usize>> {
-    let jobs = jobs.max(1).min(scan.chunks.len().max(1));
-    let total_payload: usize = scan.chunks.iter().map(|c| c.frame_len - c.header_len).sum();
-    let target = total_payload / jobs + 1;
-    let mut ranges = Vec::with_capacity(jobs);
-    let mut lo = 0usize;
-    let mut acc = 0usize;
-    for (i, c) in scan.chunks.iter().enumerate() {
-        acc += c.frame_len - c.header_len;
-        if acc >= target && ranges.len() + 1 < jobs {
-            ranges.push(lo..i + 1);
-            lo = i + 1;
-            acc = 0;
-        }
-    }
-    if lo < scan.chunks.len() || ranges.is_empty() {
-        ranges.push(lo..scan.chunks.len());
-    }
-    ranges
-}
-
 /// Decodes a complete in-memory v2 stream across `jobs` threads, each
 /// CRC-checking and decoding a contiguous run of chunks straight out of
 /// the shared region into its own disjoint slice of the one output
 /// vector; the scan's chunk record counts fix each slice up front.
 ///
 /// Returns `None` — decode sequentially instead — unless the stream is
-/// admitted by [`admitted_scan`]. On any CRC or payload fault discovered
-/// by a worker the whole decode is abandoned and `None` is returned, so
-/// error reporting and recovery accounting always come from the
-/// sequential reader and are identical across paths.
+/// pristine (see [`scan_chunks`]) and within `limits`. On any CRC or
+/// payload fault discovered by a worker the whole decode is abandoned and
+/// `None` is returned, so error reporting and recovery accounting always
+/// come from the sequential reader and are identical across paths.
 pub fn decode_all_parallel(
     bytes: &SharedBytes,
     jobs: usize,
     limits: &Limits,
 ) -> Option<ParallelDecode> {
     let data: &[u8] = bytes;
-    let scan = admitted_scan(data, limits)?;
-    let ranges = chunk_ranges(&scan, jobs);
-    let total = usize::try_from(scan.total).ok()?;
-    let placeholder = TraceRecord::new(0, OpClass::Nop, &[], None);
-    let mut records = vec![placeholder; total];
-    let mut outputs = Vec::with_capacity(ranges.len());
-    let mut rest = records.as_mut_slice();
-    for range in &ranges {
-        let count: u64 = scan.chunks[range.clone()].iter().map(|c| c.count).sum();
-        let (head, tail) = std::mem::take(&mut rest).split_at_mut(count as usize);
-        outputs.push(head);
-        rest = tail;
+    let scan = scan_chunks(data)?;
+    if !admits(&scan, data.len() as u64, limits) {
+        return None;
     }
+    let jobs = jobs.max(1).min(scan.chunks.len().max(1));
+    // Contiguous chunk ranges balanced by payload bytes, so one huge chunk
+    // does not serialize the fan-out.
+    let total_payload: usize = scan.chunks.iter().map(|c| c.frame_len - c.header_len).sum();
+    let target = total_payload / jobs + 1;
+    let mut groups: Vec<(usize, usize)> = Vec::with_capacity(jobs);
+    let mut lo = 0usize;
+    let mut acc = 0usize;
+    for (i, c) in scan.chunks.iter().enumerate() {
+        acc += c.frame_len - c.header_len;
+        if acc >= target && groups.len() + 1 < jobs {
+            groups.push((lo, i + 1));
+            lo = i + 1;
+            acc = 0;
+        }
+    }
+    if lo < scan.chunks.len() {
+        groups.push((lo, scan.chunks.len()));
+    }
+    let placeholder = TraceRecord::new(0, OpClass::Nop, &[], None);
+    let mut records = vec![placeholder; usize::try_from(scan.total).ok()?];
     let ok = AtomicBool::new(true);
     std::thread::scope(|s| {
-        let handles: Vec<_> = ranges
+        let ok = &ok;
+        let mut rest = records.as_mut_slice();
+        let handles: Vec<_> = groups
             .iter()
-            .zip(outputs)
-            .map(|(range, out)| {
-                let spans = &scan.chunks[range.clone()];
-                let ok = &ok;
+            .map(|&(lo, hi)| {
+                let spans = &scan.chunks[lo..hi];
+                let count: u64 = spans.iter().map(|c| c.count).sum();
+                let (mut out, tail) = std::mem::take(&mut rest).split_at_mut(count as usize);
+                rest = tail;
                 s.spawn(move || {
-                    let mut block = Vec::new();
-                    let mut at = 0;
                     for span in spans {
                         if !ok.load(Ordering::Relaxed) {
                             return;
                         }
-                        block.clear();
-                        // `decode_span` succeeds only with exactly
-                        // `span.count` records, so the slices line up.
-                        if !decode_span(data, span, &mut block) {
+                        let (chunk, tail) =
+                            std::mem::take(&mut out).split_at_mut(span.count as usize);
+                        out = tail;
+                        if !decode_span(data, span, chunk) {
                             ok.store(false, Ordering::Relaxed);
                             return;
                         }
-                        out[at..at + block.len()].copy_from_slice(&block);
-                        at += block.len();
                     }
                 })
             })
@@ -635,25 +607,6 @@ mod tests {
             assert_eq!(decoded.records, expected, "jobs {jobs}");
             assert_eq!(decoded.total, expected.len() as u64);
         }
-    }
-
-    #[test]
-    fn chunk_ranges_cover_every_chunk_in_order() {
-        let (bytes, _) = trace_bytes(5000, 19, 100);
-        let scan = scan_chunks(&bytes).expect("pristine");
-        for jobs in [1, 2, 3, 8, 1000] {
-            let ranges = chunk_ranges(&scan, jobs);
-            assert!(!ranges.is_empty() && ranges.len() <= jobs);
-            assert_eq!(ranges[0].start, 0);
-            assert_eq!(ranges[ranges.len() - 1].end, scan.chunks.len());
-            for pair in ranges.windows(2) {
-                assert_eq!(pair[0].end, pair[1].start);
-                assert!(pair[0].start < pair[0].end);
-            }
-        }
-        let (empty, _) = trace_bytes(0, 19, 100);
-        let scan = scan_chunks(&empty).expect("pristine empty stream");
-        assert_eq!(chunk_ranges(&scan, 4), vec![0..0]);
     }
 
     #[test]

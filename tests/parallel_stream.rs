@@ -1,19 +1,25 @@
-//! Differential suite for the fused parallel decode + analyze pipeline.
+//! Differential suite for `analyze --jobs N` over a trace image.
 //!
-//! [`analyze_mapped`] analyzes a trace image without materializing it:
-//! each worker decodes its own chunk range straight out of the bytes and
-//! analyzes the segment between the firewall cuts at or after its range
-//! boundaries. Its contract is the sequential oracle's, byte for byte on
-//! the JSON report, for every job count, chunk size, syscall placement
-//! and eligible configuration — and a typed decline (`Err`) whenever it
-//! could not be exact, so the caller's sequential reader owns the answer.
+//! Two paths analyze a trace file at `--jobs N`. A plain run streams it:
+//! a decode-ahead helper thread decodes chunk N+1 while the live well
+//! consumes chunk N ([`streamed`]). Any other run loads it: the chunks
+//! decode in parallel straight into one record vector
+//! ([`decode_all_parallel`]), which is then cut at conservative-syscall
+//! firewalls and analyzed segment by segment ([`analyze_parallel`]).
+//! Both must match the sequential oracle byte for byte on the JSON
+//! report, for every job count, chunk size, syscall placement and
+//! configuration. The parallel decode must decline (`None`) whenever it
+//! could not reproduce the sequential reader exactly, so the sequential
+//! reader owns every error.
 
 use paragraph_core::branch::BranchPolicy;
-use paragraph_core::parallel::analyze_mapped;
-use paragraph_core::{analyze_refs, AnalysisConfig, MemoryModel, RenameSet, WindowSize};
+use paragraph_core::{
+    analyze_parallel, analyze_refs, AnalysisConfig, LiveWell, MemoryModel, RenameSet, WindowSize,
+};
 use paragraph_isa::OpClass;
-use paragraph_trace::binary::TraceWriter;
-use paragraph_trace::{synthetic, Limits, Loc, SegmentMap, TraceRecord};
+use paragraph_trace::binary::{TraceReader, TraceWriter};
+use paragraph_trace::source::{decode_all_parallel, DecodeAhead};
+use paragraph_trace::{synthetic, Limits, Loc, SegmentMap, TraceRecord, TraceSource};
 use std::time::Duration;
 
 const JOBS: [usize; 3] = [2, 3, 8];
@@ -51,17 +57,50 @@ fn reference(records: &[TraceRecord], config: &AnalysisConfig) -> String {
     analyze_refs(records, &config).to_json()
 }
 
-fn assert_fused_identical(records: &[TraceRecord], config: &AnalysisConfig, what: &str) {
+/// The plain `--jobs N` path: decode-ahead feeding one live well,
+/// configured with the trace header's segment map.
+fn streamed(bytes: &[u8], config: &AnalysisConfig) -> String {
+    let reader = TraceReader::from_source(TraceSource::from_bytes(bytes.to_vec())).expect("header");
+    let mut analyzer = LiveWell::new(config.clone().with_segments(reader.segment_map()));
+    let mut pipeline = DecodeAhead::spawn(reader, None).expect("spawn");
+    while let Some(batch) = pipeline.next_batch() {
+        let batch = batch.expect("clean stream");
+        analyzer.process_slice(&batch);
+        pipeline.recycle(batch);
+    }
+    pipeline.finish();
+    analyzer.finish().to_json()
+}
+
+/// The parallel whole-stream decode, or `None` when it declines.
+fn decoded(bytes: &[u8], jobs: usize, limits: &Limits) -> Option<(Vec<TraceRecord>, SegmentMap)> {
+    let shared = TraceSource::from_bytes(bytes.to_vec())
+        .shared_bytes()
+        .expect("in-memory source shares bytes");
+    decode_all_parallel(&shared, jobs, limits).map(|d| (d.records, d.segments))
+}
+
+/// The loaded `--jobs N` path: parallel decode, then firewall cuts.
+fn loaded(bytes: &[u8], config: &AnalysisConfig, jobs: usize) -> String {
+    let (records, segments) =
+        decoded(bytes, jobs, &Limits::default()).expect("pristine stream decodes in parallel");
+    analyze_parallel(&records, &config.clone().with_segments(segments), jobs).to_json()
+}
+
+fn assert_paths_identical(records: &[TraceRecord], config: &AnalysisConfig, what: &str) {
     let expected = reference(records, config);
     for chunk in CHUNKS {
         let bytes = encode(records, chunk);
+        assert_eq!(
+            streamed(&bytes, config),
+            expected,
+            "{what}: streamed, chunk {chunk} config {config:?}"
+        );
         for jobs in JOBS {
-            let fused = analyze_mapped(&bytes, config, jobs, &Limits::default())
-                .unwrap_or_else(|reason| panic!("{what}: declined ({reason})"));
             assert_eq!(
-                fused.to_json(),
+                loaded(&bytes, config, jobs),
                 expected,
-                "{what}: chunk {chunk} jobs {jobs} config {config:?}"
+                "{what}: loaded, chunk {chunk} jobs {jobs} config {config:?}"
             );
         }
     }
@@ -90,16 +129,16 @@ fn placed(n: usize, seed: u64, at: impl Fn(usize) -> bool) -> Vec<TraceRecord> {
 }
 
 #[test]
-fn fused_matches_the_oracle_across_configs_jobs_and_chunk_sizes() {
+fn both_paths_match_the_oracle_across_configs_jobs_and_chunk_sizes() {
     // random_trace emits ~2% syscalls: plenty of cut points in every range.
     let trace = synthetic::random_trace(10_000, 41);
     for config in configs() {
-        assert_fused_identical(&trace, &config, "random trace");
+        assert_paths_identical(&trace, &config, "random trace");
     }
 }
 
 #[test]
-fn fused_matches_the_oracle_for_every_syscall_placement() {
+fn both_paths_match_the_oracle_for_every_syscall_placement() {
     const N: usize = 9_000;
     let placements: Vec<(&str, Vec<TraceRecord>)> = vec![
         ("no syscall", placed(N, 3, |_| false)),
@@ -114,8 +153,8 @@ fn fused_matches_the_oracle_for_every_syscall_placement() {
             "every record",
             (0..N as u64).map(|i| syscall(4 * i)).collect(),
         ),
-        // Syscalls only in the outer quarters: with 3 or 8 ranges, the
-        // middle ranges have none and contribute empty segments.
+        // Syscalls only in the outer quarters: the middle of the trace
+        // offers no cut point.
         (
             "a range with no syscall",
             placed(N, 9, |i| !(N / 4..=3 * N / 4).contains(&i) && i % 50 == 0),
@@ -129,7 +168,7 @@ fn fused_matches_the_oracle_for_every_syscall_placement() {
     ];
     for (what, trace) in &placements {
         for config in &configs {
-            assert_fused_identical(trace, config, what);
+            assert_paths_identical(trace, config, what);
         }
     }
 }
@@ -137,8 +176,8 @@ fn fused_matches_the_oracle_for_every_syscall_placement() {
 #[test]
 fn empty_and_single_chunk_traces_match_the_oracle() {
     let config = AnalysisConfig::dataflow_limit();
-    assert_fused_identical(&[], &config, "empty trace");
-    assert_fused_identical(&synthetic::random_trace(3, 1), &config, "three records");
+    assert_paths_identical(&[], &config, "empty trace");
+    assert_paths_identical(&synthetic::random_trace(3, 1), &config, "three records");
 }
 
 /// A syscall-rich trace (so every range has cut points) as a stream with
@@ -149,10 +188,10 @@ fn clean_stream() -> (Vec<TraceRecord>, Vec<u8>) {
     (trace, bytes)
 }
 
-fn assert_declines(bytes: &[u8], config: &AnalysisConfig, limits: &Limits, what: &str) {
+fn assert_declines(bytes: &[u8], limits: &Limits, what: &str) {
     for jobs in JOBS {
         assert!(
-            analyze_mapped(bytes, config, jobs, limits).is_err(),
+            decoded(bytes, jobs, limits).is_none(),
             "{what}: jobs {jobs} must decline"
         );
     }
@@ -160,20 +199,14 @@ fn assert_declines(bytes: &[u8], config: &AnalysisConfig, limits: &Limits, what:
 
 #[test]
 fn damaged_streams_are_declined() {
-    let config = AnalysisConfig::dataflow_limit();
     let (_, bytes) = clean_stream();
     // A payload bit flip late in the stream: the structural scan passes,
     // the chunk's CRC does not, and every worker stops.
     let mut flipped = bytes.clone();
     let at = flipped.len() * 9 / 10;
     flipped[at] ^= 0x10;
-    assert_declines(&flipped, &config, &Limits::default(), "bit flip");
-    assert_declines(
-        &bytes[..bytes.len() - 5],
-        &config,
-        &Limits::default(),
-        "truncation",
-    );
+    assert_declines(&flipped, &Limits::default(), "bit flip");
+    assert_declines(&bytes[..bytes.len() - 5], &Limits::default(), "truncation");
 }
 
 #[test]
@@ -185,61 +218,54 @@ fn legacy_v1_streams_are_declined() {
         writer.write_record(record).expect("v1 record");
     }
     writer.finish().expect("v1 finish");
-    assert_declines(
-        &bytes,
-        &AnalysisConfig::dataflow_limit(),
-        &Limits::default(),
-        "v1",
-    );
+    assert_declines(&bytes, &Limits::default(), "v1");
 }
 
 #[test]
 fn governor_limits_are_declined() {
-    let config = AnalysisConfig::dataflow_limit();
     let (trace, bytes) = clean_stream();
     let deadline = Limits {
         deadline: Some(Duration::from_secs(3600)),
         ..Limits::default()
     };
-    assert_declines(&bytes, &config, &deadline, "deadline");
+    assert_declines(&bytes, &deadline, "deadline");
     let tight = Limits {
         max_records: trace.len() as u64 - 1,
         ..Limits::default()
     };
-    assert_declines(&bytes, &config, &tight, "max_records");
+    assert_declines(&bytes, &tight, "max_records");
     // Exactly at the limit the stream is admitted, and exact.
     let exact = Limits {
         max_records: trace.len() as u64,
         ..Limits::default()
     };
-    let report = analyze_mapped(&bytes, &config, 2, &exact).expect("at the limit");
-    assert_eq!(report.to_json(), reference(&trace, &config));
+    let (records, _) = decoded(&bytes, 2, &exact).expect("at the limit");
+    assert_eq!(records, trace);
 }
 
 #[test]
-fn ineligible_configs_are_declined() {
-    let (_, bytes) = clean_stream();
+fn ineligible_configs_fall_back_to_the_same_report() {
+    let (trace, _) = clean_stream();
     for config in [
         AnalysisConfig::dataflow_limit().with_value_stats(true),
         AnalysisConfig::dataflow_limit().with_live_well_cap(32),
         AnalysisConfig::dataflow_limit()
             .with_syscall_policy(paragraph_core::SyscallPolicy::Optimistic),
     ] {
-        assert_declines(&bytes, &config, &Limits::default(), "ineligible config");
+        assert_paths_identical(&trace, &config, "ineligible config");
     }
 }
 
 #[test]
-fn stall_always_memory_sourced_branches_are_declined_in_any_segment() {
+fn stall_always_memory_sourced_branches_fall_back_in_any_segment() {
     let stall = AnalysisConfig::dataflow_limit().with_branch_policy(BranchPolicy::StallAlways);
     let (trace, _) = clean_stream();
     for at in [10, trace.len() / 2, trace.len() - 1] {
         let mut trace = trace.clone();
         trace[at] = TraceRecord::branch(trace[at].pc(), &[Loc::mem(77)]);
-        let bytes = encode(&trace, 64);
-        assert_declines(&bytes, &stall, &Limits::default(), "memory-sourced branch");
-        // Perfect branching places such a branch normally: exact.
-        assert_fused_identical(
+        assert_paths_identical(&trace, &stall, "stall-always memory-sourced branch");
+        // Perfect branching places such a branch normally.
+        assert_paths_identical(
             &trace,
             &AnalysisConfig::dataflow_limit(),
             "perfect branches",
@@ -267,8 +293,12 @@ fn the_trace_headers_segment_map_configures_the_analysis() {
     let config = AnalysisConfig::dataflow_limit().with_renames(RenameSet::registers_and_stack());
     let expected = analyze_refs(&trace, &config.clone().with_segments(segments)).to_json();
     assert_ne!(expected, reference(&trace, &config), "segments must matter");
+    assert_eq!(streamed(&bytes, &config), expected, "streamed");
     for jobs in JOBS {
-        let fused = analyze_mapped(&bytes, &config, jobs, &Limits::default()).expect("clean");
-        assert_eq!(fused.to_json(), expected, "jobs {jobs}");
+        assert_eq!(
+            loaded(&bytes, &config, jobs),
+            expected,
+            "loaded, jobs {jobs}"
+        );
     }
 }
