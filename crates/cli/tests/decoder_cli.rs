@@ -13,8 +13,10 @@ use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
+use paragraph_isa::OpClass;
 use paragraph_trace::binary::TraceWriter;
-use paragraph_trace::{synthetic, SegmentMap};
+use paragraph_trace::faultinject::{frame_spans, reseal_chunks};
+use paragraph_trace::{synthetic, SegmentMap, TraceRecord};
 
 fn paragraph(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_paragraph"))
@@ -202,4 +204,52 @@ fn run_accepts_the_backend_flags_inertly() {
     assert_ok(&flagged, "run with backend flags");
     assert_eq!(plain.stdout, flagged.stdout, "run output diverged");
     let _ = std::fs::remove_file(&asm_path);
+}
+
+#[test]
+fn crc_valid_inconsistent_record_exits_4_identically_on_every_path() {
+    // Record 4999 closes the fifth 1000-record chunk. It is written as a
+    // nop at its predecessor's pc (payload bytes [nop, 0, 0]) and turned
+    // into a store with no operands ([7, 0, 0]) under a resealed CRC, so
+    // only the record contract can reject it.
+    let mut records = synthetic::random_trace(10_000, 47);
+    records[4999] = TraceRecord::new(records[4998].pc(), OpClass::Nop, &[], None);
+    let mut bytes = Vec::new();
+    let mut writer =
+        TraceWriter::with_chunk_records(&mut bytes, SegmentMap::all_data(), 1000).expect("header");
+    for record in &records {
+        writer.write_record(record).expect("record");
+    }
+    writer.finish().expect("finish");
+    let (start, len) = frame_spans(&bytes)[5];
+    let payload = &mut bytes[start + len - 3..start + len];
+    assert_eq!(payload, [OpClass::Nop.id(), 0, 0]);
+    payload[0] = OpClass::Store.id();
+    reseal_chunks(&mut bytes);
+    let trace = scratch("inconsistent.pgtr");
+    std::fs::write(&trace, &bytes).expect("write inconsistent trace");
+
+    let trace_str = trace.to_str().expect("utf-8 path");
+    let mut outputs = Vec::new();
+    for extra in [
+        &["--jobs", "1"][..],
+        &["--jobs", "2", "--no-decode-ahead"][..],
+        &["--jobs", "2"][..],
+        &["--no-mmap"][..],
+    ] {
+        let mut args = vec!["analyze", "--trace", trace_str];
+        args.extend_from_slice(extra);
+        let out = paragraph(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(4), "{extra:?}: {stderr}");
+        assert!(
+            stderr.contains("store must name its memory destination"),
+            "{extra:?}: {stderr}"
+        );
+        outputs.push(stderr);
+    }
+    for (i, stderr) in outputs.iter().enumerate().skip(1) {
+        assert_eq!(&outputs[0], stderr, "path {i} reported a different error");
+    }
+    let _ = std::fs::remove_file(&trace);
 }

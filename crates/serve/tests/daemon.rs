@@ -3,10 +3,12 @@
 //! served reports against the library's one-shot analysis.
 
 use paragraph_core::AnalysisConfig;
+use paragraph_isa::OpClass;
 use paragraph_serve::client::{request, Endpoint};
 use paragraph_serve::{RequestFault, ServeOptions, ServeSummary, Server};
 use paragraph_trace::binary::TraceWriter;
-use paragraph_trace::{synthetic, Limits, SegmentMap};
+use paragraph_trace::faultinject::{frame_spans, reseal_chunks};
+use paragraph_trace::{synthetic, Limits, SegmentMap, TraceRecord};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -212,6 +214,49 @@ fn taxonomy_statuses_reach_the_wire() {
 
     shutdown(&endpoint);
     handle.join().expect("server thread").expect("clean drain");
+}
+
+/// The one-record stream whose chunk payload is `[7, 0, 0]` (a store
+/// with no operands) under a valid CRC: only the record contract rejects
+/// it.
+fn operandless_store_trace() -> Vec<u8> {
+    let mut bytes = Vec::new();
+    let mut writer = TraceWriter::new(&mut bytes, SegmentMap::default()).expect("header writes");
+    let nop = TraceRecord::new(0, OpClass::Nop, &[], None);
+    writer.write_record(&nop).expect("record writes");
+    writer.finish().expect("trailer writes");
+    let (start, len) = frame_spans(&bytes)[1];
+    let payload = &mut bytes[start + len - 3..start + len];
+    assert_eq!(payload, [OpClass::Nop.id(), 0, 0]);
+    payload[0] = OpClass::Store.id();
+    reseal_chunks(&mut bytes);
+    bytes
+}
+
+#[test]
+fn crc_valid_inconsistent_upload_answers_400_without_recycling_a_worker() {
+    let (endpoint, handle) = start(ServeOptions {
+        spool: scratch("inconsistent"),
+        limits: Limits::default(),
+        workers: 2,
+        ..ServeOptions::default()
+    });
+    let resp = request(&endpoint, "POST", "/traces", &operandless_store_trace()).expect("post");
+    assert_eq!(resp.status, 400, "{}", resp.body_text());
+    assert!(
+        resp.body_text()
+            .contains("store must name its memory destination"),
+        "{}",
+        resp.body_text()
+    );
+    let ok = request(&endpoint, "POST", "/traces", &encoded_chain(16)).expect("post");
+    assert_eq!(ok.status, 200, "{}", ok.body_text());
+    let health = request(&endpoint, "GET", "/healthz", &[]).expect("healthz");
+    assert_eq!(field_u64(&health.body_text(), "workers_recycled"), 0);
+
+    shutdown(&endpoint);
+    let summary = handle.join().expect("server thread").expect("clean drain");
+    assert_eq!(summary.workers_recycled, 0);
 }
 
 #[test]

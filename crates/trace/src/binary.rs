@@ -74,7 +74,7 @@ use crate::crc32::Crc32;
 use crate::error::{TraceError, TraceErrorKind};
 use crate::govern::{LimitViolation, ResourceGovernor};
 use crate::loc::Loc;
-use crate::record::TraceRecord;
+use crate::record::{check_operands, BranchInfo, OperandViolation, TraceRecord, MAX_SRCS, NO_SRCS};
 use crate::segment::SegmentMap;
 use crate::source::SharedBytes;
 use crate::wire::{
@@ -222,24 +222,25 @@ fn decode_record<R: Read>(mut input: R, last_pc: &mut u64) -> io::Result<Option<
     } else {
         None
     };
-    if has_branch {
+    let branch = if has_branch {
         let mut taken = [0u8; 1];
         input.read_exact(&mut taken)?;
         let target = read_varint(&mut input)?;
-        if class != OpClass::Branch {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "branch outcome on a non-branch record",
-            ));
-        }
-        return Ok(Some(TraceRecord::branch_outcome(
-            pc,
-            &srcs[..nsrc],
-            taken[0] != 0,
+        Some(BranchInfo {
+            taken: taken[0] != 0,
             target,
-        )));
-    }
-    Ok(Some(TraceRecord::new(pc, class, &srcs[..nsrc], dest)))
+        })
+    } else {
+        None
+    };
+    TraceRecord::try_new(pc, class, &srcs[..nsrc], dest, branch)
+        .map(Some)
+        .map_err(invalid_operands)
+}
+
+/// A record whose operands break the record contract: corrupt data.
+fn invalid_operands(v: OperandViolation) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, v.to_string())
 }
 
 fn eof_mid_record() -> io::Error {
@@ -270,7 +271,7 @@ fn read_varint_fast<const SWAR: bool>(buf: &[u8], pos: &mut usize) -> io::Result
 }
 
 /// Slice-based twin of [`read_loc`] for the block decoder.
-#[inline]
+#[inline(always)]
 fn read_loc_slice_impl<const SWAR: bool>(buf: &[u8], pos: &mut usize) -> io::Result<Loc> {
     let Some(&tag) = buf.get(*pos) else {
         return Err(eof_mid_record());
@@ -320,69 +321,79 @@ fn decode_record_slice_swar(
     decode_record_slice_impl::<true>(buf, pos, last_pc)
 }
 
-/// Slice-based twin of [`decode_record`] for the block decoder: decodes
+/// The block decoder's record kernel, behind every block path: decodes
 /// one record from `buf` at `*pos`, advancing `*pos` past it. `SWAR`
 /// selects the varint kernel; both instantiations decode identical bytes
-/// to identical records with identical errors.
+/// to identical records with identical errors, and agree with
+/// [`decode_record`], the independent per-record oracle.
+///
+/// The record contract is checked once, here: zero-register operands are
+/// dropped as they are read, the kept operands go through
+/// [`check_operands`] (a violation is `InvalidData`), and the record is
+/// built without a second check.
 ///
 /// Returns `None` with fewer than two bytes left at a record start — the
 /// same condition the `Read`-based decoder treats as a clean end of
 /// stream. Running out of bytes mid-record is `UnexpectedEof`.
-#[inline]
+///
+/// Forced inline, as is [`read_loc_slice_impl`]: called out of line, each
+/// record went back through memory on return, and inlining both into the
+/// chunk loop cut `read_block` by about a quarter (docs/hotpath.md).
+#[inline(always)]
 fn decode_record_slice_impl<const SWAR: bool>(
     buf: &[u8],
     pos: &mut usize,
     last_pc: &mut u64,
 ) -> io::Result<Option<TraceRecord>> {
-    if buf.len().saturating_sub(*pos) < 2 {
+    let (Some(&class_id), Some(&flags)) = (buf.get(*pos), buf.get(*pos + 1)) else {
         return Ok(None);
-    }
-    let class_id = buf[*pos];
-    let flags = buf[*pos + 1];
+    };
     *pos += 2;
     let class = OpClass::from_id(class_id)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "unknown opcode class"))?;
     let nsrc = (flags & 0x3f) as usize;
-    if nsrc > 3 {
+    if nsrc > MAX_SRCS {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "record has too many sources",
         ));
     }
-    let has_dest = flags & 0x80 != 0;
-    let has_branch = flags & 0x40 != 0;
     let delta = unzigzag(read_varint_fast::<SWAR>(buf, pos)?);
     let pc = last_pc.wrapping_add(delta as u64);
     *last_pc = pc;
-    let mut srcs = [Loc::mem(0); 3];
-    for slot in srcs.iter_mut().take(nsrc) {
-        *slot = read_loc_slice_impl::<SWAR>(buf, pos)?;
+    // A zero-register read is written and then overwritten by the next
+    // source, so the unused slots end up holding NO_SRCS's filler.
+    let mut srcs = NO_SRCS;
+    let mut kept = 0usize;
+    let mut reads_mem = false;
+    for _ in 0..nsrc {
+        let loc = read_loc_slice_impl::<SWAR>(buf, pos)?;
+        srcs[kept] = loc;
+        kept += usize::from(!loc.is_zero_reg());
+        reads_mem |= loc.is_mem();
     }
-    let dest = if has_dest {
-        Some(read_loc_slice_impl::<SWAR>(buf, pos)?)
+    let dest = if flags & 0x80 != 0 {
+        Some(read_loc_slice_impl::<SWAR>(buf, pos)?).filter(|d| !d.is_zero_reg())
     } else {
         None
     };
-    if has_branch {
+    let branch = if flags & 0x40 != 0 {
         let Some(&taken) = buf.get(*pos) else {
             return Err(eof_mid_record());
         };
         *pos += 1;
         let target = read_varint_fast::<SWAR>(buf, pos)?;
-        if class != OpClass::Branch {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "branch outcome on a non-branch record",
-            ));
-        }
-        return Ok(Some(TraceRecord::branch_outcome(
-            pc,
-            &srcs[..nsrc],
-            taken != 0,
+        Some(BranchInfo {
+            taken: taken != 0,
             target,
-        )));
-    }
-    Ok(Some(TraceRecord::new(pc, class, &srcs[..nsrc], dest)))
+        })
+    } else {
+        None
+    };
+    check_operands(class, kept, reads_mem, dest, branch.is_some()).map_err(invalid_operands)?;
+    Ok(Some(TraceRecord::from_parts(
+        pc, class, kept as u8, srcs, dest, branch,
+    )))
 }
 
 /// Why a CRC-valid chunk payload failed to decode (possible only under a
@@ -2339,6 +2350,46 @@ mod tests {
                 assert!(l.byte_offset() - b.byte_offset() < MAX_RECORD_LEN as u64);
             }
         }
+    }
+
+    #[test]
+    fn zero_register_operands_on_the_wire_are_dropped_like_the_constructor_drops_them() {
+        // No writer emits r0 operands, but a hand-made stream can: every
+        // decode path must drop them exactly as `TraceRecord::new` does.
+        let r0 = [TAG_INT, 0];
+        let mut payload = Vec::new();
+        // int-alu r0 r3 -> r0
+        payload.extend_from_slice(&[OpClass::IntAlu.id(), 0x82, 0]);
+        payload.extend_from_slice(&r0);
+        payload.extend_from_slice(&[TAG_INT, 3]);
+        payload.extend_from_slice(&r0);
+        // load r0 m:8 r5 -> r0, at the next pc
+        payload.extend_from_slice(&[OpClass::Load.id(), 0x83, 2]);
+        payload.extend_from_slice(&r0);
+        payload.extend_from_slice(&[TAG_MEM, 8, TAG_INT, 5]);
+        payload.extend_from_slice(&r0);
+        let mut bytes = v2_header();
+        write_chunk_frame(&mut bytes, 0, 2, &payload).unwrap();
+        write_chunk_frame(&mut bytes, 2, 0, &[]).unwrap();
+        let expected = vec![
+            TraceRecord::new(
+                0,
+                OpClass::IntAlu,
+                &[Loc::int(0), Loc::int(3)],
+                Some(Loc::int(0)),
+            ),
+            TraceRecord::new(
+                1,
+                OpClass::Load,
+                &[Loc::int(0), Loc::mem(8), Loc::int(5)],
+                Some(Loc::int(0)),
+            ),
+        ];
+        assert_eq!(expected[1].srcs(), &[Loc::mem(8), Loc::int(5)]);
+        assert_paths_agree(&bytes, false);
+        let (records, fault) = drain(&mut TraceReader::new(bytes.as_slice()).unwrap());
+        assert!(fault.is_none(), "{fault:?}");
+        assert_eq!(records, expected);
     }
 
     #[test]

@@ -252,6 +252,46 @@ pub fn frame_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
     result
 }
 
+/// Recomputes the CRC of every v2 chunk frame in `bytes` whose header
+/// parses and whose declared payload fits, so that payload damage gets
+/// past the checksum and reaches the record decoder. Returns the number
+/// of frames resealed. Public so the fuzz harness and the decoder tests
+/// can build CRC-valid but inconsistent chunks.
+pub fn reseal_chunks(bytes: &mut [u8]) -> usize {
+    use crate::binary::SYNC_MARKER;
+    use crate::crc32::Crc32;
+    use crate::wire::read_varint_slice;
+    let starts: Vec<usize> = frame_spans(bytes)
+        .into_iter()
+        .map(|(start, _)| start)
+        .filter(|&start| bytes[start..].starts_with(&SYNC_MARKER))
+        .collect();
+    let mut resealed = 0;
+    for start in starts {
+        let varints_at = start + SYNC_MARKER.len();
+        let mut pos = varints_at;
+        let header = (0..3)
+            .map(|_| read_varint_slice(bytes, &mut pos))
+            .collect::<Result<Vec<u64>, _>>();
+        let Ok(header) = header else { continue };
+        let crc_at = pos;
+        let payload_at = crc_at + 4;
+        let Some(payload_end) = usize::try_from(header[2])
+            .ok()
+            .and_then(|len| payload_at.checked_add(len))
+            .filter(|&end| end <= bytes.len())
+        else {
+            continue;
+        };
+        let mut crc = Crc32::new();
+        crc.update(&bytes[varints_at..crc_at]);
+        crc.update(&bytes[payload_at..payload_end]);
+        bytes[crc_at..payload_at].copy_from_slice(&crc.finish().to_le_bytes());
+        resealed += 1;
+    }
+    resealed
+}
+
 /// A [`Write`](std::io::Write) wrapper that simulates a disk filling up:
 /// it passes bytes through until a configured capacity is exhausted, then
 /// fails every write with an `ENOSPC`-shaped error ("no space left on
@@ -347,6 +387,32 @@ impl<W: std::io::Write> std::io::Write for FaultyWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn resealed_payload_damage_reaches_the_record_decoder() {
+        use crate::binary::{TraceReader, TraceWriter};
+        use crate::{synthetic, SegmentMap, TraceErrorKind};
+        let mut bytes = Vec::new();
+        let mut writer =
+            TraceWriter::with_chunk_records(&mut bytes, SegmentMap::all_data(), 16).unwrap();
+        for record in synthetic::random_trace(64, 5) {
+            writer.write_record(&record).unwrap();
+        }
+        writer.finish().unwrap();
+        let spans = frame_spans(&bytes);
+        // The last byte of the second chunk: damage inside its payload.
+        let (start, len) = spans[2];
+        bytes[start + len - 1] ^= 0x7f;
+        let crc_fault = |bytes: &[u8]| {
+            TraceReader::new(bytes).unwrap().any(|item| {
+                item.is_err_and(|e| matches!(e.kind(), TraceErrorKind::ChecksumMismatch { .. }))
+            })
+        };
+        assert!(crc_fault(&bytes));
+        // Four data chunks plus the trailer.
+        assert_eq!(reseal_chunks(&mut bytes), 5);
+        assert!(!crc_fault(&bytes));
+    }
 
     #[test]
     fn identity_plan_changes_nothing() {

@@ -32,9 +32,11 @@
 //!   `nop`.
 //! * **SRC**/**DEST** locations are `rN` (integer register, N < 32), `fN`
 //!   (floating-point register, N < 32), or `m:ADDR` (memory word address).
-//!   At most three sources. A destination requires a value-creating
-//!   class; a memory destination is exactly the `store` class, and `load`
-//!   must name a memory source.
+//!   At most three sources. Records obey the record contract of
+//!   [`TraceRecord::new`]: `r0` operands are dropped, a destination
+//!   requires a value-creating class, a memory destination is exactly the
+//!   `store` class, `store` must name a memory destination and `load` a
+//!   memory source.
 //! * `taken TARGET` / `not-taken TARGET` record a branch outcome and are
 //!   only valid on `branch` records.
 //! * `!segments heap=H stack=S` sets the [`SegmentMap`] boundaries
@@ -49,7 +51,7 @@
 use crate::binary::TraceWriter;
 use crate::govern::{LimitViolation, ResourceGovernor};
 use crate::loc::Loc;
-use crate::record::TraceRecord;
+use crate::record::{BranchInfo, TraceRecord};
 use crate::segment::SegmentMap;
 use paragraph_isa::OpClass;
 use std::error::Error;
@@ -230,7 +232,8 @@ fn class_by_name(name: &str) -> Option<OpClass> {
 
 /// Validates the class/operand combination and builds the record.
 ///
-/// Mirrors every assertion in [`TraceRecord::new`] as a returned error:
+/// The operands go through the same record-contract check as
+/// [`TraceRecord::new`] and the binary decoders, returned as an error:
 /// the text parser must never be able to reach a constructor panic from
 /// untrusted input.
 fn build_record(
@@ -241,44 +244,9 @@ fn build_record(
     dest: Option<Loc>,
     outcome: Option<(bool, u64)>,
 ) -> Result<TraceRecord, IngestError> {
-    if srcs.len() > 3 {
-        return Err(IngestError::syntax(lineno, "more than three sources"));
-    }
-    if let Some(d) = dest {
-        if !class.creates_value() {
-            return Err(IngestError::syntax(
-                lineno,
-                format!("class {class} cannot name a destination"),
-            ));
-        }
-        if d.is_mem() != (class == OpClass::Store) {
-            return Err(IngestError::syntax(
-                lineno,
-                "memory destinations are exactly the store class",
-            ));
-        }
-    } else if matches!(class, OpClass::Store | OpClass::Load) {
-        return Err(IngestError::syntax(
-            lineno,
-            format!("{class} must name its memory destination/source"),
-        ));
-    }
-    if class == OpClass::Load && !srcs.iter().any(|s| s.is_mem()) {
-        return Err(IngestError::syntax(
-            lineno,
-            "load must name a memory source",
-        ));
-    }
-    if outcome.is_some() && class != OpClass::Branch {
-        return Err(IngestError::syntax(
-            lineno,
-            "branch outcome on a non-branch record",
-        ));
-    }
-    Ok(match outcome {
-        Some((taken, target)) => TraceRecord::branch_outcome(pc, srcs, taken, target),
-        None => TraceRecord::new(pc, class, srcs, dest),
-    })
+    let branch = outcome.map(|(taken, target)| BranchInfo { taken, target });
+    TraceRecord::try_new(pc, class, srcs, dest, branch)
+        .map_err(|v| IngestError::syntax(lineno, v.to_string()))
 }
 
 /// One parsed non-blank line.

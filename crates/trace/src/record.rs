@@ -4,7 +4,102 @@ use crate::loc::Loc;
 use paragraph_isa::OpClass;
 use std::fmt;
 
-const MAX_SRCS: usize = 3;
+/// Most sources a record carries once zero-register reads are dropped.
+pub(crate) const MAX_SRCS: usize = 3;
+
+/// The source array of a record with no sources; unused slots always hold
+/// this filler, so records compare and hash by their real operands.
+pub(crate) const NO_SRCS: [Loc; MAX_SRCS] = [Loc::IntReg(paragraph_isa::IntReg::ZERO); MAX_SRCS];
+
+/// Why a record's operands contradict its operation class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OperandViolation {
+    /// More than [`MAX_SRCS`] sources besides the zero register.
+    TooManySources,
+    /// A destination on a class that creates no value.
+    DestOnControl(OpClass),
+    /// A memory destination on a non-store, or a register one on a store.
+    MemDestNotStore,
+    /// A store with no memory destination.
+    StoreWithoutMemDest,
+    /// A load with no memory source.
+    LoadWithoutMemSource,
+    /// A branch outcome on a record whose class is not `branch`.
+    OutcomeOnNonBranch,
+}
+
+impl fmt::Display for OperandViolation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OperandViolation::TooManySources => write!(f, "more than {MAX_SRCS} sources"),
+            OperandViolation::DestOnControl(class) => {
+                write!(f, "class {class} cannot name a destination")
+            }
+            OperandViolation::MemDestNotStore => {
+                f.write_str("memory destinations are exactly the store class")
+            }
+            OperandViolation::StoreWithoutMemDest => {
+                f.write_str("store must name its memory destination")
+            }
+            OperandViolation::LoadWithoutMemSource => {
+                f.write_str("load must name its memory source")
+            }
+            OperandViolation::OutcomeOnNonBranch => {
+                f.write_str("branch outcome on a non-branch record")
+            }
+        }
+    }
+}
+
+/// The constructors' panic on a contract violation, kept out of line.
+#[cold]
+#[inline(never)]
+fn contract_panic(v: OperandViolation, pc: u64) -> ! {
+    panic!("{v} (pc {pc})")
+}
+
+/// The record contract, stated once. The operands are described as the
+/// record keeps them, with zero-register reads and writes already
+/// dropped: `nsrc` sources, `reads_mem` if one of them is a memory word,
+/// the destination `dest`, and whether a branch `outcome` is attached.
+///
+/// * at most [`MAX_SRCS`] sources;
+/// * a destination only on a value-creating class, and a memory
+///   destination exactly on a store;
+/// * a store names its memory destination;
+/// * a load names a memory source (its register destination may be the
+///   dropped zero register, just as `add r0, ...` has none);
+/// * a branch outcome only on a branch.
+///
+/// The constructors panic on a violation; the text ingest parser and both
+/// binary decoders return it as a typed error.
+#[inline]
+pub(crate) fn check_operands(
+    class: OpClass,
+    nsrc: usize,
+    reads_mem: bool,
+    dest: Option<Loc>,
+    outcome: bool,
+) -> Result<(), OperandViolation> {
+    if nsrc > MAX_SRCS {
+        return Err(OperandViolation::TooManySources);
+    }
+    match dest {
+        Some(_) if !class.creates_value() => return Err(OperandViolation::DestOnControl(class)),
+        Some(d) if d.is_mem() != (class == OpClass::Store) => {
+            return Err(OperandViolation::MemDestNotStore)
+        }
+        None if class == OpClass::Store => return Err(OperandViolation::StoreWithoutMemDest),
+        _ => {}
+    }
+    if class == OpClass::Load && !reads_mem {
+        return Err(OperandViolation::LoadWithoutMemSource);
+    }
+    if outcome && class != OpClass::Branch {
+        return Err(OperandViolation::OutcomeOnNonBranch);
+    }
+    Ok(())
+}
 
 /// A single dynamic instruction in an execution trace.
 ///
@@ -14,9 +109,9 @@ const MAX_SRCS: usize = 3;
 /// and the destination location it writes (if any).
 ///
 /// Loads appear with their memory word among the sources and the target
-/// register as destination; stores appear with the stored register (and the
-/// address base register) among the sources and the memory word as
-/// destination. Control instructions carry their register sources but no
+/// register as destination (none for a load into the zero register);
+/// stores appear with the stored register (and the address base register)
+/// among the sources and the memory word as destination. Control instructions carry their register sources but no
 /// destination and are never placed in the DDG.
 ///
 /// # Examples
@@ -63,51 +158,72 @@ impl TraceRecord {
     ///
     /// # Panics
     ///
-    /// Panics if more than three sources are supplied, or if the class/
-    /// operand combination is inconsistent (a destination on a control
-    /// instruction, a memory destination on a non-store, or a store without a
-    /// memory destination).
+    /// Panics if the operands break the record contract
+    /// (`docs/trace-format.md`): more than three sources, a destination on
+    /// a control instruction, a memory destination on a non-store, a store
+    /// without a memory destination, or a load without a memory source.
     pub fn new(pc: u64, class: OpClass, srcs: &[Loc], dest: Option<Loc>) -> TraceRecord {
         let dest = dest.filter(|d| !d.is_zero_reg());
-        if let Some(d) = dest {
-            assert!(
-                class.creates_value(),
-                "control/nop instruction at pc {pc} cannot define {d}"
-            );
-            assert_eq!(
-                d.is_mem(),
-                class == OpClass::Store,
-                "memory destinations are exactly the store class (pc {pc}, class {class})"
-            );
-        } else {
-            assert!(
-                !matches!(class, OpClass::Store | OpClass::Load),
-                "memory instruction at pc {pc} must name its memory destination/source"
-            );
-        }
-        let mut packed = [Loc::IntReg(paragraph_isa::IntReg::ZERO); MAX_SRCS];
+        let mut packed = NO_SRCS;
         let mut nsrc = 0usize;
+        let mut reads_mem = false;
         for &s in srcs {
+            reads_mem |= s.is_mem();
             if s.is_zero_reg() {
                 continue;
             }
-            assert!(nsrc < MAX_SRCS, "more than {MAX_SRCS} sources at pc {pc}");
+            if nsrc == MAX_SRCS {
+                contract_panic(OperandViolation::TooManySources, pc);
+            }
             packed[nsrc] = s;
             nsrc += 1;
         }
-        if class == OpClass::Load {
-            assert!(
-                srcs.iter().any(|s| s.is_mem()),
-                "load at pc {pc} must name its memory source"
-            );
+        if let Err(v) = check_operands(class, nsrc, reads_mem, dest, false) {
+            contract_panic(v, pc);
         }
+        TraceRecord::from_parts(pc, class, nsrc as u8, packed, dest, None)
+    }
+
+    /// Fallible [`TraceRecord::new`] that may also carry a branch outcome:
+    /// checks the operands against the record contract, then builds the
+    /// record.
+    pub(crate) fn try_new(
+        pc: u64,
+        class: OpClass,
+        srcs: &[Loc],
+        dest: Option<Loc>,
+        branch: Option<BranchInfo>,
+    ) -> Result<TraceRecord, OperandViolation> {
+        let nsrc = srcs.iter().filter(|s| !s.is_zero_reg()).count();
+        let reads_mem = srcs.iter().any(|s| s.is_mem());
+        let kept_dest = dest.filter(|d| !d.is_zero_reg());
+        check_operands(class, nsrc, reads_mem, kept_dest, branch.is_some())?;
+        // The operands keep the contract, so `new` cannot panic.
+        let mut record = TraceRecord::new(pc, class, srcs, dest);
+        record.branch = branch;
+        Ok(record)
+    }
+
+    /// Builds a record without checking it. The caller has dropped the
+    /// zero-register operands, left the unused `srcs` slots at
+    /// [`NO_SRCS`]'s filler, and passed `srcs[..nsrc]`, `dest` and
+    /// `branch` through [`check_operands`].
+    #[inline]
+    pub(crate) fn from_parts(
+        pc: u64,
+        class: OpClass,
+        nsrc: u8,
+        srcs: [Loc; MAX_SRCS],
+        dest: Option<Loc>,
+        branch: Option<BranchInfo>,
+    ) -> TraceRecord {
         TraceRecord {
             pc,
             class,
-            nsrc: nsrc as u8,
-            srcs: packed,
+            nsrc,
+            srcs,
             dest,
-            branch: None,
+            branch,
         }
     }
 
@@ -267,7 +383,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot define")]
+    #[should_panic(expected = "cannot name a destination")]
     fn branch_with_destination_panics() {
         TraceRecord::new(0, OpClass::Branch, &[], Some(Loc::int(1)));
     }
@@ -282,6 +398,26 @@ mod tests {
     #[should_panic(expected = "must name its memory source")]
     fn load_without_mem_source_panics() {
         TraceRecord::new(0, OpClass::Load, &[Loc::int(1)], Some(Loc::int(2)));
+    }
+
+    #[test]
+    fn load_into_the_zero_register_keeps_no_destination() {
+        let rec = TraceRecord::load(0, 8, Some(Loc::int(10)), Loc::int(0));
+        assert_eq!(rec.dest(), None);
+        assert_eq!(rec.mem_addr(), Some(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "store must name its memory destination")]
+    fn store_without_mem_dest_panics() {
+        TraceRecord::new(0, OpClass::Store, &[Loc::int(1)], None);
+    }
+
+    #[test]
+    fn unused_source_slots_are_canonical() {
+        let a = TraceRecord::new(0, OpClass::IntAlu, &[Loc::int(0), Loc::int(3)], None);
+        let b = TraceRecord::new(0, OpClass::IntAlu, &[Loc::int(3)], None);
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -96,7 +96,8 @@ pub fn read_varint_slice(buf: &[u8], pos: &mut usize) -> io::Result<u64> {
 /// continuation bits, and the 7-bit payload lanes are compacted with three
 /// shift-and-mask folds — no per-byte branch on the fast path.
 ///
-/// Falls back to [`read_varint_slice`] when fewer than 8 bytes remain
+/// A single-byte encoding returns at once. Falls back to
+/// [`read_varint_slice`] when fewer than 8 bytes remain
 /// (buffer tail) or no terminator appears within 8 bytes (9/10-byte
 /// encodings, which need the scalar overflow check). Byte-for-byte
 /// equivalent to `read_varint_slice` on every input, including
@@ -112,6 +113,14 @@ pub fn read_varint_swar(buf: &[u8], pos: &mut usize) -> io::Result<u64> {
     const CONT: u64 = 0x8080_8080_8080_8080;
     const PAYLOAD: u64 = 0x7f7f_7f7f_7f7f_7f7f;
     let p = *pos;
+    // Fast path: most record varints (sequential pc deltas above all)
+    // are single-byte; skip the 8-byte load and the folds.
+    if let Some(&b) = buf.get(p) {
+        if b < 0x80 {
+            *pos = p + 1;
+            return Ok(u64::from(b));
+        }
+    }
     let Some(window) = buf.get(p..p + 8) else {
         // Under 8 bytes left: the scalar loop handles tails and truncation.
         return read_varint_slice(buf, pos);

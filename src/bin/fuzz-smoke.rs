@@ -15,7 +15,8 @@
 //! `FaultPlan` (bit flips, garbage runs, chunk duplication, truncation)
 //! over `frame_spans`-aware inputs, plus varint-boundary length
 //! distortions — the mutations most likely to produce a *plausible but
-//! hostile* declared length.
+//! hostile* declared length. The `resealed_chunks` target instead mutates
+//! record bytes inside one chunk payload; its check reseals the CRC.
 
 use paragraph::fuzzing;
 use paragraph::trace::faultinject::{frame_spans, FaultPlan, SplitMix64};
@@ -55,7 +56,7 @@ fn builtin_seeds(target: &str) -> Vec<Vec<u8>> {
     use paragraph::trace::binary::TraceWriter;
     use paragraph::trace::{synthetic, SegmentMap};
     match target {
-        "v2_decoder" | "resync_reader" => {
+        "v2_decoder" | "resync_reader" | "resealed_chunks" => {
             let records = synthetic::random_trace(600, 17);
             let mut bytes = Vec::new();
             let mut writer = TraceWriter::with_chunk_records(
@@ -201,6 +202,35 @@ fn mutate(rng: &mut SplitMix64, seed_input: &[u8]) -> Vec<u8> {
     }
 }
 
+/// One deterministic mutation of the record bytes inside one chunk
+/// payload of `seed_input`, for the `resealed_chunks` target (which
+/// reseals the CRC): overwrite a few bytes past the chunk header with
+/// small values (class ids, operand tags, register indexes), flag-bit
+/// flips, or random bytes, so the record decoders see contradictory but
+/// checksum-valid records.
+fn mutate_payload(rng: &mut SplitMix64, seed_input: &[u8]) -> Vec<u8> {
+    // Marker, three small header varints and the CRC fit in this much.
+    const PAST_HEADER: usize = 24;
+    let mut out = seed_input.to_vec();
+    let chunks: Vec<(usize, usize)> = frame_spans(seed_input)
+        .into_iter()
+        .filter(|&(_, len)| len > PAST_HEADER)
+        .collect();
+    if chunks.is_empty() {
+        return out;
+    }
+    let (start, len) = chunks[rng.below(chunks.len() as u64) as usize];
+    for _ in 0..1 + rng.below(3) {
+        let at = start + PAST_HEADER + rng.below((len - PAST_HEADER) as u64) as usize;
+        out[at] = match rng.below(3) {
+            0 => rng.below(13) as u8,
+            1 => out[at] ^ [0x80, 0x40, 0x01][rng.below(3) as usize],
+            _ => rng.next_u64() as u8,
+        };
+    }
+    out
+}
+
 fn main() -> ExitCode {
     let mut seed = DEFAULT_SEED;
     let mut iters = DEFAULT_ITERS;
@@ -274,7 +304,11 @@ fn main() -> ExitCode {
         let mut rng = SplitMix64::new(seed ^ name.len() as u64);
         for i in 0..iters {
             let which = rng.below(seeds.len() as u64) as usize;
-            let input = mutate(&mut rng, &seeds[which]);
+            let input = if *name == "resealed_chunks" {
+                mutate_payload(&mut rng, &seeds[which])
+            } else {
+                mutate(&mut rng, &seeds[which])
+            };
             // The banner precedes the call so a panic names the exact
             // (target, seed, iteration) that reproduces it.
             if i.is_multiple_of(100) {

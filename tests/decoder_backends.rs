@@ -9,11 +9,14 @@
 //! whole-file decode must in turn match whatever the sequential reader
 //! produces, record for record.
 
+use paragraph_isa::OpClass;
 use paragraph_trace::binary::{RecoveryStats, TraceReader, TraceWriter};
-use paragraph_trace::faultinject::FaultPlan;
+use paragraph_trace::faultinject::{frame_spans, reseal_chunks, FaultPlan};
 use paragraph_trace::govern::{Limits, ResourceGovernor};
 use paragraph_trace::source::{decode_all_parallel, DecodeAhead};
-use paragraph_trace::{synthetic, SegmentMap, TraceError, TraceRecord, TraceSource};
+use paragraph_trace::{
+    synthetic, Loc, SegmentMap, TraceError, TraceErrorKind, TraceRecord, TraceSource,
+};
 use std::path::{Path, PathBuf};
 
 /// A deterministic v2 trace with small chunks (so damage and truncation
@@ -225,4 +228,151 @@ fn decode_ahead_and_parallel_decode_match_sequential_on_both_backends() {
         );
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// One CRC-valid but inconsistent record: a `carrier` record the writer
+/// encodes as `carrier_bytes`, overwritten in place by `bad_bytes` (same
+/// length) and resealed, so only the record contract can reject it.
+struct Inconsistent {
+    what: &'static str,
+    carrier: fn(u64) -> TraceRecord,
+    carrier_bytes: fn() -> Vec<u8>,
+    bad_bytes: fn() -> Vec<u8>,
+    message: &'static str,
+}
+
+const INCONSISTENT: &[Inconsistent] = &[
+    Inconsistent {
+        what: "store with no operands",
+        carrier: |pc| TraceRecord::new(pc, OpClass::Nop, &[], None),
+        carrier_bytes: || vec![OpClass::Nop.id(), 0, 0],
+        bad_bytes: || vec![7, 0, 0],
+        message: "store must name its memory destination",
+    },
+    Inconsistent {
+        what: "destination on a branch",
+        carrier: |pc| TraceRecord::new(pc, OpClass::IntAlu, &[], Some(Loc::int(5))),
+        carrier_bytes: || vec![OpClass::IntAlu.id(), 0x80, 0, 0, 5],
+        bad_bytes: || vec![OpClass::Branch.id(), 0x80, 0, 0, 5],
+        message: "class branch cannot name a destination",
+    },
+    Inconsistent {
+        what: "memory destination on int-alu",
+        carrier: |pc| TraceRecord::new(pc, OpClass::Store, &[], Some(Loc::mem(8))),
+        carrier_bytes: || vec![OpClass::Store.id(), 0x80, 0, 2, 8],
+        bad_bytes: || vec![OpClass::IntAlu.id(), 0x80, 0, 2, 8],
+        message: "memory destinations are exactly the store class",
+    },
+    Inconsistent {
+        what: "load with no memory source",
+        carrier: |pc| TraceRecord::load(pc, 8, None, Loc::int(4)),
+        carrier_bytes: || vec![OpClass::Load.id(), 0x81, 0, 2, 8, 0, 4],
+        bad_bytes: || vec![OpClass::Load.id(), 0x81, 0, 0, 8, 0, 4],
+        message: "load must name its memory source",
+    },
+];
+
+/// Records before the inconsistent one: it closes the second 64-record
+/// chunk, so its bytes end that chunk's frame.
+const BAD_INDEX: usize = 127;
+
+/// A v2 stream (64-record chunks) whose record `BAD_INDEX` is `case`'s
+/// inconsistent record inside a chunk with a valid CRC.
+fn inconsistent_trace(case: &Inconsistent) -> Vec<u8> {
+    let mut records = synthetic::random_trace(200, 41);
+    // The carrier repeats its predecessor's pc, so its pc delta is 0.
+    records[BAD_INDEX] = (case.carrier)(records[BAD_INDEX - 1].pc());
+    let mut bytes = Vec::new();
+    let mut writer =
+        TraceWriter::with_chunk_records(&mut bytes, SegmentMap::all_data(), 64).expect("header");
+    for record in &records {
+        writer.write_record(record).expect("record");
+    }
+    writer.finish().expect("finish");
+    // Spans: file header, chunk 0, chunk 1, ...
+    let (start, len) = frame_spans(&bytes)[2];
+    let (carrier, bad) = ((case.carrier_bytes)(), (case.bad_bytes)());
+    let at = start + len - carrier.len();
+    assert_eq!(
+        bytes[at..start + len],
+        carrier,
+        "{}: carrier encoding",
+        case.what
+    );
+    bytes[at..start + len].copy_from_slice(&bad);
+    assert_eq!(
+        reseal_chunks(&mut bytes),
+        5,
+        "{}: every frame resealed",
+        case.what
+    );
+    bytes
+}
+
+/// Drains `reader` through the decode-ahead pipeline.
+fn drain_decode_ahead(reader: TraceReader<TraceSource>) -> Drained {
+    let mut pipeline = DecodeAhead::spawn(reader, None).expect("spawn");
+    let mut records = Vec::new();
+    let fault = loop {
+        match pipeline.next_batch() {
+            None => break None,
+            Some(Ok(batch)) => {
+                records.extend_from_slice(&batch);
+                pipeline.recycle(batch);
+            }
+            Some(Err(e)) => break Some(e),
+        }
+    };
+    let stats = pipeline.finish().stats;
+    Drained {
+        records,
+        fault,
+        stats,
+    }
+}
+
+#[test]
+fn every_decoder_rejects_crc_valid_inconsistent_records_alike() {
+    for case in INCONSISTENT {
+        let bytes = inconsistent_trace(case);
+        let path = scratch_file(
+            &format!("inconsistent-{}", case.what.replace(' ', "-")),
+            &bytes,
+        );
+        let open = |source: TraceSource| TraceReader::from_source(source).expect("header");
+        let memory = || TraceSource::from_bytes(bytes.clone());
+        let all = [
+            drain(open(memory()).with_per_record_decode()),
+            drain(open(memory()).with_scalar_block_decode()),
+            drain(open(memory())),
+            drain(open(TraceSource::mapped_file(&path).expect("mapped open"))),
+            drain(open(
+                TraceSource::buffered_file(&path).expect("buffered open"),
+            )),
+            drain_decode_ahead(open(TraceSource::mapped_file(&path).expect("mapped open"))),
+        ];
+        assert_drains_agree(&all, case.what);
+        assert_eq!(all[0].records.len(), BAD_INDEX, "{}", case.what);
+        let fault = all[0]
+            .fault
+            .as_ref()
+            .expect("inconsistent record must fault");
+        assert_eq!(fault.record_index(), BAD_INDEX as u64, "{}", case.what);
+        match fault.kind() {
+            TraceErrorKind::Corrupt(why) => {
+                assert!(why.contains(case.message), "{}: {why}", case.what);
+            }
+            other => panic!("{}: expected Corrupt, got {other:?}", case.what),
+        }
+        let shared = TraceSource::mapped_file(&path)
+            .expect("mapped open")
+            .shared_bytes()
+            .expect("mapped source shares bytes");
+        assert!(
+            decode_all_parallel(&shared, 2, &Limits::default()).is_none(),
+            "{}: parallel decode must decline",
+            case.what
+        );
+        let _ = std::fs::remove_file(&path);
+    }
 }

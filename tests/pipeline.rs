@@ -185,3 +185,101 @@ fn vm_checksums_are_stable_across_runs() {
         assert_eq!(out[0], out[1], "{id} output is nondeterministic");
     }
 }
+
+/// A program whose first load targets the zero register: `lw r0` reads
+/// memory and discards the value.
+const ZERO_REG_LOAD: &str = "
+    .data
+acc: .word 7
+    .text
+    la   r10, acc
+    lw   r0, 0(r10)
+    lw   r11, 0(r10)
+    halt
+";
+
+/// A load into `r0` keeps its memory source and names no destination,
+/// just as `add r0, ...` names none.
+fn assert_discarding_load(record: &paragraph::trace::TraceRecord, addr: u64) {
+    assert_eq!(record.class(), paragraph::isa::OpClass::Load);
+    assert_eq!(record.dest(), None);
+    assert_eq!(record.mem_addr(), Some(addr));
+}
+
+#[test]
+fn vm_traces_a_load_into_the_zero_register() {
+    let mut vm = Vm::new(assemble(ZERO_REG_LOAD).expect("program assembles"));
+    let (trace, outcome) = vm.run_collect(100).expect("a load into r0 runs");
+    assert!(outcome.halted());
+    let loads: Vec<_> = trace.iter().filter(|r| r.class().is_mem()).collect();
+    assert_eq!(loads.len(), 2);
+    let addr = loads[1].mem_addr().expect("the second load reads memory");
+    assert_discarding_load(loads[0], addr);
+    assert_eq!(loads[1].dest(), Some(paragraph::trace::Loc::int(11)));
+    let report = analyze_refs(&trace, &AnalysisConfig::dataflow_limit());
+    assert_eq!(report.total_records(), trace.len() as u64);
+}
+
+#[test]
+fn a_load_into_the_zero_register_round_trips_every_binary_decoder() {
+    let mut vm = Vm::new(assemble(ZERO_REG_LOAD).expect("program assembles"));
+    let (trace, _) = vm.run_collect(100).expect("a load into r0 runs");
+    let segments = vm.segment_map();
+    let v2 = {
+        let mut buf = Vec::new();
+        let mut writer = TraceWriter::with_chunk_records(&mut buf, segments, 2).unwrap();
+        for r in &trace {
+            writer.write_record(r).unwrap();
+        }
+        writer.finish().unwrap();
+        buf
+    };
+    let v1 = {
+        let mut buf = Vec::new();
+        let mut writer = TraceWriter::v1(&mut buf, segments).unwrap();
+        for r in &trace {
+            writer.write_record(r).unwrap();
+        }
+        writer.finish().unwrap();
+        buf
+    };
+    for bytes in [&v2, &v1] {
+        let readers = [
+            TraceReader::new(bytes.as_slice()).unwrap(),
+            TraceReader::new(bytes.as_slice())
+                .unwrap()
+                .with_scalar_block_decode(),
+            TraceReader::new(bytes.as_slice())
+                .unwrap()
+                .with_per_record_decode(),
+        ];
+        for reader in readers {
+            let decoded: Vec<_> = reader.map(|r| r.unwrap()).collect();
+            assert_eq!(decoded, trace);
+        }
+    }
+}
+
+#[test]
+fn a_load_into_the_zero_register_ingests_and_round_trips() {
+    use paragraph::trace::govern::{Limits, ResourceGovernor};
+    use paragraph::trace::ingest;
+
+    let ingest_bytes = |text: &str| {
+        let mut bytes = Vec::new();
+        let mut governor = ResourceGovernor::new(Limits::default());
+        ingest::ingest_text(text.as_bytes(), &mut bytes, &mut governor).expect("text ingests");
+        bytes
+    };
+    let bytes = ingest_bytes("0 load m:8 -> r0\n4 load m:8 r5 -> r6\n");
+    let reader = TraceReader::new(bytes.as_slice()).unwrap();
+    let segments = reader.segment_map();
+    let decoded: Vec<_> = reader.map(|r| r.unwrap()).collect();
+    assert_eq!(decoded.len(), 2);
+    assert_discarding_load(&decoded[0], 8);
+    assert_eq!(decoded[1].dest(), Some(paragraph::trace::Loc::int(6)));
+    // The rendered text names no destination and ingests to the same bytes.
+    let rendered = ingest::render_trace(&decoded, segments);
+    assert!(!rendered.contains("r0"), "{rendered}");
+    assert_eq!(ingest_bytes(&rendered), bytes);
+}
