@@ -75,6 +75,8 @@ struct ArenaState {
     clock: u64,
     resident_bytes: usize,
     stats: ArenaStats,
+    /// Threads asleep on a loading slot, waiting for another thread's load.
+    parked: usize,
 }
 
 /// Shared, thread-safe trace store keyed by workload. One arena serves one
@@ -98,6 +100,7 @@ impl TraceArena {
                 clock: 0,
                 resident_bytes: 0,
                 stats: ArenaStats::default(),
+                parked: 0,
             }),
             ready: Condvar::new(),
         }
@@ -155,6 +158,7 @@ impl TraceArena {
                 slots,
                 clock,
                 stats,
+                parked,
                 ..
             } = &mut *state;
             match slots.get_mut(&id) {
@@ -165,10 +169,12 @@ impl TraceArena {
                     return Ok(trace.clone());
                 }
                 Some(Slot::Loading) => {
+                    *parked += 1;
                     state = self
                         .ready
                         .wait(state)
                         .unwrap_or_else(PoisonError::into_inner);
+                    state.parked -= 1;
                 }
                 None => {
                     slots.insert(id, Slot::Loading);
@@ -248,6 +254,12 @@ impl TraceArena {
     /// Bytes currently resident.
     pub fn resident_bytes(&self) -> usize {
         self.lock().resident_bytes
+    }
+
+    /// Threads currently asleep on a loading slot.
+    #[cfg(test)]
+    fn parked(&self) -> usize {
+        self.lock().parked
     }
 }
 
@@ -419,5 +431,117 @@ mod tests {
             .get_with(WorkloadId::Eqntott, || Ok(tiny_trace()))
             .unwrap();
         assert!(Arc::ptr_eq(&again.records, &ok[0].records));
+    }
+
+    /// How the loader in [`park_waiters_on_one_load`] ends its load.
+    #[derive(Debug, Clone, Copy)]
+    enum LoadEnd {
+        Succeed,
+        Fail,
+        Panic,
+    }
+
+    /// Forced interleaving of the loading slot: the loader holds its claim
+    /// until `WAITERS` threads are asleep on it, then ends with `end`.
+    /// Every waiter must wake and come back with the one shared trace. A
+    /// failed or panicked load hands the claim to exactly one waiter, whose
+    /// load feeds the rest. A watchdog fails the test after ten seconds
+    /// instead of letting a lost wake-up hang it.
+    fn park_waiters_on_one_load(end: LoadEnd) {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::mpsc::{self, Receiver};
+        use std::time::{Duration, Instant};
+
+        const WAITERS: usize = 4;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        // Threads are spawned detached and only joined once they reported,
+        // so a thread stuck in the arena fails the test instead of hanging
+        // it.
+        fn recv<T>(rx: &Receiver<T>, deadline: Instant, what: &str) -> T {
+            rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
+                .unwrap_or_else(|_| panic!("{what} still blocked after 10 s: lost wake-up"))
+        }
+        let arena = Arc::new(TraceArena::new(usize::MAX));
+        let reloads = Arc::new(AtomicUsize::new(0));
+        let (claimed_tx, claimed_rx) = mpsc::channel();
+        let (loader_tx, loader_rx) = mpsc::channel();
+        let (waiter_tx, waiter_rx) = mpsc::channel();
+
+        let loader_arena = Arc::clone(&arena);
+        let mut threads = vec![std::thread::spawn(move || {
+            let arena = &loader_arena;
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                arena.get_with(WorkloadId::Xlisp, || {
+                    let _ = claimed_tx.send(());
+                    // Hold the claim until every waiter sleeps on it.
+                    while arena.parked() < WAITERS {
+                        std::thread::yield_now();
+                    }
+                    match end {
+                        LoadEnd::Succeed => Ok(tiny_trace()),
+                        LoadEnd::Fail => Err(CellError::Vm("injected".to_owned())),
+                        LoadEnd::Panic => panic!("injected generator panic"),
+                    }
+                })
+            }));
+            let _ = loader_tx.send(outcome.map(|r| r.map_err(|e| e.to_string())));
+        })];
+        recv(&claimed_rx, deadline, "loader claim");
+        for _ in 0..WAITERS {
+            let (arena, reloads, tx) =
+                (Arc::clone(&arena), Arc::clone(&reloads), waiter_tx.clone());
+            threads.push(std::thread::spawn(move || {
+                let got = arena.get_with(WorkloadId::Xlisp, || {
+                    reloads.fetch_add(1, Ordering::SeqCst);
+                    Ok(tiny_trace())
+                });
+                let _ = tx.send(got.map_err(|e| e.to_string()));
+            }));
+        }
+
+        let loaded = recv(&loader_rx, deadline, "loader");
+        let traces: Vec<ArenaTrace> = (0..WAITERS)
+            .map(|_| recv(&waiter_rx, deadline, "waiter").unwrap())
+            .collect();
+        for thread in threads {
+            thread.join().unwrap();
+        }
+        for pair in traces.windows(2) {
+            assert!(Arc::ptr_eq(&pair[0].records, &pair[1].records));
+        }
+        let stats = arena.stats();
+        match end {
+            LoadEnd::Succeed => {
+                let trace = loaded.unwrap().unwrap();
+                assert!(Arc::ptr_eq(&trace.records, &traces[0].records));
+                assert_eq!(reloads.load(Ordering::SeqCst), 0);
+                assert_eq!((stats.misses, stats.hits), (1, WAITERS as u64));
+            }
+            LoadEnd::Fail | LoadEnd::Panic => {
+                if matches!(end, LoadEnd::Fail) {
+                    assert!(matches!(loaded, Ok(Err(_))), "the loader's error returns");
+                } else {
+                    assert!(loaded.is_err(), "the loader's panic unwinds");
+                }
+                assert_eq!(reloads.load(Ordering::SeqCst), 1, "one waiter reloads");
+                assert_eq!((stats.misses, stats.hits), (2, WAITERS as u64 - 1));
+            }
+        }
+        assert_eq!(arena.parked(), 0);
+    }
+
+    #[test]
+    fn parked_waiters_wake_when_the_load_succeeds() {
+        park_waiters_on_one_load(LoadEnd::Succeed);
+    }
+
+    #[test]
+    fn parked_waiters_wake_and_reload_when_the_load_fails() {
+        park_waiters_on_one_load(LoadEnd::Fail);
+    }
+
+    #[test]
+    fn parked_waiters_wake_and_reload_when_the_loader_panics() {
+        park_waiters_on_one_load(LoadEnd::Panic);
     }
 }

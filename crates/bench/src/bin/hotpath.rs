@@ -4,13 +4,11 @@
 //! from disk and stream it through the live well — in its two
 //! implementations:
 //!
-//! * **before** — the pre-optimization shape: per-record decode
+//! * **before** — the pre-optimization decode shape: per-record decode
 //!   ([`TraceReader::with_per_record_decode`]) feeding
-//!   [`FlatLiveWell::process`] one record at a time, the flat
-//!   `FastMap`-backed memory table.
+//!   [`LiveWell::process`] one record at a time.
 //! * **after** — block decode ([`TraceReader::read_block`]) feeding
-//!   [`LiveWell::process_slice`] in chunk-sized slices, the paged memory
-//!   table.
+//!   [`LiveWell::process_slice`] in chunk-sized slices.
 //!
 //! Every repetition asserts the two reports are byte-identical before any
 //! timing is kept, so the speedup can never come from computing something
@@ -23,9 +21,7 @@
 //! Usage: `cargo run --release -p paragraph-bench --bin hotpath [-- --quick]`
 
 use paragraph_bench::{thousands, Study};
-use paragraph_core::{
-    analyze_parallel, AnalysisConfig, AnalysisReport, FlatLiveWell, LiveWell, RenameSet,
-};
+use paragraph_core::{analyze_parallel, AnalysisConfig, AnalysisReport, LiveWell, RenameSet};
 use paragraph_isa::OpClass;
 use paragraph_trace::binary::{TraceReader, TraceWriter};
 use paragraph_trace::source::DecodeAhead;
@@ -146,14 +142,14 @@ fn write_trace(
     writer.finish()
 }
 
-/// The pre-optimization pipeline: per-record decode into the flat live
-/// well, one record at a time.
+/// The pre-optimization pipeline: per-record decode into the live well,
+/// one record at a time.
 fn run_before(path: &Path, config: &AnalysisConfig) -> AnalysisReport {
     let file = File::open(path).expect("benchmark trace must open");
     let reader = TraceReader::new(BufReader::new(file))
         .expect("benchmark trace must parse")
         .with_per_record_decode();
-    let mut analyzer = FlatLiveWell::new(config.clone());
+    let mut analyzer = LiveWell::new(config.clone());
     for record in reader {
         let record = record.expect("benchmark trace must decode");
         analyzer.process(&record);

@@ -114,6 +114,7 @@ impl RenameSet {
 
     /// Whether a write to `dest` is renamed (carries no storage dependency)
     /// under this rename set, given the memory segment map.
+    #[inline]
     pub fn renames(self, dest: Loc, segments: &SegmentMap) -> bool {
         match dest {
             Loc::IntReg(_) | Loc::FpReg(_) => self.registers,

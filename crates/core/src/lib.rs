@@ -112,12 +112,12 @@ pub use config::{AnalysisConfig, RenameSet, SyscallPolicy, WindowSize};
 pub use ddg::{Ddg, DdgBuilder, DdgNode, DepKind, Edge, NodeId};
 pub use dist::Distribution;
 pub use error::AnalysisError;
-pub use livewell::{FlatLiveWell, LiveWell, LiveWellImpl, SegmentOutcome};
+pub use livewell::{LiveWell, LiveWellImpl, SegmentOutcome};
 pub use memmodel::MemoryModel;
 pub use parallel::analyze_parallel;
 pub use profile::{ParallelismProfile, ProfileBin};
 pub use report::AnalysisReport;
-pub use well::{FlatWell, MemTable, PagedWell};
+pub use well::{MemTable, PagedWell};
 pub use window::WindowLimiter;
 
 /// The paper's latency model, re-exported for convenience (Table 1).

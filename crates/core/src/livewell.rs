@@ -8,13 +8,13 @@ use crate::fasthash::FastMap;
 use crate::memmodel::MemOrdering;
 use crate::profile::ParallelismProfile;
 use crate::report::AnalysisReport;
-use crate::well::{FlatWell, MemTable, PagedWell, ValueRecord};
+use crate::well::{MemTable, PagedWell, ValueRecord};
 use crate::window::WindowLimiter;
 use paragraph_isa::OpClass;
 use paragraph_trace::crc32::crc32;
 use paragraph_trace::govern::{LimitViolation, Limits, ResourceGovernor};
 use paragraph_trace::wire;
-use paragraph_trace::{Loc, TraceRecord};
+use paragraph_trace::{Loc, TraceRecord, MAX_SRCS};
 use std::io::{Read, Write};
 
 // Checkpoint body primitives. Writes go to a `Vec<u8>` (infallible); reads
@@ -168,8 +168,14 @@ fn set_counter(registry: &crate::telemetry::Registry, name: &'static str, total:
 #[derive(Debug)]
 pub struct LiveWellImpl<M: MemTable> {
     config: AnalysisConfig,
-    int_regs: [Option<ValueRecord>; 32],
-    fp_regs: [Option<ValueRecord>; 32],
+    /// The register file: integer registers at `0..32`, floating-point
+    /// registers at `32..64`. A register whose bit is clear in `live_regs`
+    /// has never been touched and still holds the preexisting record, so
+    /// reads need no presence test.
+    regs: [ValueRecord; REGS],
+    /// Bit `i` is set once `regs[i]` has been read or written: those are
+    /// the registers the live well holds.
+    live_regs: u64,
     mem: M,
     /// `highestLevel - 1` in the paper's terms: every newly placed operation
     /// completes at `floor + top` at the earliest.
@@ -209,17 +215,29 @@ pub struct LiveWellImpl<M: MemTable> {
     trace_identity: Option<TraceIdentity>,
 }
 
+/// Register-file slots: 32 integer then 32 floating-point registers.
+const REGS: usize = 64;
+
+/// An operand's live-well entry, resolved once per record: an index into
+/// the register file, or a memory-table handle from [`MemTable::resolve`].
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Reg(usize),
+    Mem(u64),
+}
+
 /// The default analyzer: the streaming algorithm over the paged memory
 /// table ([`PagedWell`]) — hot-page lookups are a shift/mask plus one
 /// pointer chase, and bounded-mode eviction is guided by per-page
 /// summaries. See `docs/hotpath.md` for layout and measurements.
 pub type LiveWell = LiveWellImpl<PagedWell>;
 
-/// The analyzer over the legacy flat hash table ([`FlatWell`]): one hashed
-/// probe per access. Kept as the executable reference for the equivalence
-/// suite and as the "before" leg of the hot-path benchmark; it produces
-/// bit-identical reports and checkpoints to [`LiveWell`].
-pub type FlatLiveWell = LiveWellImpl<FlatWell>;
+/// The analyzer over the legacy flat hash table (`FlatWell`): one hashed
+/// probe per access. Compiled for tests only, as the executable reference
+/// for the equivalence suite; it produces bit-identical reports and
+/// checkpoints to [`LiveWell`].
+#[cfg(test)]
+pub(crate) type FlatLiveWell = LiveWellImpl<crate::well::FlatWell>;
 
 /// The exported final state of one independently analyzed trace segment,
 /// produced by a segment worker and spliced onto the preceding state with
@@ -372,8 +390,8 @@ impl<M: MemTable> LiveWellImpl<M> {
             value_stats: config.value_stats().then(ValueStats::default),
             mem_ordering: MemOrdering::default(),
             config,
-            int_regs: [None; 32],
-            fp_regs: [None; 32],
+            regs: [ValueRecord::preexisting(); REGS],
+            live_regs: 0,
             mem: M::default(),
             floor: -1,
             deepest: -1,
@@ -422,30 +440,51 @@ impl<M: MemTable> LiveWellImpl<M> {
         }
     }
 
-    fn entry(&mut self, loc: Loc) -> &mut ValueRecord {
-        let slot = match loc {
-            Loc::IntReg(r) => &mut self.int_regs[r.index() as usize],
-            Loc::FpReg(r) => &mut self.fp_regs[r.index() as usize],
-            Loc::Mem(addr) => return self.mem.get_or_insert_preexisting(addr),
-        };
-        slot.get_or_insert_with(ValueRecord::preexisting)
-    }
-
-    fn peek(&self, loc: Loc) -> Option<ValueRecord> {
+    /// Resolves an operand to its live-well slot, entering a preexisting
+    /// record for a memory word never seen before.
+    #[inline]
+    fn resolve(&mut self, loc: Loc) -> Slot {
         match loc {
-            Loc::IntReg(r) => self.int_regs[r.index() as usize],
-            Loc::FpReg(r) => self.fp_regs[r.index() as usize],
-            Loc::Mem(addr) => self.mem.get(addr).copied(),
+            Loc::IntReg(r) => Slot::Reg(usize::from(r.index())),
+            Loc::FpReg(r) => Slot::Reg(32 + usize::from(r.index())),
+            Loc::Mem(addr) => Slot::Mem(self.mem.resolve(addr)),
         }
     }
 
-    fn put(&mut self, loc: Loc, record: ValueRecord) {
-        let old = match loc {
-            Loc::IntReg(r) => self.int_regs[r.index() as usize].replace(record),
-            Loc::FpReg(r) => self.fp_regs[r.index() as usize].replace(record),
-            Loc::Mem(addr) => self.mem.insert(addr, record),
+    /// The entry behind a resolved slot. Touching a register makes it live.
+    #[inline]
+    fn entry(&mut self, slot: Slot) -> &mut ValueRecord {
+        match slot {
+            Slot::Reg(i) => {
+                self.live_regs |= 1 << i;
+                &mut self.regs[i]
+            }
+            Slot::Mem(handle) => self.mem.slot_mut(handle),
+        }
+    }
+
+    /// The entry behind a resolved slot, read without marking anything.
+    #[inline]
+    fn peek(&mut self, slot: Slot) -> ValueRecord {
+        match slot {
+            Slot::Reg(i) => self.regs[i],
+            Slot::Mem(handle) => *self.mem.slot_mut(handle),
+        }
+    }
+
+    /// Binds a new value to a resolved slot, retiring the value it held.
+    /// A slot that held no value yields the preexisting record, which
+    /// retirement ignores.
+    #[inline]
+    fn put(&mut self, slot: Slot, record: ValueRecord) {
+        let old = match slot {
+            Slot::Reg(i) => {
+                self.live_regs |= 1 << i;
+                std::mem::replace(&mut self.regs[i], record)
+            }
+            Slot::Mem(handle) => self.mem.replace(handle, record),
         };
-        if let (Some(stats), Some(old)) = (self.value_stats.as_mut(), old) {
+        if let Some(stats) = self.value_stats.as_mut() {
             stats.retire(&old);
         }
     }
@@ -482,17 +521,27 @@ impl<M: MemTable> LiveWellImpl<M> {
         }
 
         // Ldest = MAX(Lsrc..., highestLevel [, Ddest]) + top
+        //
+        // Each operand is resolved once: the slots found here are the ones
+        // updated after placement. A location read twice by one record
+        // keeps two slots, so it gains two readers, as in the explicit
+        // graph.
+        let srcs = record.srcs();
+        let mut src_slots = [Slot::Reg(0); MAX_SRCS];
         let mut base = self.floor;
-        for &src in record.srcs() {
-            base = base.max(self.entry(src).avail);
+        for (slot, &src) in src_slots.iter_mut().zip(srcs) {
+            *slot = self.resolve(src);
+            base = base.max(self.peek(*slot).avail);
         }
-        if let Some(dest) = record.dest() {
+        let dest = record.dest().map(|dest| {
+            let slot = self.resolve(dest);
             if !self.config.renames().renames(dest, self.config.segments()) {
-                if let Some(old) = self.peek(dest) {
-                    base = base.max(old.deepest_use);
-                }
+                // A location never written holds the preexisting record,
+                // whose deepest use (-1) never raises the base.
+                base = base.max(self.peek(slot).deepest_use);
             }
-        }
+            slot
+        });
         if self.config.memory_model().is_conservative() {
             // Without disambiguation a load may alias any earlier store,
             // and a store any earlier load or store.
@@ -527,16 +576,16 @@ impl<M: MemTable> LiveWellImpl<M> {
             }
         }
 
-        for &src in record.srcs() {
-            let entry = self.entry(src);
+        for &slot in &src_slots[..srcs.len()] {
+            let entry = self.entry(slot);
             entry.deepest_use = entry.deepest_use.max(ldest);
             // Saturating: a location read more than u32::MAX times pins at
             // the ceiling instead of wrapping the sharing distribution.
             entry.readers = entry.readers.saturating_add(1);
         }
-        if let Some(dest) = record.dest() {
+        if let Some(slot) = dest {
             self.put(
-                dest,
+                slot,
                 ValueRecord {
                     readers: 0,
                     avail: ldest,
@@ -546,14 +595,13 @@ impl<M: MemTable> LiveWellImpl<M> {
         }
 
         if class == OpClass::Syscall {
+            // Only the conservative policy places system calls. Place a
+            // firewall immediately after the deepest computation: no later
+            // instruction may be placed higher. The syscall was just
+            // placed above the old floor, so this is always a raise.
             self.syscalls += 1;
-            if self.config.syscall_policy() == SyscallPolicy::Conservative {
-                // Place a firewall immediately after the deepest computation:
-                // no later instruction may be placed higher. The syscall was
-                // just placed above the old floor, so this is always a raise.
-                self.raise_floor(self.deepest);
-                self.firewalls += 1;
-            }
+            self.raise_floor(self.deepest);
+            self.firewalls += 1;
         }
 
         self.window.push(Some((ldest, ())));
@@ -562,7 +610,7 @@ impl<M: MemTable> LiveWellImpl<M> {
         // was required to hold the working set of Paragraph". Track the peak
         // so reports can size the live well. Memory entries dominate; the
         // register files are a constant 64.
-        self.peak_live_values = self.peak_live_values.max(self.mem.len() + 64);
+        self.peak_live_values = self.peak_live_values.max(self.mem.len() + REGS);
         self.enforce_live_well_cap();
 
         Some(ldest as u64)
@@ -637,9 +685,7 @@ impl<M: MemTable> LiveWellImpl<M> {
     /// Number of values currently held in the live well (the paper's working
     /// set concern: "billions of values will be entered into the live well").
     pub fn live_well_size(&self) -> usize {
-        let regs = self.int_regs.iter().filter(|r| r.is_some()).count()
-            + self.fp_regs.iter().filter(|r| r.is_some()).count();
-        regs + self.mem.len()
+        self.live_regs.count_ones() as usize + self.mem.len()
     }
 
     /// The deepest completion level placed so far, if anything was placed.
@@ -665,16 +711,18 @@ impl<M: MemTable> LiveWellImpl<M> {
         if mispredicted {
             // The branch resolves one level after its operands are ready;
             // nothing fetched past it may execute earlier.
+            let mut src_slots = [Slot::Reg(0); MAX_SRCS];
             let mut resolve = self.floor;
-            for &src in record.srcs() {
-                resolve = resolve.max(self.entry(src).avail);
+            for (slot, &src) in src_slots.iter_mut().zip(record.srcs()) {
+                *slot = self.resolve(src);
+                resolve = resolve.max(self.entry(*slot).avail);
             }
             let resolve = resolve + 1;
-            for &src in record.srcs() {
+            for &slot in &src_slots[..record.srcs().len()] {
                 // The branch read the value (WAR now extends to the resolve
                 // level) but is not a sharing consumer: sharing counts
                 // value-creating operations fired by a token (§2.3).
-                let entry = self.entry(src);
+                let entry = self.entry(slot);
                 entry.deepest_use = entry.deepest_use.max(resolve);
             }
             if resolve > self.floor {
@@ -819,13 +867,12 @@ impl<M: MemTable> LiveWellImpl<M> {
             w_u64(&mut body, count);
         }
 
-        for slot in self.int_regs.iter().chain(self.fp_regs.iter()) {
-            match slot {
-                Some(record) => {
-                    w_u64(&mut body, 1);
-                    w_value_record(&mut body, record);
-                }
-                None => w_u64(&mut body, 0),
+        for (i, record) in self.regs.iter().enumerate() {
+            if self.live_regs & (1 << i) != 0 {
+                w_u64(&mut body, 1);
+                w_value_record(&mut body, record);
+            } else {
+                w_u64(&mut body, 0);
             }
         }
 
@@ -1052,11 +1099,12 @@ impl<M: MemTable> LiveWellImpl<M> {
             *slot = r_u64(&mut r)?;
         }
 
-        let mut int_regs = [None; 32];
-        let mut fp_regs = [None; 32];
-        for slot in int_regs.iter_mut().chain(fp_regs.iter_mut()) {
+        let mut regs = [ValueRecord::preexisting(); REGS];
+        let mut live_regs = 0u64;
+        for (i, slot) in regs.iter_mut().enumerate() {
             if r_flag(&mut r)? {
-                *slot = Some(r_value_record(&mut r)?);
+                *slot = r_value_record(&mut r)?;
+                live_regs |= 1 << i;
             }
         }
 
@@ -1214,8 +1262,8 @@ impl<M: MemTable> LiveWellImpl<M> {
 
         Ok(LiveWellImpl {
             config,
-            int_regs,
-            fp_regs,
+            regs,
+            live_regs,
             mem,
             floor,
             deepest,
@@ -1325,7 +1373,7 @@ impl<M: MemTable> LiveWellImpl<M> {
             self.mem.get_or_insert_preexisting(addr);
         }
         if self.placed > 0 {
-            self.peak_live_values = self.peak_live_values.max(self.mem.len() + 64);
+            self.peak_live_values = self.peak_live_values.max(self.mem.len() + REGS);
         }
     }
 
@@ -1333,8 +1381,10 @@ impl<M: MemTable> LiveWellImpl<M> {
     pub fn finish(mut self) -> AnalysisReport {
         // Retire every value still live so the distributions are complete.
         if let Some(mut stats) = self.value_stats.take() {
-            for record in self.int_regs.iter().chain(self.fp_regs.iter()).flatten() {
-                stats.retire(record);
+            for (i, record) in self.regs.iter().enumerate() {
+                if self.live_regs & (1 << i) != 0 {
+                    stats.retire(record);
+                }
             }
             self.mem.for_each_value(|record| stats.retire(record));
             self.value_stats = Some(stats);

@@ -70,11 +70,13 @@ impl ParallelismProfile {
     }
 
     /// Records one operation completing at `level` (0-based).
+    #[inline]
     pub fn record(&mut self, level: u64) {
         self.record_many(level, 1);
     }
 
     /// Records `ops` operations completing at `level`.
+    #[inline]
     pub fn record_many(&mut self, level: u64, ops: u64) {
         if ops == 0 {
             return;

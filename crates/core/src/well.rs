@@ -21,9 +21,9 @@
 //! as the eviction threshold is provably below every unscanned page,
 //! instead of collecting and sorting every resident address.
 //!
-//! [`FlatWell`] is the legacy single-level table, retained as the reference
-//! model for the equivalence tests and as the "before" leg of the hot-path
-//! benchmark. Both implement [`MemTable`], and the analyzer
+//! `FlatWell`, the legacy single-level table, is compiled for tests only:
+//! it is the reference model the equivalence tests hold [`PagedWell`] to.
+//! Both implement [`MemTable`], and the analyzer
 //! ([`LiveWellImpl`](crate::livewell::LiveWellImpl)) is generic over it —
 //! monomorphized, so the abstraction costs nothing at run time.
 //!
@@ -83,9 +83,10 @@ impl ValueRecord {
 /// Storage abstraction for the live well's memory table.
 ///
 /// The analyzer is generic over this trait (and monomorphized per
-/// implementation); [`PagedWell`] is the default, [`FlatWell`] the legacy
-/// reference. All implementations must be observation-equivalent — the
-/// equivalence suite treats `FlatWell` as the executable specification.
+/// implementation); [`PagedWell`] is the production table, and the
+/// test-only `FlatWell` the legacy reference. All implementations must be
+/// observation-equivalent — the equivalence suite treats `FlatWell` as the
+/// executable specification.
 ///
 /// This trait is sealed: downstream crates can name it in bounds but not
 /// implement it, so the equivalence obligations stay inside this crate.
@@ -101,9 +102,27 @@ pub trait MemTable: sealed::Sealed + std::fmt::Debug + Default {
     /// The record at `addr`, if resident.
     fn get(&self, addr: u64) -> Option<&ValueRecord>;
 
+    /// Resolves `addr` to a slot handle for [`slot_mut`](Self::slot_mut)
+    /// and [`replace`](Self::replace), inserting a preexisting (level -1)
+    /// record if the address is not resident — the live well's read-side
+    /// primitive. A handle stays valid until the next removal or eviction,
+    /// so the analyzer looks each operand up once per record.
+    fn resolve(&mut self, addr: u64) -> u64;
+
+    /// The record behind a handle from [`resolve`](Self::resolve).
+    fn slot_mut(&mut self, handle: u64) -> &mut ValueRecord;
+
+    /// Overwrites the record behind a handle from
+    /// [`resolve`](Self::resolve), returning the record it held.
+    fn replace(&mut self, handle: u64, record: ValueRecord) -> ValueRecord;
+
     /// The record at `addr`, inserting a preexisting (level -1) record if
-    /// the address is not resident — the live well's read-side primitive.
-    fn get_or_insert_preexisting(&mut self, addr: u64) -> &mut ValueRecord;
+    /// the address is not resident.
+    #[inline]
+    fn get_or_insert_preexisting(&mut self, addr: u64) -> &mut ValueRecord {
+        let handle = self.resolve(addr);
+        self.slot_mut(handle)
+    }
 
     /// Inserts `record` at `addr`, returning the displaced record if the
     /// address was resident.
@@ -129,21 +148,24 @@ pub trait MemTable: sealed::Sealed + std::fmt::Debug + Default {
 
 mod sealed {
     pub trait Sealed {}
+    #[cfg(test)]
     impl Sealed for super::FlatWell {}
     impl Sealed for super::PagedWell {}
 }
 
 /// The legacy flat memory table: one hash probe per access.
 ///
-/// Kept as the executable reference model for [`PagedWell`] and as the
-/// "before" leg of the hot-path benchmark. Its eviction path carries the
-/// shared fix: the threshold is found with `select_nth_unstable` (O(n))
-/// instead of sorting the whole table (O(n log n)).
+/// Kept for tests as the executable reference model for [`PagedWell`]. Its
+/// eviction path carries the shared fix: the threshold is found with
+/// `select_nth_unstable` (O(n)) instead of sorting the whole table
+/// (O(n log n)).
+#[cfg(test)]
 #[derive(Debug, Default)]
 pub struct FlatWell {
     map: FastMap<u64, ValueRecord>,
 }
 
+#[cfg(test)]
 impl MemTable for FlatWell {
     #[inline]
     fn len(&self) -> usize {
@@ -155,11 +177,25 @@ impl MemTable for FlatWell {
         self.map.get(&addr)
     }
 
-    #[inline]
-    fn get_or_insert_preexisting(&mut self, addr: u64) -> &mut ValueRecord {
+    /// The handle is the address itself: the flat table has no slots to
+    /// point into, so every handle access is a fresh probe.
+    fn resolve(&mut self, addr: u64) -> u64 {
         self.map
             .entry(addr)
+            .or_insert_with(ValueRecord::preexisting);
+        addr
+    }
+
+    fn slot_mut(&mut self, handle: u64) -> &mut ValueRecord {
+        self.map
+            .entry(handle)
             .or_insert_with(ValueRecord::preexisting)
+    }
+
+    fn replace(&mut self, handle: u64, record: ValueRecord) -> ValueRecord {
+        self.map
+            .insert(handle, record)
+            .unwrap_or_else(ValueRecord::preexisting)
     }
 
     #[inline]
@@ -366,11 +402,16 @@ impl MemTable for PagedWell {
         }
     }
 
+    /// The handle is the page's pool index and the slot within it. A slot
+    /// entered here lowers the page's `min_bound` to -1, and a deeper
+    /// record written over it through `replace` leaves the bound
+    /// stale-low until the next eviction scan refreshes it: the same
+    /// valid lower bound a first read of a word already leaves.
     #[inline]
-    fn get_or_insert_preexisting(&mut self, addr: u64) -> &mut ValueRecord {
+    fn resolve(&mut self, addr: u64) -> u64 {
         let (page_no, slot) = split(addr);
-        let idx = self.page_index_or_create(page_no) as usize;
-        let page = &mut self.pages[idx];
+        let idx = self.page_index_or_create(page_no);
+        let page = &mut self.pages[idx as usize];
         let bit = 1u64 << slot;
         if page.occupied & bit == 0 {
             page.occupied |= bit;
@@ -378,7 +419,19 @@ impl MemTable for PagedWell {
             page.min_bound = page.min_bound.min(-1);
             self.len += 1;
         }
-        &mut page.slots[slot]
+        (u64::from(idx) << PAGE_SHIFT) | slot as u64
+    }
+
+    #[inline]
+    fn slot_mut(&mut self, handle: u64) -> &mut ValueRecord {
+        &mut self.pages[(handle >> PAGE_SHIFT) as usize].slots[(handle & SLOT_MASK) as usize]
+    }
+
+    #[inline]
+    fn replace(&mut self, handle: u64, record: ValueRecord) -> ValueRecord {
+        let page = &mut self.pages[(handle >> PAGE_SHIFT) as usize];
+        page.min_bound = page.min_bound.min(record.deepest_use);
+        std::mem::replace(&mut page.slots[(handle & SLOT_MASK) as usize], record)
     }
 
     #[inline]

@@ -58,6 +58,7 @@ impl LatencyModel {
     }
 
     /// The latency, in DDG levels, of operations in `class`.
+    #[inline]
     pub fn latency(&self, class: OpClass) -> u32 {
         self.levels[class as usize]
     }

@@ -68,11 +68,13 @@ impl IntReg {
     }
 
     /// The register index, in `0..32`.
+    #[inline]
     pub fn index(self) -> u8 {
         self.0
     }
 
     /// Whether this is the hardwired zero register.
+    #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0
     }
@@ -106,6 +108,7 @@ impl FpReg {
     }
 
     /// The register index, in `0..32`.
+    #[inline]
     pub fn index(self) -> u8 {
         self.0
     }

@@ -57,21 +57,25 @@ impl Loc {
     }
 
     /// A memory-word location.
+    #[inline]
     pub fn mem(addr: u64) -> Loc {
         Loc::Mem(addr)
     }
 
     /// Whether this location is a register (of either file).
+    #[inline]
     pub fn is_reg(self) -> bool {
         matches!(self, Loc::IntReg(_) | Loc::FpReg(_))
     }
 
     /// Whether this location is a memory word.
+    #[inline]
     pub fn is_mem(self) -> bool {
         matches!(self, Loc::Mem(_))
     }
 
     /// The memory address, if this is a memory location.
+    #[inline]
     pub fn addr(self) -> Option<u64> {
         match self {
             Loc::Mem(a) => Some(a),
@@ -81,6 +85,7 @@ impl Loc {
 
     /// Whether this is the hardwired integer zero register, which never
     /// carries a dependency.
+    #[inline]
     pub fn is_zero_reg(self) -> bool {
         matches!(self, Loc::IntReg(r) if r.is_zero())
     }

@@ -5,7 +5,7 @@ use paragraph_isa::OpClass;
 use std::fmt;
 
 /// Most sources a record carries once zero-register reads are dropped.
-pub(crate) const MAX_SRCS: usize = 3;
+pub const MAX_SRCS: usize = 3;
 
 /// The source array of a record with no sources; unused slots always hold
 /// this filler, so records compare and hash by their real operands.
@@ -290,37 +290,44 @@ impl TraceRecord {
     }
 
     /// The program counter (instruction address) of this dynamic instruction.
+    #[inline]
     pub fn pc(&self) -> u64 {
         self.pc
     }
 
     /// The operation's latency class.
+    #[inline]
     pub fn class(&self) -> OpClass {
         self.class
     }
 
     /// The locations read by this instruction (zero-register reads omitted).
+    #[inline]
     pub fn srcs(&self) -> &[Loc] {
         &self.srcs[..self.nsrc as usize]
     }
 
     /// The location written by this instruction, if any.
+    #[inline]
     pub fn dest(&self) -> Option<Loc> {
         self.dest
     }
 
     /// Whether the analyzer places this record in the DDG.
+    #[inline]
     pub fn creates_value(&self) -> bool {
         self.class.creates_value()
     }
 
     /// The recorded branch outcome, if this is a conditional branch whose
     /// outcome the tracer captured.
+    #[inline]
     pub fn branch_info(&self) -> Option<BranchInfo> {
         self.branch
     }
 
     /// The memory word this instruction accesses, if any.
+    #[inline]
     pub fn mem_addr(&self) -> Option<u64> {
         match self.class {
             OpClass::Load => self.srcs().iter().find_map(|s| s.addr()),

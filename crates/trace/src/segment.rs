@@ -90,6 +90,7 @@ impl SegmentMap {
     }
 
     /// The segment containing word address `addr`.
+    #[inline]
     pub fn classify(&self, addr: u64) -> Segment {
         if addr >= self.stack_floor {
             Segment::Stack

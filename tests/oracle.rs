@@ -7,7 +7,7 @@
 //! raw trace, no live well, no incremental state beyond the firewall floor
 //! — and the production analyzer must reproduce its placements exactly.
 
-use paragraph::core::{analyze_refs, AnalysisConfig, LatencyModel, RenameSet, SyscallPolicy};
+use paragraph::core::{analyze_refs, AnalysisConfig, Ddg, LatencyModel, RenameSet, SyscallPolicy};
 use paragraph::isa::OpClass;
 use paragraph::trace::{Loc, SegmentMap, TraceRecord};
 use proptest::prelude::*;
@@ -97,9 +97,19 @@ fn arb_record(pc: u64) -> impl Strategy<Value = TraceRecord> {
             d
         )),
         (addr(), reg(), dest()).prop_map(move |(a, b, d)| TraceRecord::load(pc, a, Some(b), d)),
+        // Operand aliasing: a load whose base register is its destination
+        // reads the old value and overwrites it in one record.
+        (addr(), dest()).prop_map(move |(a, d)| TraceRecord::load(pc, a, Some(d), d)),
         (addr(), reg(), reg()).prop_map(move |(a, v, b)| TraceRecord::store(pc, a, v, Some(b))),
         (reg(), reg()).prop_map(move |(a, b)| TraceRecord::branch(pc, &[a, b])),
         Just(TraceRecord::syscall(pc, &[Loc::int(2)], Some(Loc::int(2)))),
+        // A syscall reading a memory word, sometimes the same word twice:
+        // each occurrence is one read, so a doubled word gains two readers.
+        (addr(), any::<bool>()).prop_map(move |(a, twice)| {
+            let srcs = [Loc::int(2), Loc::mem(a), Loc::mem(a)];
+            let n = if twice { 3 } else { 2 };
+            TraceRecord::syscall(pc, &srcs[..n], Some(Loc::int(2)))
+        }),
     ]
 }
 
@@ -148,7 +158,8 @@ proptest! {
             .with_segments(segments)
             .with_renames(renames)
             .with_latency(latency)
-            .with_syscall_policy(policy);
+            .with_syscall_policy(policy)
+            .with_value_stats(true);
         let report = analyze_refs(&trace, &config);
 
         // Same placed-op count.
@@ -178,6 +189,14 @@ proptest! {
             report.profile().exact_counts().unwrap_or_default(),
             oracle_profile
         );
+
+        // Same value lifetimes and degrees of sharing as the explicit
+        // graph, which counts one reader per source occurrence: a reader
+        // count is where resolving an operand once per record could drop
+        // or double a read.
+        let ddg = Ddg::from_records(&trace, &config);
+        prop_assert_eq!(report.value_lifetimes(), Some(ddg.value_lifetimes()));
+        prop_assert_eq!(report.sharing_degrees(), Some(&ddg.sharing_degrees()));
     }
 }
 
