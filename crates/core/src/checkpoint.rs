@@ -193,7 +193,7 @@ fn encode_record_canonical(record: &TraceRecord, out: &mut Vec<u8>) {
     let srcs = record.srcs();
     out.push(srcs.len() as u8);
     for loc in srcs {
-        push_loc(out, *loc);
+        push_loc(out, loc);
     }
     match record.dest() {
         Some(loc) => {

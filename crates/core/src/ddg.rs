@@ -219,7 +219,7 @@ impl DdgBuilder {
         // Gather constraints; remember which predecessor binds for the
         // critical-path witness and which edges to emit.
         let mut base = self.floor;
-        for &src in record.srcs() {
+        for src in record.srcs() {
             let state = self
                 .values
                 .entry(src)
@@ -270,7 +270,7 @@ impl DdgBuilder {
         };
 
         // True edges, one per source value with a creating node.
-        for &src in record.srcs() {
+        for src in record.srcs() {
             if let Some(state) = self.values.get_mut(&src) {
                 state.deepest_use = state.deepest_use.max(level);
                 if let Some(creator) = state.creator {
@@ -378,7 +378,7 @@ impl DdgBuilder {
         if mispredicted {
             let mut resolve = self.floor;
             let mut anchor = None;
-            for &src in record.srcs() {
+            for src in record.srcs() {
                 let state = self
                     .values
                     .entry(src)
@@ -389,7 +389,7 @@ impl DdgBuilder {
                 }
             }
             let resolve = resolve + 1;
-            for &src in record.srcs() {
+            for src in record.srcs() {
                 if let Some(state) = self.values.get_mut(&src) {
                     state.deepest_use = state.deepest_use.max(resolve);
                 }

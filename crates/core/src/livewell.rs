@@ -14,7 +14,7 @@ use paragraph_isa::OpClass;
 use paragraph_trace::crc32::crc32;
 use paragraph_trace::govern::{LimitViolation, Limits, ResourceGovernor};
 use paragraph_trace::wire;
-use paragraph_trace::{Loc, TraceRecord, MAX_SRCS};
+use paragraph_trace::{Loc, Operand, TraceRecord, MAX_SRCS};
 use std::io::{Read, Write};
 
 // Checkpoint body primitives. Writes go to a `Vec<u8>` (infallible); reads
@@ -443,11 +443,10 @@ impl<M: MemTable> LiveWellImpl<M> {
     /// Resolves an operand to its live-well slot, entering a preexisting
     /// record for a memory word never seen before.
     #[inline]
-    fn resolve(&mut self, loc: Loc) -> Slot {
-        match loc {
-            Loc::IntReg(r) => Slot::Reg(usize::from(r.index())),
-            Loc::FpReg(r) => Slot::Reg(32 + usize::from(r.index())),
-            Loc::Mem(addr) => Slot::Mem(self.mem.resolve(addr)),
+    fn resolve(&mut self, op: Operand) -> Slot {
+        match op {
+            Operand::Reg(flat) => Slot::Reg(flat),
+            Operand::Mem(addr) => Slot::Mem(self.mem.resolve(addr)),
         }
     }
 
@@ -522,20 +521,21 @@ impl<M: MemTable> LiveWellImpl<M> {
 
         // Ldest = MAX(Lsrc..., highestLevel [, Ddest]) + top
         //
-        // Each operand is resolved once: the slots found here are the ones
-        // updated after placement. A location read twice by one record
-        // keeps two slots, so it gains two readers, as in the explicit
-        // graph.
-        let srcs = record.srcs();
+        // Each operand is resolved once, straight from the packed record:
+        // the slots found here are the ones updated after placement. A
+        // location read twice by one record keeps two slots, so it gains
+        // two readers, as in the explicit graph.
+        let nsrc = record.nsrc();
         let mut src_slots = [Slot::Reg(0); MAX_SRCS];
         let mut base = self.floor;
-        for (slot, &src) in src_slots.iter_mut().zip(srcs) {
-            *slot = self.resolve(src);
+        for (i, slot) in src_slots.iter_mut().enumerate().take(nsrc) {
+            *slot = self.resolve(record.src_operand(i));
             base = base.max(self.peek(*slot).avail);
         }
-        let dest = record.dest().map(|dest| {
+        let dest = record.dest_operand().map(|dest| {
             let slot = self.resolve(dest);
-            if !self.config.renames().renames(dest, self.config.segments()) {
+            let loc = Loc::from(dest);
+            if !self.config.renames().renames(loc, self.config.segments()) {
                 // A location never written holds the preexisting record,
                 // whose deepest use (-1) never raises the base.
                 base = base.max(self.peek(slot).deepest_use);
@@ -576,7 +576,7 @@ impl<M: MemTable> LiveWellImpl<M> {
             }
         }
 
-        for &slot in &src_slots[..srcs.len()] {
+        for &slot in &src_slots[..nsrc] {
             let entry = self.entry(slot);
             entry.deepest_use = entry.deepest_use.max(ldest);
             // Saturating: a location read more than u32::MAX times pins at
@@ -711,14 +711,15 @@ impl<M: MemTable> LiveWellImpl<M> {
         if mispredicted {
             // The branch resolves one level after its operands are ready;
             // nothing fetched past it may execute earlier.
+            let nsrc = record.nsrc();
             let mut src_slots = [Slot::Reg(0); MAX_SRCS];
             let mut resolve = self.floor;
-            for (slot, &src) in src_slots.iter_mut().zip(record.srcs()) {
-                *slot = self.resolve(src);
+            for (i, slot) in src_slots.iter_mut().enumerate().take(nsrc) {
+                *slot = self.resolve(record.src_operand(i));
                 resolve = resolve.max(self.entry(*slot).avail);
             }
             let resolve = resolve + 1;
-            for &slot in &src_slots[..record.srcs().len()] {
+            for &slot in &src_slots[..nsrc] {
                 // The branch read the value (WAR now extends to the resolve
                 // level) but is not a sharing consumer: sharing counts
                 // value-creating operations fired by a token (§2.3).

@@ -66,7 +66,8 @@ pub struct ServeOptions {
     pub deadline: Option<Duration>,
     /// Largest accepted request body.
     pub max_body_bytes: u64,
-    /// Byte budget for decoded records held in memory.
+    /// Byte budget for decoded records held in memory. A record costs 48
+    /// bytes, so the default 512 MiB holds about 11M records.
     pub cache_budget_bytes: u64,
     /// Written once the listener is bound: one line with the bound
     /// address (`http://IP:PORT` or `unix:PATH`), crash-consistently, so

@@ -74,7 +74,7 @@ use crate::crc32::Crc32;
 use crate::error::{TraceError, TraceErrorKind};
 use crate::govern::{LimitViolation, ResourceGovernor};
 use crate::loc::Loc;
-use crate::record::{check_operands, BranchInfo, OperandViolation, TraceRecord, MAX_SRCS, NO_SRCS};
+use crate::record::{BranchInfo, OperandViolation, Packed, TraceRecord, MAX_SRCS};
 use crate::segment::SegmentMap;
 use crate::source::SharedBytes;
 use crate::wire::{
@@ -165,27 +165,25 @@ fn read_loc<R: Read>(mut r: R) -> io::Result<Loc> {
 ///
 /// Writing to a `Vec` cannot fail, so this is infallible.
 fn encode_record(buf: &mut Vec<u8>, record: &TraceRecord, last_pc: &mut u64) {
-    let nsrc = record.srcs().len() as u8;
-    let flags = nsrc
-        | if record.dest().is_some() { 0x80 } else { 0 }
-        | if record.branch_info().is_some() {
-            0x40
-        } else {
-            0
-        };
+    let srcs = record.srcs();
+    let dest = record.dest();
+    let branch = record.branch_info();
+    let flags = srcs.len() as u8
+        | if dest.is_some() { 0x80 } else { 0 }
+        | if branch.is_some() { 0x40 } else { 0 };
     buf.push(record.class().id());
     buf.push(flags);
     let delta = zigzag(record.pc() as i64 - *last_pc as i64);
     // Vec writes are infallible.
     let _ = write_varint(&mut *buf, delta);
     *last_pc = record.pc();
-    for &s in record.srcs() {
+    for s in srcs {
         let _ = write_loc(&mut *buf, s);
     }
-    if let Some(d) = record.dest() {
+    if let Some(d) = dest {
         let _ = write_loc(&mut *buf, d);
     }
-    if let Some(info) = record.branch_info() {
+    if let Some(info) = branch {
         buf.push(u8::from(info.taken));
         let _ = write_varint(&mut *buf, info.target);
     }
@@ -270,9 +268,10 @@ fn read_varint_fast<const SWAR: bool>(buf: &[u8], pos: &mut usize) -> io::Result
     }
 }
 
-/// Slice-based twin of [`read_loc`] for the block decoder.
+/// Slice-based twin of [`read_loc`] for the block decoder: reads one
+/// location straight into the form a record slot holds it in.
 #[inline(always)]
-fn read_loc_slice_impl<const SWAR: bool>(buf: &[u8], pos: &mut usize) -> io::Result<Loc> {
+fn read_operand_slice_impl<const SWAR: bool>(buf: &[u8], pos: &mut usize) -> io::Result<Packed> {
     let Some(&tag) = buf.get(*pos) else {
         return Err(eof_mid_record());
     };
@@ -283,16 +282,16 @@ fn read_loc_slice_impl<const SWAR: bool>(buf: &[u8], pos: &mut usize) -> io::Res
                 return Err(eof_mid_record());
             };
             *pos += 1;
-            let loc = if tag == TAG_INT {
-                paragraph_isa::IntReg::new(idx).map(Loc::IntReg)
+            let packed = if tag == TAG_INT {
+                paragraph_isa::IntReg::new(idx).map(|r| Packed::int(r.index()))
             } else {
-                paragraph_isa::FpReg::new(idx).map(Loc::FpReg)
+                paragraph_isa::FpReg::new(idx).map(|r| Packed::fp(r.index()))
             };
-            loc.ok_or_else(|| {
+            packed.ok_or_else(|| {
                 io::Error::new(io::ErrorKind::InvalidData, "register index out of range")
             })
         }
-        2 => Ok(Loc::Mem(read_varint_fast::<SWAR>(buf, pos)?)),
+        2 => Ok(Packed::mem(read_varint_fast::<SWAR>(buf, pos)?)),
         _ => Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("unknown location tag {tag}"),
@@ -327,16 +326,16 @@ fn decode_record_slice_swar(
 /// to identical records with identical errors, and agree with
 /// [`decode_record`], the independent per-record oracle.
 ///
-/// The record contract is checked once, here: zero-register operands are
-/// dropped as they are read, the kept operands go through
-/// [`check_operands`] (a violation is `InvalidData`), and the record is
-/// built without a second check.
+/// The record contract is checked once, here: the record is packed in
+/// place as its operands are read, zero-register operands dropped, and
+/// then goes through [`TraceRecord::check`] (a violation is
+/// `InvalidData`).
 ///
 /// Returns `None` with fewer than two bytes left at a record start — the
 /// same condition the `Read`-based decoder treats as a clean end of
 /// stream. Running out of bytes mid-record is `UnexpectedEof`.
 ///
-/// Forced inline, as is [`read_loc_slice_impl`]: called out of line, each
+/// Forced inline, as is [`read_operand_slice_impl`]: called out of line, each
 /// record went back through memory on return, and inlining both into the
 /// chunk loop cut `read_block` by about a quarter (docs/hotpath.md).
 #[inline(always)]
@@ -361,39 +360,24 @@ fn decode_record_slice_impl<const SWAR: bool>(
     let delta = unzigzag(read_varint_fast::<SWAR>(buf, pos)?);
     let pc = last_pc.wrapping_add(delta as u64);
     *last_pc = pc;
-    // A zero-register read is written and then overwritten by the next
-    // source, so the unused slots end up holding NO_SRCS's filler.
-    let mut srcs = NO_SRCS;
-    let mut kept = 0usize;
-    let mut reads_mem = false;
+    // The record is packed in place as its operands are read; pushing
+    // the zero register stores nothing the record keeps.
+    let mut record = TraceRecord::bare(pc, class);
     for _ in 0..nsrc {
-        let loc = read_loc_slice_impl::<SWAR>(buf, pos)?;
-        srcs[kept] = loc;
-        kept += usize::from(!loc.is_zero_reg());
-        reads_mem |= loc.is_mem();
+        record.push_src(read_operand_slice_impl::<SWAR>(buf, pos)?);
     }
-    let dest = if flags & 0x80 != 0 {
-        Some(read_loc_slice_impl::<SWAR>(buf, pos)?).filter(|d| !d.is_zero_reg())
-    } else {
-        None
-    };
-    let branch = if flags & 0x40 != 0 {
+    if flags & 0x80 != 0 {
+        record.set_dest(read_operand_slice_impl::<SWAR>(buf, pos)?);
+    }
+    if flags & 0x40 != 0 {
         let Some(&taken) = buf.get(*pos) else {
             return Err(eof_mid_record());
         };
         *pos += 1;
-        let target = read_varint_fast::<SWAR>(buf, pos)?;
-        Some(BranchInfo {
-            taken: taken != 0,
-            target,
-        })
-    } else {
-        None
-    };
-    check_operands(class, kept, reads_mem, dest, branch.is_some()).map_err(invalid_operands)?;
-    Ok(Some(TraceRecord::from_parts(
-        pc, class, kept as u8, srcs, dest, branch,
-    )))
+        record.set_outcome(taken != 0, read_varint_fast::<SWAR>(buf, pos)?);
+    }
+    record.check().map_err(invalid_operands)?;
+    Ok(Some(record))
 }
 
 /// Why a CRC-valid chunk payload failed to decode (possible only under a
@@ -2385,7 +2369,7 @@ mod tests {
                 Some(Loc::int(0)),
             ),
         ];
-        assert_eq!(expected[1].srcs(), &[Loc::mem(8), Loc::int(5)]);
+        assert_eq!(*expected[1].srcs(), [Loc::mem(8), Loc::int(5)]);
         assert_paths_agree(&bytes, false);
         let (records, fault) = drain(&mut TraceReader::new(bytes.as_slice()).unwrap());
         assert!(fault.is_none(), "{fault:?}");

@@ -527,7 +527,7 @@ pub fn render_record(record: &TraceRecord) -> String {
     let _ = write!(line, "{:#x} {}", record.pc(), record.class().name());
     for src in record.srcs() {
         line.push(' ');
-        render_loc(&mut line, *src);
+        render_loc(&mut line, src);
     }
     if let Some(dest) = record.dest() {
         line.push_str(" -> ");
@@ -690,7 +690,7 @@ mod tests {
             .unwrap()
             .map(|r| r.unwrap())
             .collect();
-        assert_eq!(records[0].srcs(), &[Loc::int(1)]);
+        assert_eq!(*records[0].srcs(), [Loc::int(1)]);
         assert_eq!(records[0].dest(), None);
     }
 

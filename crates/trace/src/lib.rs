@@ -52,8 +52,8 @@ pub mod wire;
 
 pub use error::{TraceError, TraceErrorKind};
 pub use govern::{EnvLimitErrors, LimitViolation, Limits, ResourceGovernor};
-pub use loc::Loc;
-pub use record::{BranchInfo, TraceRecord, MAX_SRCS};
+pub use loc::{Loc, Operand};
+pub use record::{BranchInfo, Srcs, TraceRecord, MAX_SRCS};
 pub use segment::{Segment, SegmentMap};
 pub use source::{SharedBytes, SourceBackend, TraceSource};
 pub use stats::TraceStats;

@@ -91,6 +91,64 @@ impl Loc {
     }
 }
 
+/// An operand as the analyzer's kernel consumes it, read straight from a
+/// packed [`TraceRecord`](crate::TraceRecord) without building a [`Loc`].
+///
+/// # Examples
+///
+/// ```
+/// use paragraph_trace::{Loc, Operand};
+///
+/// assert_eq!(Loc::from(Operand::Reg(3)), Loc::int(3));
+/// assert_eq!(Loc::from(Operand::Reg(32 + 3)), Loc::fp(3));
+/// assert_eq!(Loc::from(Operand::Mem(64)), Loc::mem(64));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Operand {
+    /// A register by flat index: integer registers are `0..32`,
+    /// floating-point registers `32..64`.
+    Reg(usize),
+    /// A memory word at the given word address.
+    Mem(u64),
+}
+
+/// Number of flat register indices: both register files.
+const FLAT_REGS: usize = 64;
+
+/// Every register location, by flat index.
+const REG_LOCS: [Loc; FLAT_REGS] = {
+    let mut locs = [Loc::IntReg(IntReg::ZERO); FLAT_REGS];
+    let mut i = 0;
+    while i < 32 {
+        locs[i] = Loc::IntReg(IntReg::const_new(i as u8));
+        locs[32 + i] = Loc::FpReg(FpReg::const_new(i as u8));
+        i += 1;
+    }
+    locs
+};
+
+impl Loc {
+    /// The register location at flat index `flat % 64` (integer registers
+    /// `0..32`, floating-point registers `32..64`).
+    #[inline]
+    pub(crate) fn flat_reg(flat: u64) -> Loc {
+        REG_LOCS[(flat % FLAT_REGS as u64) as usize]
+    }
+}
+
+impl From<Operand> for Loc {
+    /// # Panics
+    ///
+    /// Panics if a register's flat index is not below 64.
+    #[inline]
+    fn from(op: Operand) -> Loc {
+        match op {
+            Operand::Reg(flat) => REG_LOCS[flat],
+            Operand::Mem(addr) => Loc::Mem(addr),
+        }
+    }
+}
+
 impl From<RegRef> for Loc {
     fn from(r: RegRef) -> Loc {
         match r {

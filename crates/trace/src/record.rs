@@ -1,15 +1,12 @@
 //! One dynamic instruction as seen by the analyzer.
 
-use crate::loc::Loc;
+use crate::loc::{Loc, Operand};
 use paragraph_isa::OpClass;
 use std::fmt;
+use std::ops::Deref;
 
 /// Most sources a record carries once zero-register reads are dropped.
 pub const MAX_SRCS: usize = 3;
-
-/// The source array of a record with no sources; unused slots always hold
-/// this filler, so records compare and hash by their real operands.
-pub(crate) const NO_SRCS: [Loc; MAX_SRCS] = [Loc::IntReg(paragraph_isa::IntReg::ZERO); MAX_SRCS];
 
 /// Why a record's operands contradict its operation class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,47 +55,71 @@ fn contract_panic(v: OperandViolation, pc: u64) -> ! {
     panic!("{v} (pc {pc})")
 }
 
-/// The record contract, stated once. The operands are described as the
-/// record keeps them, with zero-register reads and writes already
-/// dropped: `nsrc` sources, `reads_mem` if one of them is a memory word,
-/// the destination `dest`, and whether a branch `outcome` is attached.
-///
-/// * at most [`MAX_SRCS`] sources;
-/// * a destination only on a value-creating class, and a memory
-///   destination exactly on a store;
-/// * a store names its memory destination;
-/// * a load names a memory source (its register destination may be the
-///   dropped zero register, just as `add r0, ...` has none);
-/// * a branch outcome only on a branch.
-///
-/// The constructors panic on a violation; the text ingest parser and both
-/// binary decoders return it as a typed error.
-#[inline]
-pub(crate) fn check_operands(
-    class: OpClass,
-    nsrc: usize,
-    reads_mem: bool,
-    dest: Option<Loc>,
-    outcome: bool,
-) -> Result<(), OperandViolation> {
-    if nsrc > MAX_SRCS {
-        return Err(OperandViolation::TooManySources);
-    }
-    match dest {
-        Some(_) if !class.creates_value() => return Err(OperandViolation::DestOnControl(class)),
-        Some(d) if d.is_mem() != (class == OpClass::Store) => {
-            return Err(OperandViolation::MemDestNotStore)
+/// Operand slot of the destination (or, on a branch, the target) in
+/// [`TraceRecord`]'s `words`; slots `0..MAX_SRCS` hold the sources.
+const DEST: usize = MAX_SRCS;
+
+/// Operand kinds, two bits per slot in [`TraceRecord`]'s `kinds` byte.
+/// An unused slot is `KIND_NONE` over a zero word.
+const KIND_NONE: u8 = 0;
+const KIND_INT: u8 = 1;
+const KIND_FP: u8 = 2;
+const KIND_MEM: u8 = 3;
+
+/// `flags` bit: a branch outcome is recorded.
+const OUTCOME: u8 = 1;
+/// `flags` bit: the recorded branch was taken.
+const TAKEN: u8 = 2;
+
+/// A location as a record slot holds it: its kind and payload word, a
+/// register's flat index (integer `0..32`, floating-point `32..64`) or a
+/// memory address. The zero register packs as an unused slot, so a
+/// record drops it where it is stored.
+#[derive(Clone, Copy)]
+pub(crate) struct Packed {
+    kind: u8,
+    word: u64,
+}
+
+impl Packed {
+    /// Integer register `index`, which is below 32.
+    #[inline]
+    pub(crate) fn int(index: u8) -> Packed {
+        let kind = if index == 0 { KIND_NONE } else { KIND_INT };
+        Packed {
+            kind,
+            word: u64::from(index),
         }
-        None if class == OpClass::Store => return Err(OperandViolation::StoreWithoutMemDest),
-        _ => {}
     }
-    if class == OpClass::Load && !reads_mem {
-        return Err(OperandViolation::LoadWithoutMemSource);
+
+    /// Floating-point register `index`, which is below 32.
+    #[inline]
+    pub(crate) fn fp(index: u8) -> Packed {
+        Packed {
+            kind: KIND_FP,
+            word: 32 + u64::from(index),
+        }
     }
-    if outcome && class != OpClass::Branch {
-        return Err(OperandViolation::OutcomeOnNonBranch);
+
+    /// Memory word `addr`.
+    #[inline]
+    pub(crate) fn mem(addr: u64) -> Packed {
+        Packed {
+            kind: KIND_MEM,
+            word: addr,
+        }
     }
-    Ok(())
+}
+
+impl From<Loc> for Packed {
+    #[inline]
+    fn from(loc: Loc) -> Packed {
+        match loc {
+            Loc::IntReg(r) => Packed::int(r.index()),
+            Loc::FpReg(r) => Packed::fp(r.index()),
+            Loc::Mem(addr) => Packed::mem(addr),
+        }
+    }
 }
 
 /// A single dynamic instruction in an execution trace.
@@ -114,6 +135,20 @@ pub(crate) fn check_operands(
 /// among the sources and the memory word as destination. Control instructions carry their register sources but no
 /// destination and are never placed in the DDG.
 ///
+/// The record is packed into 48 bytes, because whole traces stay resident
+/// (the sweep arena, the daemon's upload cache): four payload words (three
+/// sources, then the destination, or on a branch the target), a two-bit
+/// kind per word, and the outcome flags. Unused slots stay zero, so the
+/// derived equality and hash compare real operands only. [`srcs`],
+/// [`dest`] and [`branch_info`] decode on demand; the analyzer's kernel
+/// reads [`src_operand`] and [`dest_operand`] instead.
+///
+/// [`srcs`]: TraceRecord::srcs
+/// [`dest`]: TraceRecord::dest
+/// [`branch_info`]: TraceRecord::branch_info
+/// [`src_operand`]: TraceRecord::src_operand
+/// [`dest_operand`]: TraceRecord::dest_operand
+///
 /// # Examples
 ///
 /// ```
@@ -124,15 +159,17 @@ pub(crate) fn check_operands(
 /// assert_eq!(lw.dest(), Some(Loc::int(4)));
 /// assert!(lw.srcs().contains(&Loc::mem(1000)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceRecord {
     pc: u64,
+    words: [u64; MAX_SRCS + 1],
     class: OpClass,
     nsrc: u8,
-    srcs: [Loc; MAX_SRCS],
-    dest: Option<Loc>,
-    branch: Option<BranchInfo>,
+    kinds: u8,
+    flags: u8,
 }
+
+const _: () = assert!(std::mem::size_of::<TraceRecord>() == 48);
 
 /// Dynamic outcome of a conditional branch, carried on
 /// [`OpClass::Branch`] records.
@@ -149,6 +186,39 @@ pub struct BranchInfo {
     pub target: u64,
 }
 
+/// A record's source locations, returned by value by
+/// [`TraceRecord::srcs`]. Derefs to a slice and iterates by value.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Srcs {
+    locs: [Loc; MAX_SRCS],
+    len: u8,
+}
+
+impl Deref for Srcs {
+    type Target = [Loc];
+
+    #[inline]
+    fn deref(&self) -> &[Loc] {
+        &self.locs[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Srcs {
+    type Item = Loc;
+    type IntoIter = std::iter::Take<std::array::IntoIter<Loc, MAX_SRCS>>;
+
+    #[inline]
+    fn into_iter(self) -> Self::IntoIter {
+        self.locs.into_iter().take(usize::from(self.len))
+    }
+}
+
+impl fmt::Debug for Srcs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 impl TraceRecord {
     /// Creates a record from raw parts.
     ///
@@ -163,30 +233,14 @@ impl TraceRecord {
     /// a control instruction, a memory destination on a non-store, a store
     /// without a memory destination, or a load without a memory source.
     pub fn new(pc: u64, class: OpClass, srcs: &[Loc], dest: Option<Loc>) -> TraceRecord {
-        let dest = dest.filter(|d| !d.is_zero_reg());
-        let mut packed = NO_SRCS;
-        let mut nsrc = 0usize;
-        let mut reads_mem = false;
-        for &s in srcs {
-            reads_mem |= s.is_mem();
-            if s.is_zero_reg() {
-                continue;
-            }
-            if nsrc == MAX_SRCS {
-                contract_panic(OperandViolation::TooManySources, pc);
-            }
-            packed[nsrc] = s;
-            nsrc += 1;
+        match TraceRecord::try_new(pc, class, srcs, dest, None) {
+            Ok(record) => record,
+            Err(v) => contract_panic(v, pc),
         }
-        if let Err(v) = check_operands(class, nsrc, reads_mem, dest, false) {
-            contract_panic(v, pc);
-        }
-        TraceRecord::from_parts(pc, class, nsrc as u8, packed, dest, None)
     }
 
     /// Fallible [`TraceRecord::new`] that may also carry a branch outcome:
-    /// checks the operands against the record contract, then builds the
-    /// record.
+    /// builds the record, then checks it against the record contract.
     pub(crate) fn try_new(
         pc: u64,
         class: OpClass,
@@ -194,36 +248,143 @@ impl TraceRecord {
         dest: Option<Loc>,
         branch: Option<BranchInfo>,
     ) -> Result<TraceRecord, OperandViolation> {
-        let nsrc = srcs.iter().filter(|s| !s.is_zero_reg()).count();
-        let reads_mem = srcs.iter().any(|s| s.is_mem());
-        let kept_dest = dest.filter(|d| !d.is_zero_reg());
-        check_operands(class, nsrc, reads_mem, kept_dest, branch.is_some())?;
-        // The operands keep the contract, so `new` cannot panic.
-        let mut record = TraceRecord::new(pc, class, srcs, dest);
-        record.branch = branch;
+        let mut record = TraceRecord::bare(pc, class);
+        for &s in srcs {
+            if s.is_zero_reg() {
+                continue;
+            }
+            if record.nsrc() == MAX_SRCS {
+                return Err(OperandViolation::TooManySources);
+            }
+            record.push_src(Packed::from(s));
+        }
+        if let Some(d) = dest {
+            record.set_dest(Packed::from(d));
+        }
+        if let Some(info) = branch {
+            record.set_outcome(info.taken, info.target);
+        }
+        record.check()?;
         Ok(record)
     }
 
-    /// Builds a record without checking it. The caller has dropped the
-    /// zero-register operands, left the unused `srcs` slots at
-    /// [`NO_SRCS`]'s filler, and passed `srcs[..nsrc]`, `dest` and
-    /// `branch` through [`check_operands`].
+    /// A record with no operands and no outcome, to be filled in place by
+    /// [`push_src`](TraceRecord::push_src),
+    /// [`set_dest`](TraceRecord::set_dest) and
+    /// [`set_outcome`](TraceRecord::set_outcome), then passed through
+    /// [`check`](TraceRecord::check). The block decoder builds every
+    /// record this way, straight from the wire.
     #[inline]
-    pub(crate) fn from_parts(
-        pc: u64,
-        class: OpClass,
-        nsrc: u8,
-        srcs: [Loc; MAX_SRCS],
-        dest: Option<Loc>,
-        branch: Option<BranchInfo>,
-    ) -> TraceRecord {
+    pub(crate) fn bare(pc: u64, class: OpClass) -> TraceRecord {
         TraceRecord {
             pc,
+            words: [0; MAX_SRCS + 1],
             class,
-            nsrc,
-            srcs,
-            dest,
-            branch,
+            nsrc: 0,
+            kinds: 0,
+            flags: 0,
+        }
+    }
+
+    /// Appends a source. The zero register is stored as an unused slot
+    /// and not counted, so the next source overwrites it. The caller
+    /// pushes no source once [`MAX_SRCS`] are kept.
+    #[inline]
+    pub(crate) fn push_src(&mut self, src: Packed) {
+        let slot = self.nsrc();
+        self.words[slot] = src.word;
+        self.kinds |= src.kind << (2 * slot);
+        self.nsrc += u8::from(src.kind != KIND_NONE);
+    }
+
+    /// Sets the destination of a record with neither a destination nor
+    /// an outcome; the zero register leaves it without one.
+    #[inline]
+    pub(crate) fn set_dest(&mut self, dest: Packed) {
+        self.words[DEST] = dest.word;
+        self.kinds |= dest.kind << (2 * DEST);
+    }
+
+    /// Attaches a branch outcome. A branch names no destination, so the
+    /// target takes the destination's word.
+    #[inline]
+    pub(crate) fn set_outcome(&mut self, taken: bool, target: u64) {
+        self.words[DEST] = target;
+        self.flags = OUTCOME | if taken { TAKEN } else { 0 };
+    }
+
+    /// The record contract, stated once, over the operands as the record
+    /// keeps them (zero-register reads and writes already dropped):
+    ///
+    /// * a destination only on a value-creating class, and a memory
+    ///   destination exactly on a store;
+    /// * a store names its memory destination;
+    /// * a load names a memory source (its register destination may be
+    ///   the dropped zero register, just as `add r0, ...` has none);
+    /// * a branch outcome only on a branch.
+    ///
+    /// At most [`MAX_SRCS`] sources is checked as they are pushed. The
+    /// constructors panic on a violation; the text ingest parser and both
+    /// binary decoders return it as a typed error. A record with both a
+    /// destination and an outcome fails here, as only a branch carries an
+    /// outcome and a branch names no destination.
+    #[inline]
+    pub(crate) fn check(&self) -> Result<(), OperandViolation> {
+        let class = self.class;
+        match self.kind(DEST) {
+            KIND_NONE if class == OpClass::Store => {
+                return Err(OperandViolation::StoreWithoutMemDest)
+            }
+            KIND_NONE => {}
+            _ if !class.creates_value() => return Err(OperandViolation::DestOnControl(class)),
+            kind if (kind == KIND_MEM) != (class == OpClass::Store) => {
+                return Err(OperandViolation::MemDestNotStore)
+            }
+            _ => {}
+        }
+        if class == OpClass::Load && !self.reads_mem() {
+            return Err(OperandViolation::LoadWithoutMemSource);
+        }
+        if self.flags & OUTCOME != 0 && class != OpClass::Branch {
+            return Err(OperandViolation::OutcomeOnNonBranch);
+        }
+        Ok(())
+    }
+
+    /// Whether a source is a memory word: some source slot's kind has
+    /// both bits set.
+    #[inline]
+    fn reads_mem(&self) -> bool {
+        let srcs = self.kinds & ((1 << (2 * DEST)) - 1);
+        srcs & (srcs >> 1) & 0b01_0101 != 0
+    }
+
+    /// The kind of operand slot `slot`.
+    #[inline]
+    fn kind(&self, slot: usize) -> u8 {
+        (self.kinds >> (2 * slot)) & 3
+    }
+
+    /// Operand slot `slot`, which holds a kept operand.
+    #[inline]
+    fn operand(&self, slot: usize) -> Operand {
+        let word = self.words[slot];
+        if self.kind(slot) == KIND_MEM {
+            Operand::Mem(word)
+        } else {
+            Operand::Reg(word as usize)
+        }
+    }
+
+    /// Operand slot `slot` as a location; an unused slot reads as the
+    /// zero register.
+    #[inline]
+    fn loc(&self, slot: usize) -> Loc {
+        let word = self.words[slot];
+        if self.kind(slot) == KIND_MEM {
+            Loc::Mem(word)
+        } else {
+            Loc::flat_reg(word)
         }
     }
 
@@ -280,7 +441,7 @@ impl TraceRecord {
     /// analyzer's branch-prediction models.
     pub fn branch_outcome(pc: u64, srcs: &[Loc], taken: bool, target: u64) -> TraceRecord {
         let mut rec = TraceRecord::new(pc, OpClass::Branch, srcs, None);
-        rec.branch = Some(BranchInfo { taken, target });
+        rec.set_outcome(taken, target);
         rec
     }
 
@@ -303,14 +464,41 @@ impl TraceRecord {
 
     /// The locations read by this instruction (zero-register reads omitted).
     #[inline]
-    pub fn srcs(&self) -> &[Loc] {
-        &self.srcs[..self.nsrc as usize]
+    pub fn srcs(&self) -> Srcs {
+        Srcs {
+            locs: [self.loc(0), self.loc(1), self.loc(2)],
+            len: self.nsrc,
+        }
     }
 
     /// The location written by this instruction, if any.
     #[inline]
     pub fn dest(&self) -> Option<Loc> {
-        self.dest
+        (self.kind(DEST) != KIND_NONE).then(|| self.loc(DEST))
+    }
+
+    /// Number of sources ([`srcs`](TraceRecord::srcs)`().len()`).
+    #[inline]
+    pub fn nsrc(&self) -> usize {
+        usize::from(self.nsrc)
+    }
+
+    /// Source `i` as an [`Operand`], without building a [`Loc`].
+    ///
+    /// # Panics
+    ///
+    /// May panic, or return another operand, if `i` is not below
+    /// [`nsrc`](TraceRecord::nsrc).
+    #[inline]
+    pub fn src_operand(&self, i: usize) -> Operand {
+        debug_assert!(i < self.nsrc(), "source {i} of {}", self.nsrc);
+        self.operand(i)
+    }
+
+    /// The destination as an [`Operand`], if any.
+    #[inline]
+    pub fn dest_operand(&self) -> Option<Operand> {
+        (self.kind(DEST) != KIND_NONE).then(|| self.operand(DEST))
     }
 
     /// Whether the analyzer places this record in the DDG.
@@ -323,17 +511,34 @@ impl TraceRecord {
     /// outcome the tracer captured.
     #[inline]
     pub fn branch_info(&self) -> Option<BranchInfo> {
-        self.branch
+        (self.flags & OUTCOME != 0).then(|| BranchInfo {
+            taken: self.flags & TAKEN != 0,
+            target: self.words[DEST],
+        })
     }
 
     /// The memory word this instruction accesses, if any.
     #[inline]
     pub fn mem_addr(&self) -> Option<u64> {
         match self.class {
-            OpClass::Load => self.srcs().iter().find_map(|s| s.addr()),
-            OpClass::Store => self.dest.and_then(Loc::addr),
+            OpClass::Load => (0..self.nsrc())
+                .find(|&i| self.kind(i) == KIND_MEM)
+                .map(|i| self.words[i]),
+            OpClass::Store => Some(self.words[DEST]),
             _ => None,
         }
+    }
+}
+
+impl fmt::Debug for TraceRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TraceRecord")
+            .field("pc", &self.pc)
+            .field("class", &self.class)
+            .field("srcs", &self.srcs())
+            .field("dest", &self.dest())
+            .field("branch", &self.branch_info())
+            .finish()
     }
 }
 
@@ -349,7 +554,7 @@ impl fmt::Display for TraceRecord {
                 write!(f, ", {s}")?;
             }
         }
-        if let Some(d) = self.dest {
+        if let Some(d) = self.dest() {
             write!(f, " writes {d}")?;
         }
         Ok(())
@@ -364,7 +569,7 @@ mod tests {
     fn zero_register_reads_are_dropped() {
         let rec =
             TraceRecord::compute(0, OpClass::IntAlu, &[Loc::int(0), Loc::int(3)], Loc::int(4));
-        assert_eq!(rec.srcs(), &[Loc::int(3)]);
+        assert_eq!(*rec.srcs(), [Loc::int(3)]);
     }
 
     #[test]
@@ -434,6 +639,34 @@ mod tests {
         assert!(text.contains("store"));
         assert!(text.contains("r8"));
         assert!(text.contains("[40]"));
+    }
+
+    #[test]
+    fn debug_prints_logical_fields() {
+        let rec = TraceRecord::branch_outcome(12, &[Loc::int(8), Loc::fp(2)], true, 40);
+        assert_eq!(
+            format!("{rec:?}"),
+            "TraceRecord { pc: 12, class: Branch, srcs: [IntReg(IntReg(8)), FpReg(FpReg(2))], \
+             dest: None, branch: Some(BranchInfo { taken: true, target: 40 }) }"
+        );
+    }
+
+    #[test]
+    fn operand_view_matches_locations() {
+        let rec = TraceRecord::new(
+            0,
+            OpClass::Syscall,
+            &[Loc::fp(31), Loc::mem(u64::MAX), Loc::int(31)],
+            Some(Loc::fp(0)),
+        );
+        assert_eq!(rec.nsrc(), 3);
+        assert_eq!(rec.src_operand(0), Operand::Reg(63));
+        assert_eq!(rec.src_operand(1), Operand::Mem(u64::MAX));
+        assert_eq!(rec.src_operand(2), Operand::Reg(31));
+        assert_eq!(rec.dest_operand(), Some(Operand::Reg(32)));
+        for (i, s) in rec.srcs().into_iter().enumerate() {
+            assert_eq!(Loc::from(rec.src_operand(i)), s);
+        }
     }
 
     #[test]

@@ -358,7 +358,7 @@ mod tests {
         assert_eq!(t.len(), 5);
         assert!(t[0].srcs().is_empty());
         for rec in &t[1..] {
-            assert_eq!(rec.srcs(), &[Loc::int(1)]);
+            assert_eq!(*rec.srcs(), [Loc::int(1)]);
         }
     }
 

@@ -48,7 +48,7 @@ fn oracle_levels(
         }
 
         let mut base = floor;
-        for &src in record.srcs() {
+        for src in record.srcs() {
             base = base.max(avail(&levels, i, src));
         }
         if let Some(dest) = record.dest() {
