@@ -4,11 +4,11 @@
 //! many machine models. Generating (or decoding) a workload's trace is a
 //! serial, allocation-heavy stage; analyzing it under one configuration is
 //! an independent, read-only pass. The arena separates the two: each
-//! workload's records are materialized exactly once into a shared immutable
-//! allocation (`Arc<Vec<TraceRecord>>` — the generation buffer itself is
-//! moved behind the `Arc`, never copied; an exact-size `Arc<[TraceRecord]>`
-//! copy would re-touch every page of a multi-gigabyte sweep), and any
-//! number of concurrent analyzer passes walk that one allocation.
+//! workload's trace is materialized exactly once, interned as the VM
+//! produces it ([`InternedTrace`]: 24-byte records over one dense slot
+//! space, so no full-width record buffer is ever held), into a shared
+//! immutable allocation, and any number of concurrent analyzer passes walk
+//! that one allocation.
 //!
 //! Residency is bounded by an LRU byte budget so a ten-workload sweep does
 //! not need every trace in RAM at once. Eviction only drops the arena's own
@@ -20,34 +20,21 @@
 
 use crate::supervisor::CellError;
 use crate::Study;
-use paragraph_trace::{SegmentMap, TraceRecord};
+use paragraph_trace::InternedTrace;
 use paragraph_workloads::WorkloadId;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Default LRU byte budget: 2 GiB comfortably holds the full-scale paper
-/// workload set while still exercising eviction on constrained boxes. A
-/// record costs 48 bytes, so that is about 44M records; the ten Figure 8
-/// traces at full scale take about 10.4M (under 500 MB).
+/// workload set while still exercising eviction on constrained boxes. An
+/// interned record costs 24 bytes (plus 8 per distinct memory word), so
+/// that is about 89M records; the ten Figure 8 traces at full scale take
+/// about 10.4M (about 250 MB).
 pub const DEFAULT_BUDGET_BYTES: usize = 2 << 30;
 
-/// One workload's resident trace. Cloning is cheap: clones share the same
-/// record allocation.
-#[derive(Clone)]
-pub struct ArenaTrace {
-    /// The decoded records; derefs to `&[TraceRecord]` for analysis.
-    pub records: Arc<Vec<TraceRecord>>,
-    /// Segment map the trace was generated under (configs need it for
-    /// stack/data rename decisions).
-    pub segments: SegmentMap,
-}
-
-impl ArenaTrace {
-    /// Estimated bytes this trace keeps resident.
-    pub fn resident_bytes(&self) -> usize {
-        self.records.capacity() * std::mem::size_of::<TraceRecord>()
-    }
-}
+/// One workload's resident trace, with the segment map it was generated
+/// under. Cloning is cheap: clones share the same allocation.
+pub type ArenaTrace = Arc<InternedTrace>;
 
 /// Arena traffic counters, reported in sweep manifests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -133,11 +120,11 @@ impl TraceArena {
     ///
     /// # Errors
     ///
-    /// Propagates [`Study::collect`]'s [`CellError`] (a VM fault). A failed
+    /// Propagates [`Study::collect_interned`]'s [`CellError`] (a VM fault). A failed
     /// or panicking load releases its claim, so waiting threads wake and
     /// retry the generation themselves rather than deadlock.
     pub fn get(&self, study: &Study, id: WorkloadId) -> Result<ArenaTrace, CellError> {
-        self.get_with(id, || study.collect(id))
+        self.get_with(id, || study.collect_interned(id))
     }
 
     /// [`TraceArena::get`] with an explicit loader, so embedders (and the
@@ -152,7 +139,7 @@ impl TraceArena {
     pub fn get_with(
         &self,
         id: WorkloadId,
-        loader: impl FnOnce() -> Result<(Vec<TraceRecord>, SegmentMap), CellError>,
+        loader: impl FnOnce() -> Result<InternedTrace, CellError>,
     ) -> Result<ArenaTrace, CellError> {
         let mut state = self.lock();
         loop {
@@ -194,12 +181,8 @@ impl TraceArena {
             id,
             armed: true,
         };
-        let (records, segments) = loader()?;
-        let trace = ArenaTrace {
-            records: Arc::new(records),
-            segments,
-        };
-        self.install(id, trace.clone());
+        let trace = Arc::new(loader()?);
+        self.install(id, Arc::clone(&trace));
         guard.armed = false;
         Ok(trace)
     }
@@ -299,7 +282,7 @@ mod tests {
         let arena = TraceArena::new(usize::MAX);
         let a = arena.get(&study, WorkloadId::Xlisp).unwrap();
         let b = arena.get(&study, WorkloadId::Xlisp).unwrap();
-        assert!(Arc::ptr_eq(&a.records, &b.records), "must share one decode");
+        assert!(Arc::ptr_eq(&a, &b), "must share one decode");
         let stats = arena.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
@@ -323,7 +306,7 @@ mod tests {
                 .collect()
         });
         for pair in traces.windows(2) {
-            assert!(Arc::ptr_eq(&pair[0].records, &pair[1].records));
+            assert!(Arc::ptr_eq(&pair[0], &pair[1]));
         }
         assert_eq!(arena.stats().misses, 1, "decode must happen exactly once");
     }
@@ -337,11 +320,11 @@ mod tests {
         let _second = arena.get(&study, WorkloadId::Eqntott).unwrap();
         assert!(arena.stats().evictions >= 1);
         // The evicted handle stays valid (Arc keeps the data alive)...
-        assert!(!first.records.is_empty());
+        assert!(!first.is_empty());
         // ...and a re-request regenerates identical records.
         let again = arena.get(&study, WorkloadId::Xlisp).unwrap();
-        assert_eq!(&again.records[..], &first.records[..]);
-        assert!(!Arc::ptr_eq(&again.records, &first.records));
+        assert_eq!(*again, *first);
+        assert!(!Arc::ptr_eq(&again, &first));
     }
 
     #[test]
@@ -354,10 +337,10 @@ mod tests {
         assert_eq!(arena.stats().peak_resident_bytes, t.resident_bytes() as u64);
     }
 
-    fn tiny_trace() -> (Vec<paragraph_trace::TraceRecord>, SegmentMap) {
-        (
-            paragraph_trace::synthetic::random_trace(50, 1),
-            SegmentMap::new(1 << 20, 1 << 24),
+    fn tiny_trace() -> InternedTrace {
+        InternedTrace::from_records(
+            &paragraph_trace::synthetic::random_trace(50, 1),
+            paragraph_trace::SegmentMap::new(1 << 20, 1 << 24),
         )
     }
 
@@ -372,7 +355,7 @@ mod tests {
         let trace = arena
             .get_with(WorkloadId::Xlisp, || Ok(tiny_trace()))
             .unwrap();
-        assert_eq!(trace.records.len(), 50);
+        assert_eq!(trace.len(), 50);
         let stats = arena.stats();
         assert_eq!(stats.misses, 2, "both claims count as misses");
         assert_eq!(stats.hits, 0);
@@ -421,7 +404,7 @@ mod tests {
         assert_eq!(ok.len(), 3, "every waiter must recover: {errors:?}");
         for pair in ok.windows(2) {
             assert!(
-                Arc::ptr_eq(&pair[0].records, &pair[1].records),
+                Arc::ptr_eq(pair[0], pair[1]),
                 "survivors share the retried decode"
             );
         }
@@ -432,7 +415,7 @@ mod tests {
         let again = arena
             .get_with(WorkloadId::Eqntott, || Ok(tiny_trace()))
             .unwrap();
-        assert!(Arc::ptr_eq(&again.records, &ok[0].records));
+        assert!(Arc::ptr_eq(&again, ok[0]));
     }
 
     /// How the loader in [`park_waiters_on_one_load`] ends its load.
@@ -509,13 +492,13 @@ mod tests {
             thread.join().unwrap();
         }
         for pair in traces.windows(2) {
-            assert!(Arc::ptr_eq(&pair[0].records, &pair[1].records));
+            assert!(Arc::ptr_eq(&pair[0], &pair[1]));
         }
         let stats = arena.stats();
         match end {
             LoadEnd::Succeed => {
                 let trace = loaded.unwrap().unwrap();
-                assert!(Arc::ptr_eq(&trace.records, &traces[0].records));
+                assert!(Arc::ptr_eq(&trace, &traces[0]));
                 assert_eq!(reloads.load(Ordering::SeqCst), 0);
                 assert_eq!((stats.misses, stats.hits), (1, WAITERS as u64));
             }

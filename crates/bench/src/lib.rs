@@ -36,7 +36,7 @@
 //! toolkit itself (analyzer and VM throughput), not paper experiments.
 
 use paragraph_core::{analyze_refs, AnalysisConfig, AnalysisReport, LiveWell};
-use paragraph_trace::{SegmentMap, TraceRecord};
+use paragraph_trace::{InternedTrace, SegmentMap, TraceRecord};
 use paragraph_vm::RunOutcome;
 use paragraph_workloads::{Workload, WorkloadId};
 use std::fs;
@@ -160,16 +160,27 @@ impl Study {
     ///
     /// # Errors
     ///
+    /// [`CellError::Vm`] on a VM fault, as for
+    /// [`collect_interned`](Study::collect_interned).
+    pub fn collect(&self, id: WorkloadId) -> Result<(Vec<TraceRecord>, SegmentMap), CellError> {
+        self.workload(id)
+            .collect_trace(self.fuel)
+            .map_err(|e| CellError::Vm(format!("{id}: {e}")))
+    }
+
+    /// Captures `id`'s trace in memory, interned, for multi-configuration
+    /// studies, so the VM runs once per workload instead of once per
+    /// configuration.
+    ///
+    /// # Errors
+    ///
     /// [`CellError::Vm`] on a VM fault. The workloads are deterministic and
     /// fault-free, so in practice this only fires under fault injection or
     /// a generator bug — but a sweep must degrade to a quarantined cell
     /// either way, never die.
-    pub fn collect(
-        &self,
-        id: WorkloadId,
-    ) -> Result<(Vec<paragraph_trace::TraceRecord>, SegmentMap), CellError> {
+    pub fn collect_interned(&self, id: WorkloadId) -> Result<InternedTrace, CellError> {
         self.workload(id)
-            .collect_trace(self.fuel)
+            .collect_interned(self.fuel)
             .map_err(|e| CellError::Vm(format!("{id}: {e}")))
     }
 

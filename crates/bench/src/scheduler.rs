@@ -23,9 +23,11 @@ use crate::arena::{ArenaStats, TraceArena};
 use crate::supervisor::{backoff_delay, panic_message, CellError, CellStatus, FaultSpec};
 use crate::Study;
 use paragraph_core::telemetry::{self, timeline, Value};
-use paragraph_core::{AnalysisConfig, LiveWell, ParallelismProfile};
+use paragraph_core::{AnalysisConfig, InternedWell, ParallelismProfile};
 use paragraph_workloads::WorkloadId;
 use std::collections::VecDeque;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
@@ -119,6 +121,10 @@ pub struct SweepOptions {
     /// Base backoff between retries, in milliseconds; see
     /// [`backoff_delay`] for the growth and jitter rules.
     pub retry_backoff_ms: u64,
+    /// Write each successful cell's artifacts ([`write_cell_artifacts`])
+    /// into the study's output directory as soon as the cell completes,
+    /// from the worker that ran it.
+    pub write_artifacts: bool,
 }
 
 impl Default for SweepOptions {
@@ -129,6 +135,7 @@ impl Default for SweepOptions {
             reuse_stages: true,
             retries: 2,
             retry_backoff_ms: 25,
+            write_artifacts: false,
         }
     }
 }
@@ -175,6 +182,9 @@ pub struct SweepOutcome {
     pub jobs: usize,
     /// Arena traffic (misses count trace generations).
     pub arena: ArenaStats,
+    /// The first artifact write that failed under
+    /// [`SweepOptions::write_artifacts`], with the file it was writing.
+    pub artifact_error: Option<(PathBuf, io::Error)>,
 }
 
 impl SweepOutcome {
@@ -254,7 +264,7 @@ fn analyze_cell(
     arena: &TraceArena,
 ) -> Result<CellOutcome, CellError> {
     let trace = arena.get(study, cell.workload)?;
-    let config = cell.config.clone().with_segments(trace.segments);
+    let config = cell.config.clone().with_segments(trace.segments());
     let started = Instant::now();
     // Timeline slice covering the analysis only (not the arena fetch, which
     // may block on another worker's decode — attributing that wait to the
@@ -266,8 +276,8 @@ fn analyze_cell(
         ),
         None => timeline::timeline_span("sweep.cell"),
     };
-    let mut analyzer = LiveWell::new(config);
-    analyzer.process_slice(&trace.records);
+    let mut analyzer = InternedWell::new(&trace, config);
+    analyzer.process_next(trace.len());
     let window_stalls = analyzer.window_stalls();
     let report = analyzer.finish();
     let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -328,6 +338,23 @@ fn run_cell(
         Ok(result) => result,
         Err(payload) => Err(CellError::Panic(panic_message(payload))),
     }
+}
+
+/// Writes a successful cell's artifacts into `dir`, each atomically:
+/// `<workload>@<label>.report.json` (the report JSON) and
+/// `<workload>@<label>.profile.csv` (the parallelism profile).
+///
+/// # Errors
+///
+/// The file that failed, with the I/O error.
+pub fn write_cell_artifacts(dir: &Path, cell: &CellOutcome) -> Result<(), (PathBuf, io::Error)> {
+    let stem = format!("{}@{}", cell.workload.name(), cell.label);
+    let json_path = dir.join(format!("{stem}.report.json"));
+    paragraph_core::artifact::write_atomic_bytes(&json_path, cell.report_json.as_bytes())
+        .map_err(|e| (json_path, e))?;
+    let csv_path = dir.join(format!("{stem}.profile.csv"));
+    paragraph_core::artifact::write_atomic(&csv_path, |out| cell.profile.write_csv(out))
+        .map_err(|e| (csv_path, e))
 }
 
 fn effective_jobs(requested: usize, cells: usize) -> usize {
@@ -411,6 +438,23 @@ fn run_sweep_supervised(
     let pending: Vec<usize> = (0..cells.len())
         .filter(|&i| lock_poison_ok(&results[i]).result.is_none())
         .collect();
+    let artifact_error: Mutex<Option<(PathBuf, io::Error)>> = Mutex::new(None);
+    let write_artifacts = |outcome: &CellOutcome| {
+        if !opts.write_artifacts {
+            return;
+        }
+        if let Err(failed) = write_cell_artifacts(study.out_dir(), outcome) {
+            artifact_error
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .get_or_insert(failed);
+        }
+    };
+    for slot in &results {
+        if let Some(Ok(outcome)) = &lock_poison_ok(slot).result {
+            write_artifacts(outcome);
+        }
+    }
     if let Some(registry) = telemetry::active() {
         let restored = cells.len() - pending.len();
         registry
@@ -435,6 +479,7 @@ fn run_sweep_supervised(
             let queues = &queues;
             let results = &results;
             let arena = &arena;
+            let write_artifacts = &write_artifacts;
             scope.spawn(move || {
                 if let Some(tl) = timeline::timeline_active() {
                     tl.set_thread_name(&format!("worker-{me}"));
@@ -479,6 +524,7 @@ fn run_sweep_supervised(
                                     );
                                 }
                             }
+                            write_artifacts(&outcome);
                             lock_poison_ok(&results[index]).result = Some(Ok(outcome));
                             if let Some(tl) = timeline::timeline_active() {
                                 // Arena counters sampled at cell boundaries:
@@ -591,6 +637,9 @@ fn run_sweep_supervised(
         wall_ns: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
         jobs,
         arena: arena.stats(),
+        artifact_error: artifact_error
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner),
     }
 }
 

@@ -2196,6 +2196,10 @@ fn cmd_sweep_grid(opts: &Options) -> Result<(), CliError> {
         retry_backoff_ms: opts
             .retry_backoff_ms
             .unwrap_or(SweepOptions::default().retry_backoff_ms),
+        // Each worker writes its cell's report and profile as soon as the
+        // cell succeeds: atomically, and byte-identically to a fault-free
+        // run; quarantined cells simply have no artifacts.
+        write_artifacts: out_dir.is_some(),
     };
     // Cells are supervised inside run_sweep: a VM fault or analyzer panic
     // is caught, retried, and at worst quarantines that one cell — the
@@ -2203,7 +2207,7 @@ fn cmd_sweep_grid(opts: &Options) -> Result<(), CliError> {
     if let Some(timeline) = telemetry::timeline::timeline_active() {
         timeline.instant_with_args("sweep.start", None, &[("cells", cells.len() as u64)]);
     }
-    let outcome = run_sweep(&study, "sweep", &cells, &sweep_opts);
+    let mut outcome = run_sweep(&study, "sweep", &cells, &sweep_opts);
     if let Some(timeline) = telemetry::timeline::timeline_active() {
         timeline.instant_with_args("sweep.done", None, &[("cells", outcome.cells.len() as u64)]);
     }
@@ -2248,20 +2252,8 @@ fn cmd_sweep_grid(opts: &Options) -> Result<(), CliError> {
     }
 
     if let Some(dir) = &out_dir {
-        std::fs::create_dir_all(dir).map_err(|e| io_err(&dir.display().to_string(), e))?;
-        // Healthy cells' artifacts land atomically and byte-identically to
-        // a fault-free run; quarantined cells simply have no artifacts.
-        for result in &outcome.cells {
-            let Some(cell) = result.outcome() else {
-                continue;
-            };
-            let stem = format!("{}@{}", cell.workload.name(), cell.label);
-            let json_path = dir.join(format!("{stem}.report.json"));
-            paragraph_core::artifact::write_atomic_bytes(&json_path, cell.report_json.as_bytes())
-                .map_err(|e| io_err(&json_path.display().to_string(), e))?;
-            let csv_path = dir.join(format!("{stem}.profile.csv"));
-            paragraph_core::artifact::write_atomic(&csv_path, |out| cell.profile.write_csv(out))
-                .map_err(|e| io_err(&csv_path.display().to_string(), e))?;
+        if let Some((path, e)) = outcome.artifact_error.take() {
+            return Err(io_err(&path.display().to_string(), e));
         }
         let manifest = dir.join("sweep.json");
         paragraph_core::artifact::write_atomic_bytes(

@@ -359,6 +359,38 @@ impl TraceRecord {
         srcs & (srcs >> 1) & 0b01_0101 != 0
     }
 
+    /// Source `i`, or the destination at [`MAX_SRCS`], as the interner
+    /// reads it: whether it is a memory word, and its payload word (a
+    /// register's flat index or a memory address).
+    #[inline]
+    pub(crate) fn operand_word(&self, slot: usize) -> (bool, u64) {
+        (self.kind(slot) == KIND_MEM, self.words[slot])
+    }
+
+    /// Whether the record names a destination.
+    #[inline]
+    pub(crate) fn has_dest(&self) -> bool {
+        self.kind(DEST) != KIND_NONE
+    }
+
+    /// The destination word of a record without a destination: a
+    /// branch's target, or zero.
+    #[inline]
+    pub(crate) fn target_word(&self) -> u64 {
+        if self.has_dest() {
+            0
+        } else {
+            self.words[DEST]
+        }
+    }
+
+    /// The outcome flags: whether an outcome is recorded, and whether the
+    /// branch was taken.
+    #[inline]
+    pub(crate) fn outcome_flags(&self) -> (bool, bool) {
+        (self.flags & OUTCOME != 0, self.flags & TAKEN != 0)
+    }
+
     /// The kind of operand slot `slot`.
     #[inline]
     fn kind(&self, slot: usize) -> u8 {

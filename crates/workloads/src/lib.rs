@@ -61,7 +61,7 @@ mod tomcatv;
 mod xlisp;
 
 use paragraph_asm::Program;
-use paragraph_trace::{SegmentMap, TraceRecord};
+use paragraph_trace::{InternedTrace, Interner, SegmentMap, TraceRecord};
 use paragraph_vm::{RunOutcome, Vm, VmError};
 use std::fmt;
 
@@ -329,6 +329,18 @@ impl Workload {
         let (_, vm) = self.run_traced(fuel, |r| records.push(*r))?;
         Ok((records, vm.segment_map()))
     }
+
+    /// Runs the workload and interns its trace as the VM produces it, so
+    /// no full-width record buffer is ever held.
+    ///
+    /// # Errors
+    ///
+    /// Propagates VM faults.
+    pub fn collect_interned(&self, fuel: u64) -> Result<InternedTrace, VmError> {
+        let mut interner = Interner::new();
+        let (_, vm) = self.run_traced(fuel, |r| interner.push(r))?;
+        Ok(interner.finish(vm.segment_map()))
+    }
 }
 
 #[cfg(test)]
@@ -345,6 +357,15 @@ mod tests {
             _ => 4,
         };
         Workload::new(id).with_size(size)
+    }
+
+    #[test]
+    fn interned_collection_matches_interning_the_collected_trace() {
+        for id in [WorkloadId::Xlisp, WorkloadId::Matrix300] {
+            let (records, segments) = small(id).collect_trace(200_000).unwrap();
+            let interned = small(id).collect_interned(200_000).unwrap();
+            assert_eq!(interned, InternedTrace::from_records(&records, segments));
+        }
     }
 
     #[test]

@@ -12,6 +12,9 @@ use paragraph::isa::OpClass;
 use paragraph::trace::{Loc, SegmentMap, TraceRecord};
 use proptest::prelude::*;
 
+mod common;
+use common::arb_trace;
+
 /// Completion level of every record (None when not placed), computed by
 /// brute force.
 fn oracle_levels(
@@ -81,46 +84,6 @@ fn oracle_levels(
         }
     }
     levels
-}
-
-fn arb_record(pc: u64) -> impl Strategy<Value = TraceRecord> {
-    let reg = || (0u8..6).prop_map(Loc::int);
-    let dest = || (1u8..6).prop_map(Loc::int);
-    let addr = || 0u64..12;
-    prop_oneof![
-        (proptest::collection::vec(reg(), 0..=2), dest())
-            .prop_map(move |(srcs, d)| TraceRecord::compute(pc, OpClass::IntAlu, &srcs, d)),
-        (reg(), reg(), dest()).prop_map(move |(a, b, d)| TraceRecord::compute(
-            pc,
-            OpClass::IntDiv,
-            &[a, b],
-            d
-        )),
-        (addr(), reg(), dest()).prop_map(move |(a, b, d)| TraceRecord::load(pc, a, Some(b), d)),
-        // Operand aliasing: a load whose base register is its destination
-        // reads the old value and overwrites it in one record.
-        (addr(), dest()).prop_map(move |(a, d)| TraceRecord::load(pc, a, Some(d), d)),
-        (addr(), reg(), reg()).prop_map(move |(a, v, b)| TraceRecord::store(pc, a, v, Some(b))),
-        (reg(), reg()).prop_map(move |(a, b)| TraceRecord::branch(pc, &[a, b])),
-        Just(TraceRecord::syscall(pc, &[Loc::int(2)], Some(Loc::int(2)))),
-        // A syscall reading a memory word, sometimes the same word twice:
-        // each occurrence is one read, so a doubled word gains two readers.
-        (addr(), any::<bool>()).prop_map(move |(a, twice)| {
-            let srcs = [Loc::int(2), Loc::mem(a), Loc::mem(a)];
-            let n = if twice { 3 } else { 2 };
-            TraceRecord::syscall(pc, &srcs[..n], Some(Loc::int(2)))
-        }),
-    ]
-}
-
-fn arb_trace() -> impl Strategy<Value = Vec<TraceRecord>> {
-    proptest::collection::vec(any::<u8>(), 1..80).prop_flat_map(|seeds| {
-        seeds
-            .into_iter()
-            .enumerate()
-            .map(|(i, _)| arb_record(i as u64))
-            .collect::<Vec<_>>()
-    })
 }
 
 proptest! {

@@ -4,12 +4,12 @@
 
 use paragraph::core::branch::{BranchPolicy, PredictorKind};
 use paragraph::core::{
-    analyze_refs, AnalysisConfig, Ddg, LatencyModel, MemoryModel, RenameSet, SyscallPolicy,
-    WindowSize,
+    analyze_refs, AnalysisConfig, AnalysisReport, Ddg, InternedWell, LatencyModel, MemoryModel,
+    RenameSet, SyscallPolicy, WindowSize,
 };
 use paragraph::isa::OpClass;
 use paragraph::trace::binary::{TraceReader, TraceWriter};
-use paragraph::trace::{Loc, SegmentMap, TraceRecord};
+use paragraph::trace::{InternedTrace, Loc, SegmentMap, TraceRecord};
 use proptest::prelude::*;
 
 /// Strategy: one arbitrary (valid) trace record at `pc`.
@@ -67,6 +67,36 @@ fn arb_trace(max_len: usize) -> impl Strategy<Value = Vec<TraceRecord>> {
 
 fn segments() -> SegmentMap {
     SegmentMap::new(16, 32)
+}
+
+/// Every location a record names.
+fn locations(record: &TraceRecord) -> Vec<Loc> {
+    record.srcs().iter().copied().chain(record.dest()).collect()
+}
+
+/// Whether two adjacent records may trade places without changing the
+/// schedule: they name no common location, and neither is a syscall or a
+/// control instruction (whose firewalls and predictor state are ordered).
+fn commute(a: &TraceRecord, b: &TraceRecord) -> bool {
+    let plain = |r: &TraceRecord| {
+        !matches!(
+            r.class(),
+            OpClass::Syscall | OpClass::Branch | OpClass::Jump
+        )
+    };
+    let la = locations(a);
+    plain(a) && plain(b) && !locations(b).iter().any(|l| la.contains(l))
+}
+
+/// The report of `trace` on both record forms, which must agree.
+fn analyze_both(trace: &[TraceRecord], config: &AnalysisConfig) -> AnalysisReport {
+    let streaming = analyze_refs(trace, config);
+    let interned = InternedTrace::from_records(trace, segments());
+    let mut well = InternedWell::new(&interned, config.clone());
+    well.process_next(interned.len());
+    let report = well.finish();
+    assert_eq!(streaming.to_json(), report.to_json());
+    report
 }
 
 proptest! {
@@ -208,6 +238,37 @@ proptest! {
             ddg.parallelism_profile().exact_counts(),
             report.profile().exact_counts()
         );
+    }
+
+    /// Metamorphic: with an unbounded window, swapping two adjacent
+    /// records that share no location, with no syscall or branch between
+    /// them, leaves the critical path and the profile unchanged, on both
+    /// record forms.
+    #[test]
+    fn swapping_independent_neighbours_keeps_the_schedule(
+        trace in arb_trace(120),
+        start in any::<usize>(),
+        renames in prop_oneof![
+            Just(RenameSet::none()),
+            Just(RenameSet::registers_only()),
+            Just(RenameSet::all()),
+        ],
+    ) {
+        let config = AnalysisConfig::dataflow_limit()
+            .with_segments(segments())
+            .with_renames(renames);
+        let n = trace.len();
+        let pair = (0..n.saturating_sub(1))
+            .map(|k| (start % n + k) % (n - 1))
+            .find(|&i| commute(&trace[i], &trace[i + 1]));
+        if let Some(i) = pair {
+            let mut swapped = trace.clone();
+            swapped.swap(i, i + 1);
+            let before = analyze_both(&trace, &config);
+            let after = analyze_both(&swapped, &config);
+            prop_assert_eq!(before.critical_path_length(), after.critical_path_length());
+            prop_assert_eq!(before.profile().exact_counts(), after.profile().exact_counts());
+        }
     }
 
     /// The binary trace format round-trips arbitrary traces exactly.
