@@ -16,11 +16,11 @@
 use crate::branch::{BranchPolicy, Predictor};
 use crate::config::{AnalysisConfig, SyscallPolicy};
 use crate::dist::Distribution;
-use crate::fasthash::FastMap;
 use crate::memmodel::MemOrdering;
 use crate::profile::ParallelismProfile;
 use crate::window::WindowLimiter;
 use paragraph_isa::OpClass;
+use paragraph_trace::fasthash::FastMap;
 use paragraph_trace::{Loc, TraceRecord};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
