@@ -35,7 +35,8 @@
 //! The `benches/` directory holds Criterion performance benchmarks of the
 //! toolkit itself (analyzer and VM throughput), not paper experiments.
 
-use paragraph_core::{analyze_refs, AnalysisConfig, AnalysisReport, LiveWell};
+use paragraph_core::run::RunSink;
+use paragraph_core::{analyze_refs, AnalysisConfig, AnalysisReport, LiveWell, Policy, Run};
 use paragraph_trace::{InternedTrace, SegmentMap, TraceRecord};
 use paragraph_vm::RunOutcome;
 use paragraph_workloads::{Workload, WorkloadId};
@@ -253,28 +254,22 @@ impl Study {
         let skip = analyzer.records_processed();
 
         let started = Instant::now();
-        let mut seen = 0u64;
-        let mut checkpoints_written = 0u64;
-        let mut save_failed = false;
-        let outcome = vm
-            .run_traced(self.fuel, |record| {
-                seen += 1;
-                if seen <= skip {
-                    return;
-                }
-                analyzer.process(record);
-                if !save_failed && analyzer.records_processed() % CHECKPOINT_EVERY == 0 {
-                    if let Err(e) = write_checkpoint_atomic(&analyzer, &path) {
-                        // Checkpointing is best-effort; the analysis itself
-                        // must not die because the disk did.
-                        eprintln!("{study}/{id}: checkpoint failed, continuing without: {e}");
-                        save_failed = true;
-                    } else {
-                        checkpoints_written += 1;
-                    }
-                }
-            })
-            .unwrap_or_else(|e| panic!("{id}: {e}"));
+        let mut checkpoints = CheckpointFile {
+            path: &path,
+            scope: format!("{study}/{id}"),
+            written: 0,
+            failed: false,
+        };
+        let policy = Policy {
+            checkpoint_every: Some(CHECKPOINT_EVERY),
+            ..Policy::with_sink(&mut checkpoints)
+        };
+        // The workload replays deterministically: the driver drops the
+        // records a resumed analyzer has already seen.
+        let (outcome, _) =
+            Run::new(&mut analyzer, policy).vm(|record| vm.run_traced(self.fuel, record));
+        let outcome = outcome.unwrap_or_else(|e| panic!("{id}: {e}"));
+        let checkpoints_written = checkpoints.written;
         let _ = fs::remove_file(&path);
         let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let analyzed = analyzer.records_processed().saturating_sub(skip);
@@ -405,6 +400,30 @@ pub fn run_manifest_json(
             .map_or("null".to_owned(), |v| v.to_string()),
         telemetry.window_stalls,
     )
+}
+
+/// The harness's checkpoint sink. Checkpointing is best-effort: after the
+/// first failed save the analysis continues without.
+struct CheckpointFile<'a> {
+    path: &'a Path,
+    scope: String,
+    written: u64,
+    failed: bool,
+}
+
+impl RunSink for CheckpointFile<'_> {
+    fn checkpoint(&mut self, well: &LiveWell) {
+        if self.failed {
+            return;
+        }
+        match write_checkpoint_atomic(well, self.path) {
+            Ok(()) => self.written += 1,
+            Err(e) => {
+                eprintln!("{}: checkpoint failed, continuing without: {e}", self.scope);
+                self.failed = true;
+            }
+        }
+    }
 }
 
 /// Writes a checkpoint to `path` through the shared crash-consistent

@@ -14,14 +14,15 @@
 //! ```
 
 use paragraph_core::branch::{BranchPolicy, PredictorKind};
+use paragraph_core::run::RunSink;
 use paragraph_core::telemetry::progress::ProgressReporter;
 use paragraph_core::telemetry::{self, Value};
 use paragraph_core::{
-    analyze_refs, AnalysisConfig, AnalysisReport, LiveWell, MemoryModel, RenameSet, SyscallPolicy,
-    WindowSize,
+    analyze_refs, AnalysisConfig, AnalysisReport, LiveWell, MemoryModel, Policy, RenameSet, Run,
+    Stop, SyscallPolicy, TraceIdentity, WindowSize,
 };
 use paragraph_isa::LatencyModel;
-use paragraph_trace::binary::{RecoveryStats, TraceReader, TraceWriter};
+use paragraph_trace::binary::{scan_chunks, RecoveryStats, TraceReader, TraceWriter};
 use paragraph_trace::govern::{Limits, ResourceGovernor};
 use paragraph_trace::{SegmentMap, TraceError, TraceErrorKind, TraceRecord, TraceSource};
 use paragraph_vm::Vm;
@@ -293,21 +294,18 @@ common options:
                     (workload x window) cells run on --jobs workers
   --jobs N          worker threads. For `sweep --workloads`: cells of the
                     grid fan out across N workers (0 or absent: all cores;
-                    also PARAGRAPH_JOBS). For `analyze`: one trace is cut
-                    at conservative-syscall firewalls into N segments
-                    analyzed concurrently; the report is byte-identical to
-                    --jobs 1 (see docs/hotpath.md). Configurations the cut
-                    rule cannot split exactly fall back to one thread. A
-                    plain run over a trace file streams it through the
-                    decode-ahead pipeline instead (one decode thread, one
-                    analysis thread), which measured faster on two cores
+                    also PARAGRAPH_JOBS). For `analyze --workload`: the
+                    trace is cut at conservative-syscall firewalls into N
+                    segments analyzed concurrently; the report is
+                    byte-identical to --jobs 1 (see docs/hotpath.md).
+                    Configurations the cut rule cannot split exactly, and
+                    checkpointing runs, use one thread. `analyze --trace`
+                    always streams the file through the decode-ahead
+                    pipeline (one decode thread, one analysis thread)
   --mmap / --no-mmap  force the trace input backend: memory-mapped or
                     buffered reads (default: map regular files, fall back
                     to buffered reads; identical records, errors, and
                     recovery accounting either way — see docs/hotpath.md)
-  --no-decode-ahead  decode chunks inline on the analysis thread instead
-                    of one chunk ahead on a helper thread (analyze with a
-                    --trace file)
   --retries N       grid sweep: failed-cell retries before quarantine
                     (default 2; see docs/supervision.md)
   --retry-backoff-ms N  base backoff between cell retries (default 25;
@@ -408,9 +406,6 @@ struct Options {
     /// `None` maps regular files and silently falls back to buffered
     /// reads where mapping is unavailable.
     mmap: Option<bool>,
-    /// `--no-decode-ahead`: decode chunks inline on the analysis thread
-    /// instead of one chunk ahead on a helper thread.
-    no_decode_ahead: bool,
     checkpoint_every: Option<u64>,
     checkpoint: Option<String>,
     resume: Option<String>,
@@ -557,7 +552,6 @@ impl Options {
                 "--recover" => opts.recover = true,
                 "--mmap" => opts.mmap = Some(true),
                 "--no-mmap" => opts.mmap = Some(false),
-                "--no-decode-ahead" => opts.no_decode_ahead = true,
                 "--checkpoint-every" => {
                     let n: u64 = parse_num(&value()?)?;
                     if n == 0 {
@@ -737,19 +731,12 @@ fn cmd_list() -> Result<(), CliError> {
     Ok(())
 }
 
-/// The decoded input of one analysis: records, segment map, recovery
-/// tallies (under `--recover`), and the bytes the trace occupied on disk
-/// (0 when the trace was generated in memory).
+/// The decoded input of one command: records, segment map, and recovery
+/// tallies (under `--recover`).
 struct LoadedTrace {
     records: Vec<TraceRecord>,
     segments: SegmentMap,
     recovery: Option<RecoveryStats>,
-    bytes: u64,
-    /// Identity of the stream for checkpoint embedding/verification —
-    /// taken after `--skip` but *before* `--take`, so a checkpoint saved
-    /// under a `--take` bound resumes over the full trace. `None` when no
-    /// checkpointing is in play.
-    identity: Option<paragraph_core::TraceIdentity>,
 }
 
 /// Opens the trace input through the backend `--mmap`/`--no-mmap` asks
@@ -766,116 +753,87 @@ fn open_trace_source(path: &str, mmap: Option<bool>) -> Result<TraceSource, CliE
     .map_err(|e| io_err(path, e))
 }
 
-/// Loads the records to analyze: either a binary trace or a workload run,
-/// then applies the `--skip`/`--take` phase window. Under `--recover` a
-/// damaged trace is read in recovery mode; the returned stats say what was
-/// lost.
-///
-/// When the trace is memory-mapped, `--jobs` is parallel, and the stream
-/// scans as pristine, whole-file decode fans out across the workers —
-/// each decodes its own span of chunks straight from the shared map. Any
-/// anomaly (damage, truncation, limits, a recovery request) declines the fast path
-/// and the sequential reader, which owns the exact error and recovery
-/// semantics, takes over.
+/// A reader over `source`, in recovery mode under `--recover`. Every
+/// length the file declares is checked against the governor before
+/// anything is allocated for it; violations exit 7.
+fn trace_reader(
+    opts: &Options,
+    path: &str,
+    source: TraceSource,
+    limits: Limits,
+) -> Result<TraceReader<TraceSource>, CliError> {
+    let reader = if opts.recover {
+        TraceReader::from_source_with_recovery(source)
+    } else {
+        TraceReader::from_source(source)
+    };
+    reader
+        .map(|r| r.with_governor(ResourceGovernor::new(limits)))
+        .map_err(|e| trace_err(path, e))
+}
+
+/// Runs the workload on the VM and collects its trace.
+fn generate(opts: &Options) -> Result<(Vec<TraceRecord>, SegmentMap), CliError> {
+    let mut span = paragraph_core::span!("generate");
+    let mut tspan = telemetry::timeline::timeline_span("generate");
+    let workload = opts.build_workload().map_err(usage_err)?;
+    let (records, segments) = workload
+        .collect_trace(opts.fuel())
+        .map_err(|e| CliError::Analysis(format!("{}: {e}", workload.id())))?;
+    span.field("records", records.len() as u64);
+    tspan.arg("records", records.len() as u64);
+    Ok((records, segments))
+}
+
+/// Loads the records of a command that needs them all at once (`dot`,
+/// `stats`, `report`, `compare`, `sweep`): a whole binary trace or a
+/// workload run, then the `--skip`/`--take` phase window. Under
+/// `--recover` a damaged trace is read in recovery mode; the returned
+/// stats say what was lost. `analyze` streams instead (see
+/// [`cmd_analyze`]).
 fn load_records(opts: &Options) -> Result<LoadedTrace, CliError> {
     let mut loaded = if let Some(path) = &opts.trace {
         let mut span = paragraph_core::span!("decode");
         let mut tspan = telemetry::timeline::timeline_span("decode");
         let source = open_trace_source(path, opts.mmap)?;
-        let limits = Limits::from_env();
-        let jobs = opts
-            .jobs
-            .map_or(1, paragraph_core::parallel::effective_jobs);
-        let parallel = if jobs > 1 && !opts.recover {
-            source.shared_bytes().and_then(|bytes| {
-                paragraph_trace::source::decode_all_parallel(&bytes, jobs, &limits)
-            })
-        } else {
-            None
-        };
-        if let Some(decoded) = parallel {
-            span.field("records", decoded.total);
-            span.field("bytes", decoded.bytes);
-            span.field("parallel", jobs as u64);
-            tspan.arg("records", decoded.total);
-            tspan.arg("bytes", decoded.bytes);
-            tspan.arg("jobs", jobs as u64);
-            paragraph_core::counter!("decode.records", decoded.total);
-            paragraph_core::counter!("decode.bytes", decoded.bytes);
-            LoadedTrace {
-                records: decoded.records,
-                segments: decoded.segments,
-                recovery: None,
-                bytes: decoded.bytes,
-                identity: None,
-            }
-        } else {
-            let mut reader = if opts.recover {
-                TraceReader::from_source_with_recovery(source)
-            } else {
-                TraceReader::from_source(source)
-            }
+        let mut reader = trace_reader(opts, path, source, Limits::from_env())?;
+        let segments = reader.segment_map();
+        // Block decode: whole chunk payloads at a time, no per-record
+        // iterator dispatch.
+        let mut records = Vec::new();
+        while reader
+            .read_block(&mut records)
             .map_err(|e| trace_err(path, e))?
-            // Every length the file declares is checked against the governor
-            // before anything is allocated for it; violations exit 7.
-            .with_governor(ResourceGovernor::new(Limits::from_env()));
-            let segments = reader.segment_map();
-            // Block decode: whole chunk payloads at a time, no per-record
-            // iterator dispatch.
-            let mut records = Vec::new();
-            while reader
-                .read_block(&mut records)
-                .map_err(|e| trace_err(path, e))?
-                > 0
-            {}
-            let recovery = opts.recover.then(|| reader.recovery_stats());
-            span.field("records", reader.records_read());
-            span.field("bytes", reader.bytes_read());
-            tspan.arg("records", reader.records_read());
-            tspan.arg("bytes", reader.bytes_read());
-            paragraph_core::counter!("decode.records", reader.records_read());
-            paragraph_core::counter!("decode.bytes", reader.bytes_read());
-            if let Some(stats) = &recovery {
-                span.field("resyncs", stats.resyncs);
-                paragraph_core::counter!("decode.resyncs", stats.resyncs);
-                paragraph_core::counter!("decode.records_skipped", stats.records_skipped);
-            }
-            LoadedTrace {
-                records,
-                segments,
-                recovery,
-                bytes: reader.bytes_read(),
-                identity: None,
-            }
+            > 0
+        {}
+        let recovery = opts.recover.then(|| reader.recovery_stats());
+        span.field("records", reader.records_read());
+        span.field("bytes", reader.bytes_read());
+        tspan.arg("records", reader.records_read());
+        tspan.arg("bytes", reader.bytes_read());
+        paragraph_core::counter!("decode.records", reader.records_read());
+        paragraph_core::counter!("decode.bytes", reader.bytes_read());
+        if let Some(stats) = &recovery {
+            span.field("resyncs", stats.resyncs);
+            paragraph_core::counter!("decode.resyncs", stats.resyncs);
+            paragraph_core::counter!("decode.records_skipped", stats.records_skipped);
+        }
+        LoadedTrace {
+            records,
+            segments,
+            recovery,
         }
     } else {
-        let mut span = paragraph_core::span!("generate");
-        let mut tspan = telemetry::timeline::timeline_span("generate");
-        let workload = opts.build_workload().map_err(usage_err)?;
-        let (records, segments) = workload
-            .collect_trace(opts.fuel())
-            .map_err(|e| CliError::Analysis(format!("{}: {e}", workload.id())))?;
-        span.field("records", records.len() as u64);
-        tspan.arg("records", records.len() as u64);
+        let (records, segments) = generate(opts)?;
         LoadedTrace {
             records,
             segments,
             recovery: None,
-            bytes: 0,
-            identity: None,
         }
     };
     if let Some(skip) = opts.skip {
         loaded.records.drain(..skip.min(loaded.records.len()));
     }
-    // The identity is taken before `--take` truncates: `--take` bounds how
-    // far this run analyzes the trace, it does not make it a different
-    // trace — a checkpoint saved under `--take N` must resume over the
-    // full stream. `--skip` genuinely shifts the stream, so it applies
-    // first. Computed once here, never in the hot loop, and only when
-    // checkpoints are in play.
-    loaded.identity = (opts.checkpoint_every.is_some() || opts.resume.is_some())
-        .then(|| paragraph_core::TraceIdentity::of_records(&loaded.records));
     if let Some(take) = opts.take {
         loaded.records.truncate(take);
     }
@@ -1045,230 +1003,203 @@ fn export_timeline_degraded(path: &str, artifact_failures: &mut Vec<String>) {
     }
 }
 
-/// Bytes attributable to `seen` of `total_records` records, proportional
-/// to the trace's on-disk size. Widened to `u128` before multiplying:
-/// `total_bytes * seen` overflows `u64` long before either factor is
-/// individually implausible (a 1 TiB trace crosses 2^64 once ~16M records
-/// are seen), and the former `saturating_mul` silently pinned the
-/// heartbeat's byte figures at garbage values from then on.
-fn proportional_bytes(total_bytes: u64, seen: u64, total_records: u64) -> u64 {
-    if total_records == 0 {
-        return 0;
-    }
-    let scaled = u128::from(total_bytes) * u128::from(seen) / u128::from(total_records);
-    u64::try_from(scaled).unwrap_or(u64::MAX)
+/// The sink of an `analyze` run. Checkpoints are saved crash-consistently
+/// to one path, each followed by a fresh Prometheus snapshot so an
+/// external watcher never sees state older than the last checkpoint; the
+/// first failed save warns, lands in the artifact-failure ledger, and
+/// turns checkpointing off while the analysis runs on. Heartbeats refresh
+/// the telemetry gauges and the timeline counters, and print a
+/// `--progress` line (also logged as a `progress` event) when one is due.
+struct AnalyzeSink<'a> {
+    checkpoint_path: String,
+    checkpointing: bool,
+    failures: Vec<String>,
+    setup: &'a TelemetrySetup,
+    reporter: Option<ProgressReporter>,
 }
 
-/// One periodic beat of the analysis loop: refresh gauges, and when a
-/// heartbeat is due, print it to stderr and log it as a `progress` event.
-/// `extra_records` counts records analyzed outside `analyzer` — the
-/// worker segments of a `--jobs` run, whose outcomes merge in only at the
-/// end — so the heartbeat reflects whole-run progress.
-fn progress_beat(
-    reporter: &mut Option<ProgressReporter>,
-    analyzer: &LiveWell,
-    total_bytes: u64,
-    total_records: usize,
-    extra_records: u64,
-    force: bool,
-) {
-    let instrumented = telemetry::enabled();
-    if instrumented {
-        analyzer.publish_telemetry(telemetry::global());
+impl AnalyzeSink<'_> {
+    fn write_checkpoint(&self, well: &LiveWell) -> Result<(), CliError> {
+        save_checkpoint_atomic(well, &self.checkpoint_path)?;
+        if self.setup.enabled {
+            well.publish_telemetry(telemetry::global());
+            if let Some(metrics_path) = &self.setup.metrics_out {
+                write_metrics_snapshot(metrics_path)?;
+            }
+        }
+        Ok(())
     }
-    let Some(reporter) = reporter.as_mut() else {
-        return;
-    };
-    if !force && !reporter.is_due() {
-        return;
-    }
-    let (chunk0_seen, _, cp, _) = analyzer.snapshot();
-    let seen = chunk0_seen.saturating_add(extra_records);
-    // Records are decoded up front, so attribute bytes to the analysis
-    // proportionally: seen/total of the trace's on-disk size.
-    let bytes = proportional_bytes(total_bytes, seen, total_records as u64);
-    let tick = reporter.force_tick(seen, bytes, cp);
-    eprintln!("{}", tick.line);
-    if instrumented {
-        telemetry::global().emit(
-            "progress",
-            &[
-                ("records", Value::U64(tick.records)),
-                ("records_per_sec", Value::F64(tick.records_per_sec)),
-                ("bytes_per_sec", Value::F64(tick.bytes_per_sec)),
-                ("mb_per_sec", Value::F64(tick.mb_per_sec)),
-                ("critical_path", Value::U64(cp)),
-                ("eta_secs", Value::F64(tick.eta_secs.unwrap_or(-1.0))),
-            ],
-        );
-    }
-}
 
-/// Saves a checkpoint under a `checkpoint.save` span, then refreshes the
-/// Prometheus snapshot so an external watcher always sees state no older
-/// than the last checkpoint.
-fn save_checkpoint_instrumented(
-    analyzer: &LiveWell,
-    path: &str,
-    setup: &TelemetrySetup,
-) -> Result<(), CliError> {
-    {
-        let mut span = paragraph_core::span!("checkpoint.save");
-        span.field("records", analyzer.records_processed());
-        let mut tspan = telemetry::timeline::timeline_span("checkpoint.save");
-        tspan.arg("records", analyzer.records_processed());
-        save_checkpoint_atomic(analyzer, path)?;
-    }
-    if setup.enabled {
-        analyzer.publish_telemetry(telemetry::global());
-        if let Some(metrics_path) = &setup.metrics_out {
-            write_metrics_snapshot(metrics_path)?;
+    /// One beat; `force` prints a line even when none is due (the final
+    /// one, so short runs still show a heartbeat).
+    fn tick(&mut self, well: &LiveWell, workers: u64, bytes: u64, force: bool) {
+        let instrumented = telemetry::enabled();
+        if instrumented {
+            well.publish_telemetry(telemetry::global());
+        }
+        let (seen, _, cp, _) = well.snapshot();
+        let seen = seen.saturating_add(workers);
+        if let Some(timeline) = telemetry::timeline::timeline_active() {
+            timeline.counter("livewell.records", seen);
+            timeline.counter("livewell.critical_path", cp);
+        }
+        let Some(reporter) = self.reporter.as_mut() else {
+            return;
+        };
+        if !force && !reporter.is_due() {
+            return;
+        }
+        let tick = reporter.force_tick(seen, bytes, cp);
+        eprintln!("{}", tick.line);
+        if instrumented {
+            telemetry::global().emit(
+                "progress",
+                &[
+                    ("records", Value::U64(tick.records)),
+                    ("records_per_sec", Value::F64(tick.records_per_sec)),
+                    ("bytes_per_sec", Value::F64(tick.bytes_per_sec)),
+                    ("mb_per_sec", Value::F64(tick.mb_per_sec)),
+                    ("critical_path", Value::U64(cp)),
+                    ("eta_secs", Value::F64(tick.eta_secs.unwrap_or(-1.0))),
+                ],
+            );
         }
     }
-    Ok(())
 }
 
-/// Returns the trace path when `analyze` should take the decode-ahead
-/// streaming path: the analyzer consumes chunk N while a helper thread
-/// CRC-checks and decodes chunk N+1, so decode and analysis overlap
-/// instead of running back to back. Only configurations whose stdout is
-/// trivially byte-identical to the load-then-analyze path are eligible: a
-/// plain run over a trace file, with no phase window, recovery,
-/// checkpointing, heartbeats, or structured telemetry (those paths need
-/// the whole record vector, exact up-front counts, or decode bookkeeping
-/// the pipeline does not reproduce). `--jobs N` takes this path too: on
-/// two cores decode-ahead outran loading the trace and cutting it into
-/// segments (docs/hotpath.md, "Parallel analyze"), and the report is the
-/// same either way.
-fn streaming_trace_path(opts: &Options, setup: &TelemetrySetup) -> Option<String> {
-    let path = opts.trace.clone()?;
-    let plain = !opts.no_decode_ahead
-        && !opts.recover
-        && !setup.enabled
-        && opts.resume.is_none()
-        && opts.checkpoint_every.is_none()
-        && opts.skip.is_none()
-        && opts.take.is_none()
-        && opts.progress.is_none();
-    plain.then_some(path)
+impl RunSink for AnalyzeSink<'_> {
+    fn checkpoint(&mut self, well: &LiveWell) {
+        if !self.checkpointing {
+            return;
+        }
+        if let Err(e) = self.write_checkpoint(well) {
+            eprintln!("warning: checkpoint save failed ({e}); continuing without checkpoints");
+            let path = &self.checkpoint_path;
+            self.failures.push(format!("checkpoint {path}: {e}"));
+            self.checkpointing = false;
+        }
+    }
+
+    fn beat(&mut self, well: &LiveWell, workers: u64, bytes: u64) {
+        self.tick(well, workers, bytes, false);
+    }
 }
 
-/// `analyze --trace` through the decode-ahead pipeline (see
-/// [`streaming_trace_path`] for when this runs). The helper thread gets
-/// its own `decode-ahead` timeline lane, so a `--timeline-out` recording
-/// shows decode slices running ahead of the `livewell` slices that
-/// consume them.
-fn cmd_analyze_streaming(opts: &Options, path: &str) -> Result<(), CliError> {
-    use paragraph_trace::source::{DecodeAhead, DecodeEvent, DecodeObserver};
+/// What `analyze` runs over.
+enum Source {
+    /// A trace file, streamed through decode-ahead.
+    Stream(Box<TraceReader<TraceSource>>),
+    /// A workload's trace, collected from the VM.
+    Slice(Vec<TraceRecord>),
+}
+
+/// An opened `analyze` input.
+struct AnalyzeInput {
+    source: Source,
+    segments: SegmentMap,
+    /// Records after `--skip` (before `--take`), when known up front.
+    total: Option<u64>,
+    /// The trace file's size on disk (0 for a workload).
+    bytes: u64,
+    /// The identity checkpoints embed, so `--resume` against the wrong
+    /// trace fails as typed corruption instead of producing silently
+    /// wrong numbers. Taken after `--skip` but before `--take`: `--take`
+    /// bounds how far this run analyzes, it does not make the trace a
+    /// different one, so a checkpoint saved under `--take N` resumes over
+    /// the full stream. `None` when no checkpoint is in play.
+    identity: Option<TraceIdentity>,
+}
+
+/// Opens what `analyze` runs over. A trace file streams, and its record
+/// total is read up front only when a checkpoint or telemetry needs it:
+/// the chunk headers of a pristine mapped v2 file give it without
+/// decoding; any other file (v1, damaged, `--recover`, unmappable) is
+/// counted by one extra pass of the same reader, and only when
+/// checkpoints are in play. No pass keeps the records.
+fn open_input(opts: &Options, setup: &TelemetrySetup) -> Result<AnalyzeInput, CliError> {
+    let checkpointing = opts.checkpoint_every.is_some() || opts.resume.is_some();
+    let skip = opts.skip.unwrap_or(0);
+    let Some(path) = &opts.trace else {
+        let (records, segments) = generate(opts)?;
+        let rest = &records[skip.min(records.len())..];
+        return Ok(AnalyzeInput {
+            total: Some(rest.len() as u64),
+            identity: checkpointing.then(|| TraceIdentity::of_records(rest)),
+            source: Source::Slice(records),
+            segments,
+            bytes: 0,
+        });
+    };
+    let limits = Limits::from_env();
     let source = open_trace_source(path, opts.mmap)?;
-    let reader = TraceReader::from_source(source)
-        .map_err(|e| trace_err(path, e))?
-        .with_governor(ResourceGovernor::new(Limits::from_env()));
-    let segments = reader.segment_map();
-    let mut analyzer = LiveWell::new(opts.config(segments));
-    analyzer.set_trace_identity(None);
-    let observer: Option<DecodeObserver> = telemetry::timeline::timeline_active().map(|timeline| {
-        let mut block: Option<telemetry::timeline::TimelineSpan<'static>> = None;
-        Box::new(move |event: DecodeEvent| match event {
-            DecodeEvent::ThreadStart => timeline.set_thread_name("decode-ahead"),
-            DecodeEvent::BlockStart => block = Some(timeline.span("decode.block")),
-            DecodeEvent::BlockEnd { records } => {
-                if let Some(mut span) = block.take() {
-                    span.arg("records", records as u64);
-                }
-            }
-        }) as DecodeObserver
-    });
-    let mut artifact_failures: Vec<String> = Vec::new();
-    let stream_err = {
-        let mut span = paragraph_core::span!("analyze");
-        let mut da = DecodeAhead::spawn(reader, observer).map_err(|e| io_err(path, e))?;
-        let mut stream_err = None;
-        while let Some(batch) = da.next_batch() {
-            match batch {
-                Ok(batch) => {
-                    {
-                        let mut tspan = telemetry::timeline::timeline_span("livewell");
-                        tspan.arg("records", batch.len() as u64);
-                        analyzer.process_slice(&batch);
-                    }
-                    da.recycle(batch);
-                }
-                // The fault arrives after every batch decoded ahead of it,
-                // exactly like the sequential reader delivers it; drain the
-                // pipeline before surfacing it.
-                Err(e) => {
-                    stream_err = Some(e);
-                    break;
-                }
-            }
-        }
-        let done = da.finish();
-        span.field("records", done.stats.records_read);
-        span.field("bytes", done.bytes_read);
-        paragraph_core::counter!("decode.records", done.stats.records_read);
-        paragraph_core::counter!("decode.bytes", done.bytes_read);
-        stream_err
+    let bytes = std::fs::metadata(path).map_or(0, |m| m.len());
+    let scanned = (!opts.recover && (checkpointing || setup.enabled))
+        .then(|| source.shared_bytes())
+        .flatten()
+        .and_then(|bytes| scan_chunks(&bytes))
+        .map(|scan| scan.total);
+    let reader = trace_reader(opts, path, source, limits)?;
+    let identity = if checkpointing {
+        let source = open_trace_source(path, opts.mmap)?;
+        let mut counter = trace_reader(opts, path, source, limits)?;
+        let identity = TraceIdentity::of_stream(&mut counter, skip as u64, scanned)
+            .map_err(|e| trace_err(path, e))?;
+        Some(identity)
+    } else {
+        None
     };
-    if let Some(e) = stream_err {
-        return Err(trace_err(path, e));
-    }
-    let report = {
-        let _span = paragraph_core::span!("report");
-        let _tspan = telemetry::timeline::timeline_span("report");
-        analyzer.finish()
-    };
-    print_report(&report, opts, &mut artifact_failures);
-    if let Some(out) = &opts.timeline_out {
-        export_timeline_degraded(out, &mut artifact_failures);
-    }
-    if !artifact_failures.is_empty() {
-        return Err(CliError::Io(format!(
-            "analysis completed, but {} artifact(s) failed: {}",
-            artifact_failures.len(),
-            artifact_failures.join("; ")
-        )));
-    }
-    Ok(())
+    Ok(AnalyzeInput {
+        segments: reader.segment_map(),
+        total: identity
+            .map(|i| i.records)
+            .or(scanned.map(|t| t.saturating_sub(skip as u64))),
+        source: Source::Stream(Box::new(reader)),
+        bytes,
+        identity,
+    })
 }
 
+/// Classifies why a run stopped: a trace fault like a whole-file read's,
+/// a decode thread that would not start as I/O, anything else (a
+/// checkpoint ahead of its input) as corruption.
+fn stop_err(path: &str, stop: Stop) -> CliError {
+    match stop {
+        Stop::Trace(e) => trace_err(path, e),
+        Stop::Spawn(e) => io_err(path, e),
+        other => CliError::CorruptTrace(other.to_string()),
+    }
+}
+
+/// `analyze`: one [`Run`] of the live well. A trace file streams through
+/// the decode-ahead pipeline into one analyzer, whatever the flags; a
+/// workload's collected trace runs as a slice, cut at conservative-syscall
+/// firewalls across `--jobs` threads (see docs/hotpath.md). The driver
+/// owns the skip/take window, checkpoint cadence and heartbeats; this
+/// function wires its sinks and renders what it returns.
 fn cmd_analyze(opts: &Options) -> Result<(), CliError> {
     let setup = init_telemetry(opts)?;
     init_timeline(opts);
-    if let Some(path) = streaming_trace_path(opts, &setup) {
-        return cmd_analyze_streaming(opts, &path);
-    }
-    let loaded = load_records(opts)?;
-    if let Some(stats) = &loaded.recovery {
-        print_recovery_stats(stats);
-    }
-    let records = &loaded.records;
-    let config = opts.config(loaded.segments);
-    // Workers of a `--jobs` run analyze their segments under (a variant
-    // of) the same configuration; the primary analyzer consumes `config`
-    // itself below.
-    let worker_config = config.clone();
+    let input = open_input(opts, &setup)?;
+    let take = opts.take.map_or(u64::MAX, |t| t as u64);
+    let total = input.total.map(|t| t.min(take));
+    let name = opts
+        .trace
+        .clone()
+        .or_else(|| opts.workload.map(|w| w.name().to_owned()))
+        .unwrap_or_default();
     if setup.enabled {
-        let source = opts
-            .trace
-            .clone()
-            .or_else(|| opts.workload.map(|w| w.name().to_owned()))
-            .unwrap_or_default();
         telemetry::global().emit(
             "run_start",
             &[
                 ("command", Value::Str("analyze")),
-                ("source", Value::Str(&source)),
-                ("records", Value::U64(records.len() as u64)),
-                ("bytes", Value::U64(loaded.bytes)),
+                ("source", Value::Str(&name)),
+                ("records", Value::U64(total.unwrap_or(0))),
+                ("bytes", Value::U64(input.bytes)),
             ],
         );
     }
 
-    // The identity of the analyzed trace (see `load_records`): checkpoints
-    // embed it so `--resume` against the wrong trace fails as typed
-    // corruption instead of producing silently wrong numbers.
-    let trace_identity = loaded.identity;
+    let config = opts.config(input.segments);
     let mut analyzer = match &opts.resume {
         Some(path) => {
             let mut span = paragraph_core::span!("checkpoint.load");
@@ -1276,7 +1207,7 @@ fn cmd_analyze(opts: &Options) -> Result<(), CliError> {
             let file = File::open(path).map_err(|e| io_err(path, e))?;
             let analyzer = LiveWell::resume_from(BufReader::new(file), config)
                 .map_err(|e| checkpoint_err(path, e))?;
-            if let Some(current) = &trace_identity {
+            if let Some(current) = &input.identity {
                 analyzer
                     .verify_trace_identity(current)
                     .map_err(|e| checkpoint_err(path, e))?;
@@ -1290,241 +1221,80 @@ fn cmd_analyze(opts: &Options) -> Result<(), CliError> {
         }
         None => LiveWell::new(config),
     };
-    analyzer.set_trace_identity(trace_identity);
-    let done = usize::try_from(analyzer.records_processed()).unwrap_or(usize::MAX);
-    if done > records.len() {
-        return Err(CliError::CorruptTrace(format!(
-            "checkpoint is ahead of the input: {} records processed, {} available",
-            done,
-            records.len()
-        )));
-    }
+    analyzer.set_trace_identity(input.identity);
 
-    // Intra-trace parallelism: cut the records still to analyze at
-    // conservative-syscall firewalls into one segment per job. Worker
-    // segments start on fresh analyzers and their outcomes are spliced
-    // back level-exactly, so the report is byte-identical to --jobs 1.
-    // Configurations the cut rule cannot reproduce exactly — and traces
-    // without syscalls — fall back to the single-threaded path with a
-    // note, never to approximate numbers. See docs/hotpath.md.
-    let jobs = opts
-        .jobs
-        .map_or(1, paragraph_core::parallel::effective_jobs);
-    let cuts: Vec<usize> = if jobs > 1 {
-        match paragraph_core::parallel::eligibility(records, &worker_config) {
-            Ok(()) => {
-                let cuts = paragraph_core::parallel::plan_cuts(records, done, jobs);
-                if cuts.is_empty() && opts.progress.is_some() {
-                    eprintln!(
-                        "note: --jobs {jobs}: no conservative-syscall cut points; \
-                         analyzing on one thread"
-                    );
-                }
-                cuts
-            }
-            Err(reason) => {
-                if opts.progress.is_some() {
-                    eprintln!("note: --jobs {jobs}: {reason}; analyzing on one thread");
-                }
-                Vec::new()
-            }
-        }
-    } else {
-        Vec::new()
+    let mut sink = AnalyzeSink {
+        checkpoint_path: checkpoint_path(opts),
+        checkpointing: opts.checkpoint_every.is_some(),
+        failures: Vec::new(),
+        setup: &setup,
+        reporter: opts.progress.map(|secs| {
+            ProgressReporter::new(Duration::from_secs_f64(secs), total)
+                .with_total_bytes((input.bytes > 0).then_some(input.bytes))
+                .with_resumed(analyzer.records_processed(), 0)
+        }),
     };
-
-    let mut reporter = opts.progress.map(|secs| {
-        ProgressReporter::new(Duration::from_secs_f64(secs), Some(records.len() as u64))
-            .with_total_bytes((loaded.bytes > 0).then_some(loaded.bytes))
-            .with_resumed(
-                done as u64,
-                proportional_bytes(loaded.bytes, done as u64, records.len() as u64),
-            )
-    });
-    let ckpt_path = checkpoint_path(opts);
-    // Artifact-failure ledger: sink failures (checkpoint, telemetry log,
-    // metrics, CSVs) never abort the analysis — they warn, the analysis
-    // runs to completion, and a non-empty ledger becomes exit code 3.
-    let mut artifact_failures: Vec<String> = Vec::new();
-    let mut checkpoints_enabled = opts.checkpoint_every.is_some();
-    if checkpoints_enabled && !cuts.is_empty() {
-        // A checkpoint is a resumable *sequential* analyzer state. Chunk-0
-        // checkpoints would stay valid, but the post-merge state is not a
-        // sequential prefix of anything, so a final checkpoint would
-        // resume into silently wrong numbers. Refuse the combination
-        // loudly rather than write a trap.
-        eprintln!(
-            "warning: checkpoints are disabled under --jobs {jobs}: a merged analyzer \
-             state cannot be resumed; rerun with --jobs 1 to checkpoint"
-        );
-        checkpoints_enabled = false;
-    }
-    if checkpoints_enabled {
+    if sink.checkpointing {
         // Sweep temp files a crashed predecessor left next to the
         // checkpoint (scoped to this checkpoint's name, so nothing else in
         // a shared directory is touched).
-        let swept =
-            paragraph_core::artifact::clean_orphaned_tmp_for(std::path::Path::new(&ckpt_path));
+        let path = &sink.checkpoint_path;
+        let swept = paragraph_core::artifact::clean_orphaned_tmp_for(std::path::Path::new(path));
         if swept > 0 {
-            eprintln!("removed {swept} orphaned checkpoint temp file(s) for {ckpt_path}");
+            eprintln!("removed {swept} orphaned checkpoint temp file(s) for {path}");
         }
     }
-    let save_checkpoint_degraded =
-        |analyzer: &LiveWell, enabled: &mut bool, failures: &mut Vec<String>| {
-            if !*enabled {
-                return;
-            }
-            if let Err(e) = save_checkpoint_instrumented(analyzer, &ckpt_path, &setup) {
-                eprintln!("warning: checkpoint save failed ({e}); continuing without checkpoints");
-                failures.push(format!("checkpoint {ckpt_path}: {e}"));
-                *enabled = false;
-            }
-        };
-    // Power-of-two stride between beat checks: one mask-and-branch per
-    // record when idle, so a plain run stays within the <2% overhead budget.
-    const BEAT_STRIDE: u64 = 1 << 16;
-    {
-        let mut span = paragraph_core::span!("analyze");
-        span.field("records", (records.len() - done) as u64);
-        // Chunk 0 — everything before the first cut; the whole trace when
-        // running sequentially — is processed right here by the (possibly
-        // resumed) primary analyzer with the usual checkpoint/heartbeat
-        // cadence, while worker segments run concurrently and splice in
-        // at the end. Heartbeats fold in worker progress via a shared
-        // counter so the line tracks whole-run completion.
-        let seq_end = cuts.first().copied().unwrap_or(records.len()) as u64;
-        let worker_progress = std::sync::atomic::AtomicU64::new(0);
-        let outcomes = std::thread::scope(|scope| {
-            let handles: Vec<_> = cuts
-                .iter()
-                .zip(cuts.iter().skip(1).chain(std::iter::once(&records.len())))
-                .enumerate()
-                .map(|(i, (&lo, &hi))| {
-                    let worker_config = &worker_config;
-                    let worker_progress = &worker_progress;
-                    scope.spawn(move || {
-                        // Each worker gets its own timeline lane, named so
-                        // Perfetto shows the segment fan-out.
-                        if let Some(timeline) = telemetry::timeline::timeline_active() {
-                            timeline.set_thread_name(&format!("analyze-{}", i + 1));
-                        }
-                        let mut tspan = telemetry::timeline::timeline_span("segment");
-                        tspan.arg("records", (hi - lo) as u64);
-                        paragraph_core::parallel::run_segment(
-                            &records[lo..hi],
-                            worker_config,
-                            worker_progress,
-                        )
-                    })
-                })
-                .collect();
-            // Feed the analyzer whole slices, cut only where a checkpoint
-            // or heartbeat is due — the per-record loop body costs more
-            // than the placement math for cheap records.
-            let mut n = done as u64;
-            while n < seq_end {
-                let mut next = seq_end;
-                if let Some(every) = opts.checkpoint_every {
-                    next = next.min((n / every + 1) * every);
-                }
-                next = next.min((n / BEAT_STRIDE + 1) * BEAT_STRIDE);
-                {
-                    // One timeline slice per batch — stage attribution at
-                    // checkpoint/beat boundaries, nothing per record.
-                    let mut tspan = telemetry::timeline::timeline_span("livewell");
-                    tspan.arg("records", next - n);
-                    analyzer.process_slice(&records[n as usize..next as usize]);
-                }
-                n = next;
-                if let Some(every) = opts.checkpoint_every {
-                    if n.is_multiple_of(every) {
-                        save_checkpoint_degraded(
-                            &analyzer,
-                            &mut checkpoints_enabled,
-                            &mut artifact_failures,
-                        );
-                    }
-                }
-                if n & (BEAT_STRIDE - 1) == 0 {
-                    let extra = worker_progress.load(std::sync::atomic::Ordering::Relaxed);
-                    progress_beat(
-                        &mut reporter,
-                        &analyzer,
-                        loaded.bytes,
-                        records.len(),
-                        extra,
-                        false,
-                    );
-                    if let Some(timeline) = telemetry::timeline::timeline_active() {
-                        let (seen, _, critical_path, _) = analyzer.snapshot();
-                        timeline.counter("livewell.records", seen.saturating_add(extra));
-                        timeline.counter("livewell.critical_path", critical_path);
-                    }
-                }
-            }
-            // Chunk 0 is done; keep heartbeats flowing while the worker
-            // segments drain, then collect their outcomes in trace order.
-            while handles.iter().any(|h| !h.is_finished()) {
-                std::thread::sleep(Duration::from_millis(25));
-                progress_beat(
-                    &mut reporter,
-                    &analyzer,
-                    loaded.bytes,
-                    records.len(),
-                    worker_progress.load(std::sync::atomic::Ordering::Relaxed),
-                    false,
-                );
-            }
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(outcome) => outcome,
-                    Err(payload) => std::panic::resume_unwind(payload),
-                })
-                .collect::<Vec<_>>()
-        });
-        if !outcomes.is_empty() {
-            if outcomes.iter().all(Option::is_some) {
-                let mut tspan = telemetry::timeline::timeline_span("merge");
-                tspan.arg("segments", outcomes.len() as u64);
-                for seg in outcomes.iter().flatten() {
-                    analyzer.merge_segment(seg);
-                }
-            } else {
-                // Unreachable by construction (worker configs keep exact
-                // profiles, the only way a segment declines to produce an
-                // outcome), but never leave a silent gap: chunk 0's state
-                // is exactly the right starting point to redo the tail.
-                eprintln!(
-                    "warning: a parallel segment returned no outcome; \
-                     re-analyzing the tail sequentially"
-                );
-                analyzer.process_slice(&records[seq_end as usize..]);
-            }
-        }
-    }
-    if checkpoints_enabled {
-        save_checkpoint_degraded(&analyzer, &mut checkpoints_enabled, &mut artifact_failures);
-        if checkpoints_enabled {
-            eprintln!("checkpoint written to {ckpt_path}");
-        }
-    }
-    // The final heartbeat is unconditional so short runs still show one.
-    // Merged worker records are inside the analyzer by now, so no extra.
-    progress_beat(
-        &mut reporter,
-        &analyzer,
-        loaded.bytes,
-        records.len(),
-        0,
-        true,
-    );
-
-    let report = {
-        let _span = paragraph_core::span!("report");
-        let _tspan = telemetry::timeline::timeline_span("report");
-        analyzer.finish()
+    let jobs = opts
+        .jobs
+        .map_or(1, paragraph_core::parallel::effective_jobs);
+    let policy = Policy {
+        checkpoint_every: opts.checkpoint_every,
+        skip: opts.skip.map_or(0, |s| s as u64),
+        take,
+        jobs,
+        ..Policy::with_sink(&mut sink)
     };
+    let (outcome, stats) = {
+        let mut span = paragraph_core::span!("analyze");
+        let mut run = Run::new(&mut analyzer, policy);
+        let outcome = match input.source {
+            Source::Stream(reader) => run.stream(*reader),
+            Source::Slice(records) => run.slice(&records),
+        };
+        let stats = run.stats();
+        span.field("records", stats.analyzed);
+        span.field("bytes", stats.bytes);
+        (outcome, stats)
+    };
+    if let Some(decoded) = &stats.decode {
+        paragraph_core::counter!("decode.records", decoded.stats.records_read);
+        paragraph_core::counter!("decode.bytes", decoded.bytes_read);
+        if opts.recover {
+            paragraph_core::counter!("decode.resyncs", decoded.stats.resyncs);
+            paragraph_core::counter!("decode.records_skipped", decoded.stats.records_skipped);
+            if !matches!(outcome, Err(Stop::Trace(_))) {
+                print_recovery_stats(&decoded.stats);
+            }
+        }
+    }
+    outcome.map_err(|stop| stop_err(&name, stop))?;
+    if let Some(reason) = stats.one_thread.filter(|_| opts.progress.is_some()) {
+        eprintln!("note: --jobs {jobs}: {reason}; analyzing on one thread");
+    }
+
+    if sink.checkpointing {
+        paragraph_core::run::checkpoint(&mut sink, &analyzer);
+        if sink.checkpointing {
+            eprintln!("checkpoint written to {}", sink.checkpoint_path);
+        }
+    }
+    sink.tick(&analyzer, 0, stats.bytes, true);
+    // Artifact-failure ledger: sink failures (checkpoint, telemetry log,
+    // metrics, CSVs) never abort the analysis — they warn, the analysis
+    // runs to completion, and a non-empty ledger becomes exit code 3.
+    let mut artifact_failures = sink.failures;
+
+    let report = paragraph_core::run::report(analyzer);
     print_report(&report, opts, &mut artifact_failures);
     if let Some(path) = &opts.timeline_out {
         export_timeline_degraded(path, &mut artifact_failures);
@@ -2467,28 +2237,6 @@ mod tests {
     fn parse(args: &[&str]) -> Result<Options, String> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         Options::parse(&owned)
-    }
-
-    /// The heartbeat's byte attribution must survive totals whose product
-    /// `total_bytes * seen` exceeds `u64` — the former `saturating_mul`
-    /// pinned it at `u64::MAX / total_records` from that point on.
-    #[test]
-    fn proportional_bytes_survives_u64_overflow() {
-        let total_bytes = 1u64 << 40; // a 1 TiB trace
-        let total_records = 1u64 << 30;
-        let seen = 1u64 << 29; // halfway: product is 2^69, overflows u64
-        assert_eq!(
-            proportional_bytes(total_bytes, seen, total_records),
-            total_bytes / 2
-        );
-        // Small inputs are exact, and a zero record total stays zero.
-        assert_eq!(proportional_bytes(1000, 250, 1000), 250);
-        assert_eq!(proportional_bytes(1000, 250, 0), 0);
-        // Completion attributes every byte.
-        assert_eq!(
-            proportional_bytes(total_bytes, total_records, total_records),
-            total_bytes
-        );
     }
 
     #[test]

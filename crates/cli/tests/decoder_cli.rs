@@ -1,10 +1,9 @@
 //! End-to-end byte-identity checks for the trace input backends.
 //!
-//! `--mmap` / `--no-mmap` / `--no-decode-ahead` select *how* trace bytes
-//! reach the decoder, never *what* is decoded: for every combination of
-//! {buffered, mapped} × {decode-ahead on, off} × {--jobs 1, 4}, over
-//! clean and damaged (`--recover`) traces, analyze/sweep/ingest output
-//! must be byte-identical. These tests drive the built `paragraph`
+//! `--mmap` / `--no-mmap` select *how* trace bytes reach the decoder,
+//! never *what* is decoded: for every combination of {buffered, mapped}
+//! × {--jobs 1, 4}, over clean and damaged (`--recover`) traces,
+//! analyze/sweep/ingest output must be byte-identical. These tests drive the built `paragraph`
 //! binary; the engine-level differentials live in `paragraph-trace`'s
 //! `source` module and the root `decoder_backends` suite.
 
@@ -66,18 +65,15 @@ fn analyze_stdout(trace: &Path, extra: &[&str]) -> Vec<u8> {
 #[test]
 fn analyze_report_is_byte_identical_across_the_backend_matrix() {
     let trace = write_random_trace("matrix", 30_000, 42);
-    let reference = analyze_stdout(&trace, &["--no-mmap", "--no-decode-ahead", "--jobs", "1"]);
+    let reference = analyze_stdout(&trace, &["--no-mmap", "--jobs", "1"]);
     assert!(!reference.is_empty());
     for backend in [&["--mmap"][..], &["--no-mmap"][..], &[][..]] {
-        for ahead in [&["--no-decode-ahead"][..], &[][..]] {
-            for jobs in [&["--jobs", "1"][..], &["--jobs", "4"][..], &[][..]] {
-                let mut extra: Vec<&str> = Vec::new();
-                extra.extend_from_slice(backend);
-                extra.extend_from_slice(ahead);
-                extra.extend_from_slice(jobs);
-                let stdout = analyze_stdout(&trace, &extra);
-                assert_eq!(reference, stdout, "analyze stdout diverged under {extra:?}");
-            }
+        for jobs in [&["--jobs", "1"][..], &["--jobs", "4"][..], &[][..]] {
+            let mut extra: Vec<&str> = Vec::new();
+            extra.extend_from_slice(backend);
+            extra.extend_from_slice(jobs);
+            let stdout = analyze_stdout(&trace, &extra);
+            assert_eq!(reference, stdout, "analyze stdout diverged under {extra:?}");
         }
     }
     let _ = std::fs::remove_file(&trace);
@@ -122,11 +118,7 @@ fn corrupt_trace_fails_identically_across_backends() {
 
     let trace_str = trace.to_str().expect("utf-8 path");
     let mut outputs = Vec::new();
-    for backend in [
-        &["--mmap"][..],
-        &["--no-mmap"][..],
-        &["--no-mmap", "--no-decode-ahead"][..],
-    ] {
+    for backend in [&["--mmap"][..], &["--no-mmap"][..]] {
         let mut args = vec!["analyze", "--trace", trace_str];
         args.extend_from_slice(backend);
         let out = paragraph(&args);
@@ -140,10 +132,6 @@ fn corrupt_trace_fails_identically_across_backends() {
     assert_eq!(
         outputs[0], outputs[1],
         "corruption error diverged (mmap vs buffered)"
-    );
-    assert_eq!(
-        outputs[1], outputs[2],
-        "corruption error diverged (decode-ahead on vs off)"
     );
     let _ = std::fs::remove_file(&trace);
 }
@@ -185,7 +173,7 @@ fn ingested_traces_analyze_identically_on_both_backends() {
     assert_ok(&out, "ingest");
 
     let mapped = analyze_stdout(&bin_path, &["--mmap"]);
-    let buffered = analyze_stdout(&bin_path, &["--no-mmap", "--no-decode-ahead"]);
+    let buffered = analyze_stdout(&bin_path, &["--no-mmap"]);
     assert_eq!(mapped, buffered, "ingested trace analysis diverged");
     let _ = std::fs::remove_file(&text_path);
     let _ = std::fs::remove_file(&bin_path);
@@ -200,7 +188,7 @@ fn run_accepts_the_backend_flags_inertly() {
     let asm_str = asm_path.to_str().expect("utf-8 path");
     let plain = paragraph(&["run", "--asm", asm_str]);
     assert_ok(&plain, "run");
-    let flagged = paragraph(&["run", "--asm", asm_str, "--mmap", "--no-decode-ahead"]);
+    let flagged = paragraph(&["run", "--asm", asm_str, "--mmap"]);
     assert_ok(&flagged, "run with backend flags");
     assert_eq!(plain.stdout, flagged.stdout, "run output diverged");
     let _ = std::fs::remove_file(&asm_path);
@@ -233,7 +221,6 @@ fn crc_valid_inconsistent_record_exits_4_identically_on_every_path() {
     let mut outputs = Vec::new();
     for extra in [
         &["--jobs", "1"][..],
-        &["--jobs", "2", "--no-decode-ahead"][..],
         &["--jobs", "2"][..],
         &["--no-mmap"][..],
     ] {

@@ -5,8 +5,10 @@
 //! traces, the report written by the CLI is *byte-identical* to the
 //! `--jobs 1` report. These tests drive the built `paragraph` binary —
 //! the engine-level differentials live in `paragraph-core`'s `parallel`
-//! module; this file covers the orchestration the CLI adds on top
-//! (flag plumbing, heartbeats, checkpoint interplay, fallbacks).
+//! module and the root `run_driver` harness; this file covers the
+//! orchestration the CLI adds on top (flag plumbing, heartbeats,
+//! checkpoint interplay, fallbacks). A trace file always streams through
+//! one analyzer; a workload's collected trace is cut across `--jobs`.
 
 use std::fs::File;
 use std::io::BufWriter;
@@ -180,9 +182,9 @@ fn resumed_checkpoint_reports_are_byte_identical_across_jobs() {
 fn ineligible_config_falls_back_to_one_thread_with_a_note() {
     let trace = write_random_trace("ineligible.pgtr", 10_000, 31);
     let trace_str = trace.to_str().expect("utf-8 path");
-    // --value-stats retires values across cut points, so the parallel
-    // path must decline. The answer still matches --jobs 1, and with
-    // --progress the fallback says why.
+    // --value-stats retires values across cut points, and a trace file
+    // streams through one analyzer anyway. The answer matches --jobs 1,
+    // and with --progress a note says why one thread ran.
     let oracle = analyze_json(&trace, "inel-seq.json", &["--value-stats", "--jobs", "1"]);
     let parallel = analyze_json(&trace, "inel-par.json", &["--value-stats", "--jobs", "8"]);
     assert_eq!(oracle, parallel);
@@ -209,32 +211,59 @@ fn ineligible_config_falls_back_to_one_thread_with_a_note() {
     let _ = std::fs::remove_file(&trace);
 }
 
+/// A checkpointing run uses one analyzer whatever `--jobs` says, so its
+/// checkpoints are sequential states: resumed under `--jobs 2`, they
+/// finish to the uninterrupted `--jobs 1` report, for a streamed trace
+/// and for a workload's collected trace alike.
 #[test]
-fn checkpointing_is_refused_under_parallel_jobs() {
-    let trace = write_random_trace("nockpt.pgtr", 10_000, 37);
-    let ckpt = scratch("nockpt.pgcp");
-    let out = paragraph(&[
-        "analyze",
-        "--trace",
-        trace.to_str().expect("utf-8 path"),
-        "--checkpoint-every",
-        "2000",
-        "--checkpoint",
-        ckpt.to_str().expect("utf-8 path"),
-        "--jobs",
-        "4",
-    ]);
-    assert_ok(&out, "parallel run with checkpoints requested");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("checkpoints are disabled under --jobs"),
-        "expected a checkpoint warning, got: {stderr}"
-    );
-    assert!(
-        !ckpt.exists(),
-        "no checkpoint may be written under --jobs > 1: a merged state cannot resume"
-    );
-    let _ = std::fs::remove_file(&trace);
+fn checkpoints_written_under_jobs_2_resume_to_the_jobs_1_report() {
+    let trace = write_random_trace("ckpt.pgtr", 10_000, 37);
+    let trace_str = trace.to_str().expect("utf-8 path");
+    let ckpt = scratch("ckpt.pgcp");
+    let ckpt_str = ckpt.to_str().expect("utf-8 path");
+    let json = scratch("ckpt.json");
+    let json_str = json.to_str().expect("utf-8 path");
+    let inputs: [&[&str]; 2] = [
+        &["--trace", trace_str],
+        &["--workload", "eqntott", "--size", "8"],
+    ];
+    for input in inputs {
+        let run = |extra: &[&str]| {
+            let mut args = vec!["analyze"];
+            args.extend_from_slice(input);
+            args.extend_from_slice(extra);
+            let out = paragraph(&args);
+            assert_ok(&out, &format!("{args:?}"));
+            out
+        };
+        let _ = std::fs::remove_file(&ckpt);
+        let prefix = run(&[
+            "--take",
+            "2500",
+            "--checkpoint-every",
+            "1000",
+            "--checkpoint",
+            ckpt_str,
+            "--jobs",
+            "2",
+        ]);
+        assert!(
+            !String::from_utf8_lossy(&prefix.stderr).contains("disabled"),
+            "{input:?}: checkpoints must not be refused"
+        );
+        assert!(
+            ckpt.exists(),
+            "{input:?}: no checkpoint written under --jobs 2"
+        );
+        run(&["--json", json_str, "--jobs", "1"]);
+        let oracle = std::fs::read(&json).expect("read --jobs 1 report");
+        run(&["--resume", ckpt_str, "--json", json_str, "--jobs", "2"]);
+        let resumed = std::fs::read(&json).expect("read resumed report");
+        assert_eq!(oracle, resumed, "{input:?}: resumed report diverged");
+    }
+    for path in [&trace, &ckpt, &json] {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 /// Runs `analyze --trace F` with `extra` flags and `env` overrides.
@@ -344,27 +373,24 @@ fn stall_branches_with_memory_sources_fall_back_to_the_same_report() {
         "stall-seq.json",
         &["--branch", "stall", "--jobs", "1"],
     );
-    // Both `--jobs 2` paths: streamed, and loaded then (not) cut.
-    for extra in [&[][..], &["--no-decode-ahead"][..]] {
-        let mut flags = vec!["--branch", "stall", "--jobs", "2"];
-        flags.extend_from_slice(extra);
-        assert_eq!(oracle, analyze_json(&path, "stall-par.json", &flags));
-    }
+    let flags = ["--branch", "stall", "--jobs", "2"];
+    assert_eq!(oracle, analyze_json(&path, "stall-par.json", &flags));
     let _ = std::fs::remove_file(&path);
 }
 
-/// Returns the `--timeline-out` recording of `analyze --jobs 2` with
-/// `extra` flags.
-fn jobs_2_timeline(trace: &std::path::Path, extra: &[&str]) -> String {
+/// Returns the `--timeline-out` recording of `analyze --jobs 2` over
+/// `input`.
+fn jobs_2_timeline(input: &[&str]) -> String {
     let timeline = scratch("lanes.json");
-    let mut flags = vec![
+    let mut args = vec!["analyze"];
+    args.extend_from_slice(input);
+    args.extend_from_slice(&[
         "--jobs",
         "2",
         "--timeline-out",
         timeline.to_str().expect("utf-8 path"),
-    ];
-    flags.extend_from_slice(extra);
-    let out = analyze_env(trace, &flags, &[]);
+    ]);
+    let out = paragraph(&args);
     assert_ok(&out, "--jobs 2 run with a timeline");
     let text = std::fs::read_to_string(&timeline).expect("read timeline");
     let _ = std::fs::remove_file(&timeline);
@@ -374,18 +400,25 @@ fn jobs_2_timeline(trace: &std::path::Path, extra: &[&str]) -> String {
 #[test]
 fn timelines_show_which_jobs_path_ran() {
     let trace = write_random_trace("lanes.pgtr", 20_000, 53);
-    // A plain run streams: one decode-ahead lane, no segment workers.
-    let streamed = jobs_2_timeline(&trace, &[]);
-    assert!(
-        streamed.contains("\"decode-ahead\""),
-        "no decode-ahead lane"
-    );
-    assert!(
-        !streamed.contains("\"analyze-1\""),
-        "unexpected worker lane"
-    );
-    // Loading the trace cuts it: one lane per segment worker.
-    let cut = jobs_2_timeline(&trace, &["--no-decode-ahead"]);
+    // A trace file streams: one decode-ahead lane feeding one analyzer,
+    // no segment workers, whatever the flags.
+    for extra in [&[][..], &["--progress=0", "--take", "15000"][..]] {
+        let mut input = vec!["--trace", trace.to_str().expect("utf-8 path")];
+        input.extend_from_slice(extra);
+        let streamed = jobs_2_timeline(&input);
+        for needle in ["\"decode-ahead\"", "\"decode.block\"", "\"livewell\""] {
+            assert!(
+                streamed.contains(needle),
+                "{extra:?}: timeline lacks {needle}"
+            );
+        }
+        assert!(
+            !streamed.contains("\"analyze-1\""),
+            "{extra:?}: unexpected worker lane"
+        );
+    }
+    // A workload's collected trace is cut: one lane per segment worker.
+    let cut = jobs_2_timeline(&["--workload", "matrix300", "--size", "4"]);
     for needle in ["\"analyze-1\"", "\"segment\"", "\"merge\""] {
         assert!(cut.contains(needle), "timeline lacks {needle}");
     }

@@ -29,11 +29,12 @@
 //! identical checkpoint bytes.
 
 use crate::config::AnalysisConfig;
+use paragraph_trace::binary::TraceReader;
 use paragraph_trace::crc32::Crc32;
-use paragraph_trace::{Loc, TraceRecord};
+use paragraph_trace::{Loc, TraceError, TraceRecord};
 use std::error::Error;
 use std::fmt;
-use std::io;
+use std::io::{self, Read};
 
 /// Magic bytes opening a checkpoint file.
 pub const MAGIC: &[u8; 4] = b"PGCP";
@@ -169,7 +170,13 @@ impl TraceIdentity {
     /// it with the total count. Deterministic across runs and platforms —
     /// no pointers, no map iteration order, no wall clock.
     pub fn of_records(records: &[TraceRecord]) -> TraceIdentity {
-        let prefix = &records[..records.len().min(IDENTITY_PREFIX_RECORDS)];
+        TraceIdentity::of_prefix(records, records.len() as u64)
+    }
+
+    /// Fingerprints a trace of `total` records from its leading records;
+    /// only the first [`IDENTITY_PREFIX_RECORDS`] of `prefix` are hashed.
+    fn of_prefix(prefix: &[TraceRecord], total: u64) -> TraceIdentity {
+        let prefix = &prefix[..prefix.len().min(IDENTITY_PREFIX_RECORDS)];
         let mut crc = Crc32::new();
         let mut buf = Vec::with_capacity(64);
         for record in prefix {
@@ -179,8 +186,44 @@ impl TraceIdentity {
         }
         TraceIdentity {
             prefix_crc: crc.finish(),
-            records: records.len() as u64,
+            records: total,
         }
+    }
+
+    /// Fingerprints the stream `reader` delivers after its first `skip`
+    /// records, keeping no more than one block and the hashed prefix in
+    /// memory. `total` is the stream's record count when the caller
+    /// already knows it (a pristine file's chunk scan): the read then
+    /// stops after the prefix. Otherwise every record is counted.
+    ///
+    /// # Errors
+    ///
+    /// The reader's own error, exactly as a full read would surface it.
+    pub fn of_stream<R: Read>(
+        reader: &mut TraceReader<R>,
+        skip: u64,
+        total: Option<u64>,
+    ) -> Result<TraceIdentity, TraceError> {
+        let mut prefix = Vec::with_capacity(IDENTITY_PREFIX_RECORDS);
+        let mut block = Vec::new();
+        let mut seen = 0u64;
+        loop {
+            let full = prefix.len() == IDENTITY_PREFIX_RECORDS;
+            if full && total.is_some() {
+                break;
+            }
+            block.clear();
+            if reader.read_block(&mut block)? == 0 {
+                break;
+            }
+            let from = usize::try_from(skip.saturating_sub(seen)).unwrap_or(usize::MAX);
+            seen += block.len() as u64;
+            let tail = block.get(from..).unwrap_or_default();
+            let room = IDENTITY_PREFIX_RECORDS - prefix.len();
+            prefix.extend_from_slice(&tail[..tail.len().min(room)]);
+        }
+        let total = total.unwrap_or(seen).saturating_sub(skip);
+        Ok(TraceIdentity::of_prefix(&prefix, total))
     }
 }
 

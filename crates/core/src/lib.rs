@@ -100,6 +100,7 @@ mod memmodel;
 pub mod parallel;
 mod profile;
 mod report;
+pub mod run;
 pub mod schedule;
 pub mod slots;
 pub mod telemetry;
@@ -117,6 +118,7 @@ pub use memmodel::MemoryModel;
 pub use parallel::analyze_parallel;
 pub use profile::{ParallelismProfile, ProfileBin};
 pub use report::AnalysisReport;
+pub use run::{Policy, Run, RunStats, Stop};
 pub use well::{MemTable, PagedWell};
 pub use window::WindowLimiter;
 

@@ -421,6 +421,11 @@ impl<S: SlotSpace> LiveWellImpl<S> {
         }
     }
 
+    /// The configuration this analyzer runs under.
+    pub(crate) fn config(&self) -> &AnalysisConfig {
+        &self.config
+    }
+
     /// Installs the trace identity fingerprint to embed in checkpoints.
     /// Call it once, before analysis, from whichever driver materialized
     /// the trace; the analyzer itself never hashes records.

@@ -58,9 +58,11 @@ use crate::branch::BranchPolicy;
 use crate::config::{AnalysisConfig, SyscallPolicy};
 use crate::livewell::{LiveWell, SegmentOutcome};
 use crate::report::AnalysisReport;
+use crate::run::{Policy, Run, Stop};
 use paragraph_isa::OpClass;
 use paragraph_trace::{Loc, TraceRecord};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// Records between shared-progress updates inside a segment worker.
 const PROGRESS_STRIDE: usize = 1 << 16;
@@ -159,72 +161,49 @@ pub fn run_segment(
     config: &AnalysisConfig,
     progress: &AtomicU64,
 ) -> Option<SegmentOutcome> {
+    run_segment_until(segment, config, progress, None).unwrap_or(None)
+}
+
+/// [`run_segment`] that gives up with [`Stop::Deadline`] once `deadline`
+/// has passed, checked between [`PROGRESS_STRIDE`]-record chunks.
+pub(crate) fn run_segment_until(
+    segment: &[TraceRecord],
+    config: &AnalysisConfig,
+    progress: &AtomicU64,
+    deadline: Option<Instant>,
+) -> Result<Option<SegmentOutcome>, Stop> {
     let mut analyzer = LiveWell::new(segment_config(config));
     for slice in segment.chunks(PROGRESS_STRIDE) {
+        if deadline.is_some_and(|at| Instant::now() > at) {
+            return Err(Stop::Deadline);
+        }
         analyzer.process_slice(slice);
         progress.fetch_add(slice.len() as u64, Ordering::Relaxed);
     }
-    analyzer.into_segment_outcome()
+    Ok(analyzer.into_segment_outcome())
 }
 
 /// Analyzes `records` across up to `jobs` threads (0 = all cores) and
 /// returns a report byte-identical to the sequential
-/// [`analyze_refs`](crate::analyze_refs). Ineligible configurations,
-/// traces without interior syscalls, and `jobs < 2` all run sequentially
-/// on the calling thread; segment `0` always runs on the calling thread
-/// so the caller's thread-local instrumentation attributes it naturally.
+/// [`analyze_refs`](crate::analyze_refs): a [`Run`] over the slice.
+/// Ineligible configurations, traces without interior syscalls, and
+/// `jobs < 2` all run sequentially on the calling thread; segment `0`
+/// always runs on the calling thread so the caller's thread-local
+/// instrumentation attributes it naturally.
 pub fn analyze_parallel(
     records: &[TraceRecord],
     config: &AnalysisConfig,
     jobs: usize,
 ) -> AnalysisReport {
-    let jobs = effective_jobs(jobs);
-    let sequential = |records: &[TraceRecord]| {
-        let mut analyzer = LiveWell::new(config.clone());
-        analyzer.process_slice(records);
-        analyzer.finish()
+    let mut analyzer = LiveWell::new(config.clone());
+    let policy = Policy {
+        jobs,
+        ..Policy::default()
     };
-    if jobs < 2 || eligibility(records, config).is_err() {
-        return sequential(records);
-    }
-    let boundaries = plan_cuts(records, 0, jobs);
-    if boundaries.is_empty() {
-        return sequential(records);
-    }
-    let progress = AtomicU64::new(0);
-    let (primary, outcomes) = std::thread::scope(|scope| {
-        let handles: Vec<_> = boundaries
-            .iter()
-            .zip(boundaries.iter().skip(1).chain([&records.len()]))
-            .map(|(&from, &to)| {
-                let segment = &records[from..to];
-                let progress = &progress;
-                scope.spawn(move || run_segment(segment, config, progress))
-            })
-            .collect();
-        let mut primary = LiveWell::new(config.clone());
-        primary.process_slice(&records[..boundaries[0]]);
-        let outcomes: Option<Vec<SegmentOutcome>> = handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(outcome) => outcome,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect();
-        (primary, outcomes)
-    });
-    match outcomes {
-        Some(outcomes) => {
-            let mut primary = primary;
-            for outcome in &outcomes {
-                primary.merge_segment(outcome);
-            }
-            primary.finish()
-        }
-        // Unreachable by construction (segment_config keeps profiles
-        // exact); the sequential oracle is always a correct answer.
-        None => sequential(records),
-    }
+    // No deadline, no skip or take, and a fresh analyzer: nothing can
+    // stop this run.
+    let _ = Run::new(&mut analyzer, policy).slice(records);
+    analyzer.finish()
 }
 
 #[cfg(test)]

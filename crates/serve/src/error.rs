@@ -111,6 +111,28 @@ impl ServeError {
         }
     }
 
+    /// An analysis of `scope` that overran its `cap` after `elapsed`, in
+    /// the governor taxonomy; `note` is appended to the detail.
+    pub fn deadline(
+        scope: String,
+        elapsed: std::time::Duration,
+        cap: std::time::Duration,
+        note: &str,
+    ) -> ServeError {
+        ServeError::Rejected {
+            scope,
+            limit: "deadline".into(),
+            what: "analysis time".into(),
+            actual: elapsed.as_millis() as u64,
+            cap: cap.as_millis() as u64,
+            detail: format!(
+                "analysis deadline exceeded after {}ms (cap {}ms){note}",
+                elapsed.as_millis(),
+                cap.as_millis()
+            ),
+        }
+    }
+
     /// The HTTP status this failure maps to.
     pub fn status(&self) -> u16 {
         match self {

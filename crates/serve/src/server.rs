@@ -30,8 +30,8 @@ use crate::store::TraceStore;
 use paragraph_core::branch::{BranchPolicy, PredictorKind};
 use paragraph_core::telemetry;
 use paragraph_core::{
-    AnalysisConfig, AnalysisReport, LatencyModel, LiveWell, MemoryModel, RenameSet, SyscallPolicy,
-    WindowSize,
+    AnalysisConfig, AnalysisReport, LatencyModel, LiveWell, MemoryModel, Policy, RenameSet, Run,
+    Stop, SyscallPolicy, WindowSize,
 };
 use paragraph_trace::{Limits, SegmentMap};
 use std::io::{BufReader, Read, Write};
@@ -622,34 +622,25 @@ fn analyze(state: &ServerState, req: &Request) -> Result<Response, ServeError> {
             .map_err(|_| ServeError::BadRequest(format!("bad job count `{n}`")))?,
         None => 1,
     };
-    let report = if let Some(deadline) = request_deadline(state, req)? {
-        // Deadline-governed path: feed in slices, checking the clock
-        // between batches. Slice size affects only check granularity —
-        // the output bytes are identical to the one-shot path.
-        let started = Instant::now();
-        let mut well = LiveWell::new(config);
-        for slice in trace.records.chunks(4096) {
-            let elapsed = started.elapsed();
-            if elapsed > deadline {
-                return Err(ServeError::Rejected {
-                    scope: format!("analyze {trace_id}"),
-                    limit: "deadline".into(),
-                    what: "analysis time".into(),
-                    actual: elapsed.as_millis() as u64,
-                    cap: deadline.as_millis() as u64,
-                    detail: format!(
-                        "analysis deadline exceeded after {}ms (cap {}ms)",
-                        elapsed.as_millis(),
-                        deadline.as_millis()
-                    ),
-                });
-            }
-            well.process_slice(slice);
-        }
-        well.finish()
-    } else {
-        paragraph_core::analyze_parallel(&trace.records, &config, jobs.max(1))
+    // The deadline is checked between batches, on the primary and on
+    // every segment worker; batching never changes the bytes.
+    let deadline = request_deadline(state, req)?;
+    let started = Instant::now();
+    let mut well = LiveWell::new(config);
+    let policy = Policy {
+        deadline: deadline.and_then(|cap| started.checked_add(cap)),
+        jobs: jobs.max(1),
+        ..Policy::default()
     };
+    match (Run::new(&mut well, policy).slice(&trace.records), deadline) {
+        (Ok(_), _) => {}
+        (Err(Stop::Deadline), Some(cap)) => {
+            let scope = format!("analyze {trace_id}");
+            return Err(ServeError::deadline(scope, started.elapsed(), cap, ""));
+        }
+        (Err(stop), _) => return Err(ServeError::Internal(format!("analyze {trace_id}: {stop}"))),
+    }
+    let report = paragraph_core::run::report(well);
     paragraph_core::counter!("serve.analyses", 1);
     report_response(&report, req)
 }

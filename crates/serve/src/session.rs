@@ -19,7 +19,7 @@
 
 use crate::error::ServeError;
 use crate::store::{ResolvedTrace, TraceStore};
-use paragraph_core::{AnalysisConfig, CheckpointError, LiveWell, TraceIdentity};
+use paragraph_core::{AnalysisConfig, CheckpointError, LiveWell, Policy, Run, Stop, TraceIdentity};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -238,35 +238,27 @@ impl SessionStore {
         }
         let trace = store.resolve(&session.trace_id)?;
         let total = trace.records.len() as u64;
-        let from = session.records_processed.min(total) as usize;
-        let to = ((session.records_processed.saturating_add(count)).min(total)) as usize;
-        // Feed in slices so a configured deadline is honoured between
-        // batches; the slice size only affects check granularity, never
-        // the analysis output.
-        for slice in trace.records[from..to].chunks(4096) {
-            if let Some(limit) = deadline {
-                let elapsed = started.elapsed();
-                if elapsed > limit {
-                    session.records_processed = session.live()?.records_processed();
-                    self.evict_over_budget(id)?;
-                    return Err(ServeError::Rejected {
-                        scope: format!("session {id}"),
-                        limit: "deadline".into(),
-                        what: "analysis time".into(),
-                        actual: elapsed.as_millis() as u64,
-                        cap: limit.as_millis() as u64,
-                        detail: format!(
-                            "analysis deadline exceeded after {}ms (cap {}ms); \
-                             progress is preserved",
-                            elapsed.as_millis(),
-                            limit.as_millis()
-                        ),
-                    });
-                }
-            }
-            session.live()?.process_slice(slice);
-        }
+        let policy = Policy {
+            deadline: deadline.and_then(|cap| started.checked_add(cap)),
+            take: session.records_processed.saturating_add(count),
+            ..Policy::default()
+        };
+        let ran = Run::new(session.live()?, policy).slice(&trace.records);
         session.records_processed = session.live()?.records_processed();
+        match (ran, deadline) {
+            (Ok(_), _) => {}
+            (Err(Stop::Deadline), Some(cap)) => {
+                self.evict_over_budget(id)?;
+                let note = "; progress is preserved";
+                return Err(ServeError::deadline(
+                    format!("session {id}"),
+                    started.elapsed(),
+                    cap,
+                    note,
+                ));
+            }
+            (Err(stop), _) => return Err(ServeError::Internal(format!("session {id}: {stop}"))),
+        }
         let (_, _, critical_path, parallelism) = session.live()?.snapshot();
         let status = SessionStatus {
             id: id.to_owned(),
@@ -342,7 +334,7 @@ impl SessionStore {
             }
         };
         let _ = std::fs::remove_file(&session.checkpoint);
-        Ok(well.finish())
+        Ok(paragraph_core::run::report(*well))
     }
 
     /// Closes a session without finishing it, discarding its state.

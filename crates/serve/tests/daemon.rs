@@ -216,6 +216,59 @@ fn taxonomy_statuses_reach_the_wire() {
     handle.join().expect("server thread").expect("clean drain");
 }
 
+/// `jobs=` and a deadline compose: a generous deadline leaves the cut
+/// analysis byte-identical to the CLI's `--json` report (the library's
+/// one-shot analysis), and a zero deadline over a large upload answers
+/// 422 in the governor taxonomy, on one thread or several.
+#[test]
+fn jobs_and_deadline_compose_on_analyze() {
+    let (endpoint, handle) = start(ServeOptions {
+        spool: scratch("jobs-deadline"),
+        limits: Limits::default(),
+        ..ServeOptions::default()
+    });
+    // ~2% conservative syscalls: `jobs=2` has cut points.
+    let records = synthetic::random_trace(60_000, 19);
+    let mut bytes = Vec::new();
+    let mut writer = TraceWriter::new(&mut bytes, SegmentMap::default()).expect("header writes");
+    for record in &records {
+        writer.write_record(record).expect("record writes");
+    }
+    writer.finish().expect("trailer writes");
+    let resp = request(&endpoint, "POST", "/traces", &bytes).expect("upload");
+    assert_eq!(resp.status, 200, "{}", resp.body_text());
+    let trace_id = field_str(&resp.body_text(), "id");
+
+    let config = AnalysisConfig::dataflow_limit().with_segments(SegmentMap::default());
+    let expected = paragraph_core::analyze_refs(records.iter(), &config).to_json();
+    for jobs in [1, 2] {
+        let resp = request(
+            &endpoint,
+            "POST",
+            &format!("/analyze?trace={trace_id}&jobs={jobs}&deadline-ms=600000"),
+            &[],
+        )
+        .expect("analyze");
+        assert_eq!(resp.status, 200, "{}", resp.body_text());
+        assert_eq!(resp.body_text(), expected, "jobs={jobs} under a deadline");
+
+        let resp = request(
+            &endpoint,
+            "POST",
+            &format!("/analyze?trace={trace_id}&jobs={jobs}&deadline-ms=0"),
+            &[],
+        )
+        .expect("analyze");
+        assert_eq!(resp.status, 422, "jobs={jobs}: {}", resp.body_text());
+        let body = resp.body_text();
+        assert!(body.starts_with("{\"error\":\"input-rejected\""), "{body}");
+        assert!(body.contains("\"limit\":\"deadline\""), "{body}");
+    }
+
+    shutdown(&endpoint);
+    handle.join().expect("server thread").expect("clean drain");
+}
+
 /// The one-record stream whose chunk payload is `[7, 0, 0]` (a store
 /// with no operands) under a valid CRC: only the record contract rejects
 /// it.

@@ -30,7 +30,7 @@ use paragraph_isa::OpClass;
 use std::fs::File;
 use std::io::{self, BufReader, Read};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 use std::sync::Arc;
 
@@ -285,6 +285,7 @@ pub struct DecodeAhead {
     rx: Receiver<Result<Vec<TraceRecord>, TraceError>>,
     recycle: Sender<Vec<TraceRecord>>,
     handle: std::thread::JoinHandle<DecodeFinal>,
+    bytes: Arc<AtomicU64>,
 }
 
 impl DecodeAhead {
@@ -299,6 +300,8 @@ impl DecodeAhead {
     ) -> io::Result<DecodeAhead> {
         let (tx, rx) = sync_channel::<Result<Vec<TraceRecord>, TraceError>>(2);
         let (recycle_tx, recycle_rx) = channel::<Vec<TraceRecord>>();
+        let bytes = Arc::new(AtomicU64::new(0));
+        let consumed = Arc::clone(&bytes);
         let handle = std::thread::Builder::new()
             .name("decode-ahead".into())
             .spawn(move || {
@@ -312,6 +315,7 @@ impl DecodeAhead {
                         obs(DecodeEvent::BlockStart);
                     }
                     let outcome = reader.read_block(&mut batch);
+                    consumed.store(reader.bytes_read(), Ordering::Relaxed);
                     if let Some(obs) = observer.as_mut() {
                         obs(DecodeEvent::BlockEnd {
                             records: batch.len(),
@@ -343,6 +347,7 @@ impl DecodeAhead {
             rx,
             recycle: recycle_tx,
             handle,
+            bytes,
         })
     }
 
@@ -351,6 +356,12 @@ impl DecodeAhead {
     /// was decoded ahead of it, and ends the stream.
     pub fn next_batch(&mut self) -> Option<Result<Vec<TraceRecord>, TraceError>> {
         self.rx.recv().ok()
+    }
+
+    /// Input bytes the helper thread has consumed so far: the bytes behind
+    /// every block delivered, plus those of the blocks decoded ahead.
+    pub fn bytes_read(&self) -> u64 {
+        self.bytes.load(Ordering::Relaxed)
     }
 
     /// Hands a drained block buffer back for reuse.
@@ -365,6 +376,7 @@ impl DecodeAhead {
             rx,
             recycle,
             handle,
+            ..
         } = self;
         // Closing the channels unblocks a helper mid-send.
         drop(rx);

@@ -1,24 +1,26 @@
-//! Differential suite for `analyze --jobs N` over a trace image.
+//! Differential suite for `--jobs N` over a trace image.
 //!
-//! Two paths analyze a trace file at `--jobs N`. A plain run streams it:
-//! a decode-ahead helper thread decodes chunk N+1 while the live well
-//! consumes chunk N ([`streamed`]). Any other run loads it: the chunks
-//! decode in parallel straight into one record vector
-//! ([`decode_all_parallel`]), which is then cut at conservative-syscall
-//! firewalls and analyzed segment by segment ([`analyze_parallel`]).
-//! Both must match the sequential oracle byte for byte on the JSON
-//! report, for every job count, chunk size, syscall placement and
-//! configuration. The parallel decode must decline (`None`) whenever it
-//! could not reproduce the sequential reader exactly, so the sequential
-//! reader owns every error.
+//! Two paths analyze a trace at `--jobs N`. A trace file streams: a
+//! decode-ahead helper thread decodes chunk N+1 while one live well
+//! consumes chunk N ([`streamed`], the `Run` driver's stream source). A
+//! resident trace is cut: here the chunks decode in parallel straight into
+//! one record vector ([`decode_all_parallel`], which the benchmark's
+//! ledger still measures), which is then cut at conservative-syscall
+//! firewalls and analyzed segment by segment ([`analyze_parallel`], the
+//! driver's slice source). Both must match the sequential oracle byte for
+//! byte on the JSON report, for every job count, chunk size, syscall
+//! placement and configuration. The parallel decode must decline (`None`)
+//! whenever it could not reproduce the sequential reader exactly, so the
+//! sequential reader owns every error.
 
 use paragraph_core::branch::BranchPolicy;
 use paragraph_core::{
-    analyze_parallel, analyze_refs, AnalysisConfig, LiveWell, MemoryModel, RenameSet, WindowSize,
+    analyze_parallel, analyze_refs, AnalysisConfig, LiveWell, MemoryModel, Policy, RenameSet, Run,
+    WindowSize,
 };
 use paragraph_isa::OpClass;
 use paragraph_trace::binary::{TraceReader, TraceWriter};
-use paragraph_trace::source::{decode_all_parallel, DecodeAhead};
+use paragraph_trace::source::decode_all_parallel;
 use paragraph_trace::{synthetic, Limits, Loc, SegmentMap, TraceRecord, TraceSource};
 use std::time::Duration;
 
@@ -57,18 +59,18 @@ fn reference(records: &[TraceRecord], config: &AnalysisConfig) -> String {
     analyze_refs(records, &config).to_json()
 }
 
-/// The plain `--jobs N` path: decode-ahead feeding one live well,
-/// configured with the trace header's segment map.
+/// The `analyze --trace` path: a `Run` streaming decode-ahead into one
+/// live well, configured with the trace header's segment map.
 fn streamed(bytes: &[u8], config: &AnalysisConfig) -> String {
     let reader = TraceReader::from_source(TraceSource::from_bytes(bytes.to_vec())).expect("header");
     let mut analyzer = LiveWell::new(config.clone().with_segments(reader.segment_map()));
-    let mut pipeline = DecodeAhead::spawn(reader, None).expect("spawn");
-    while let Some(batch) = pipeline.next_batch() {
-        let batch = batch.expect("clean stream");
-        analyzer.process_slice(&batch);
-        pipeline.recycle(batch);
-    }
-    pipeline.finish();
+    let policy = Policy {
+        jobs: 8,
+        ..Policy::default()
+    };
+    Run::new(&mut analyzer, policy)
+        .stream(reader)
+        .expect("clean stream");
     analyzer.finish().to_json()
 }
 
@@ -80,7 +82,7 @@ fn decoded(bytes: &[u8], jobs: usize, limits: &Limits) -> Option<(Vec<TraceRecor
     decode_all_parallel(&shared, jobs, limits).map(|d| (d.records, d.segments))
 }
 
-/// The loaded `--jobs N` path: parallel decode, then firewall cuts.
+/// The resident-trace path: parallel decode, then firewall cuts.
 fn loaded(bytes: &[u8], config: &AnalysisConfig, jobs: usize) -> String {
     let (records, segments) =
         decoded(bytes, jobs, &Limits::default()).expect("pristine stream decodes in parallel");
