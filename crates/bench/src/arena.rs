@@ -181,6 +181,7 @@ impl TraceArena {
             id,
             armed: true,
         };
+        let _span = paragraph_core::span!("arena.load");
         let trace = Arc::new(loader()?);
         self.install(id, Arc::clone(&trace));
         guard.armed = false;

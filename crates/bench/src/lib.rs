@@ -135,8 +135,9 @@ impl Study {
         }
     }
 
-    /// Runs `id` once, streaming the trace through an analyzer configured by
-    /// `config` (with the workload's segment map applied). Returns the
+    /// Runs `id` once, feeding its VM trace through the [`Run`] driver into
+    /// an analyzer configured by `config` (with the workload's segment map
+    /// applied). Returns the
     /// analysis report and the run outcome.
     ///
     /// # Panics
@@ -148,11 +149,9 @@ impl Study {
         let mut vm = workload.vm();
         let config = config.clone().with_segments(vm.segment_map());
         let mut analyzer = LiveWell::new(config);
-        let outcome = vm
-            .run_traced(self.fuel, |record| {
-                analyzer.process(record);
-            })
-            .unwrap_or_else(|e| panic!("{id}: {e}"));
+        let (outcome, _) = Run::new(&mut analyzer, Policy::default())
+            .vm(|record| vm.run_traced(self.fuel, record));
+        let outcome = outcome.unwrap_or_else(|e| panic!("{id}: {e}"));
         (analyzer.finish(), outcome)
     }
 

@@ -22,7 +22,7 @@
 use crate::arena::{ArenaStats, TraceArena};
 use crate::supervisor::{backoff_delay, panic_message, CellError, CellStatus, FaultSpec};
 use crate::Study;
-use paragraph_core::telemetry::{self, timeline, Value};
+use paragraph_core::telemetry::{self, timeline};
 use paragraph_core::{AnalysisConfig, InternedWell, ParallelismProfile};
 use paragraph_workloads::WorkloadId;
 use std::collections::VecDeque;
@@ -266,16 +266,10 @@ fn analyze_cell(
     let trace = arena.get(study, cell.workload)?;
     let config = cell.config.clone().with_segments(trace.segments());
     let started = Instant::now();
-    // Timeline slice covering the analysis only (not the arena fetch, which
-    // may block on another worker's decode — attributing that wait to the
-    // cell would make identical cells look slower under contention).
-    let mut tspan = match timeline::timeline_active() {
-        Some(tl) => tl.span_labeled(
-            "sweep.cell",
-            Some(&format!("{}@{}", cell.workload.name(), cell.label)),
-        ),
-        None => timeline::timeline_span("sweep.cell"),
-    };
+    // The span covers the analysis only (not the arena fetch, which may
+    // block on another worker's decode — attributing that wait to the cell
+    // would make identical cells look slower under contention).
+    let mut span = paragraph_core::span!("sweep.cell", "{}@{}", cell.workload.name(), cell.label);
     let mut analyzer = InternedWell::new(&trace, config);
     analyzer.process_next(trace.len());
     let window_stalls = analyzer.window_stalls();
@@ -290,22 +284,10 @@ fn analyze_cell(
         window_stalls,
         wall_ns,
     };
-    if let Some(registry) = telemetry::active() {
-        registry.record_span(
-            "sweep.cell",
-            wall_ns,
-            &[
-                ("workload", Value::Str(cell.workload.name())),
-                ("config", Value::Str(&cell.label)),
-                ("records", Value::U64(metrics.records)),
-                ("critical_path", Value::U64(metrics.critical_path)),
-            ],
-        );
-        registry.counter("sweep.cells_analyzed").add(1);
-    }
-    tspan.arg("records", metrics.records);
-    tspan.arg("critical_path", metrics.critical_path);
-    drop(tspan);
+    span.arg("records", metrics.records);
+    span.arg("critical_path", metrics.critical_path);
+    drop(span);
+    paragraph_core::counter!("sweep.cells_analyzed", 1);
     Ok(CellOutcome {
         workload: cell.workload,
         label: cell.label.clone(),
@@ -348,6 +330,7 @@ fn run_cell(
 ///
 /// The file that failed, with the I/O error.
 pub fn write_cell_artifacts(dir: &Path, cell: &CellOutcome) -> Result<(), (PathBuf, io::Error)> {
+    let _span = paragraph_core::span!("artifact.write");
     let stem = format!("{}@{}", cell.workload.name(), cell.label);
     let json_path = dir.join(format!("{stem}.report.json"));
     paragraph_core::artifact::write_atomic_bytes(&json_path, cell.report_json.as_bytes())
@@ -455,12 +438,7 @@ fn run_sweep_supervised(
             write_artifacts(outcome);
         }
     }
-    if let Some(registry) = telemetry::active() {
-        let restored = cells.len() - pending.len();
-        registry
-            .counter("sweep.cells_restored")
-            .add(restored as u64);
-    }
+    paragraph_core::counter!("sweep.cells_restored", (cells.len() - pending.len()) as u64);
 
     // Deal contiguous chunks: cells are workload-major, so each worker
     // starts on its own workload and arena traffic stays low; stealing
@@ -481,9 +459,7 @@ fn run_sweep_supervised(
             let arena = &arena;
             let write_artifacts = &write_artifacts;
             scope.spawn(move || {
-                if let Some(tl) = timeline::timeline_active() {
-                    tl.set_thread_name(&format!("worker-{me}"));
-                }
+                telemetry::name_lane(format_args!("worker-{me}"));
                 loop {
                     let next = lock_poison_ok_deque(&queues[me]).pop_front().or_else(|| {
                         (1..jobs)
@@ -541,9 +517,7 @@ fn run_sweep_supervised(
                                 "{name}: cell {} attempt {attempt} failed ({err}); retrying",
                                 cell.stage_key()
                             );
-                            if let Some(registry) = telemetry::active() {
-                                registry.counter("sweep.cell_retries").add(1);
-                            }
+                            paragraph_core::counter!("sweep.cell_retries", 1);
                             if let Some(tl) = timeline::timeline_active() {
                                 tl.instant_with_args(
                                     "sweep.retry",
@@ -567,9 +541,7 @@ fn run_sweep_supervised(
                                 "{name}: cell {} quarantined after {attempt} attempt(s): {err}",
                                 cell.stage_key()
                             );
-                            if let Some(registry) = telemetry::active() {
-                                registry.counter("sweep.cells_quarantined").add(1);
-                            }
+                            paragraph_core::counter!("sweep.cells_quarantined", 1);
                             if let Some(tl) = timeline::timeline_active() {
                                 tl.instant_with_args(
                                     "sweep.quarantine",

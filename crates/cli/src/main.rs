@@ -202,13 +202,15 @@ fn run(args: &[String]) -> Result<(), CliError> {
     }
     let result = match command.as_str() {
         "list" => cmd_list(),
-        "analyze" => cmd_analyze(&opts),
+        "analyze" => instrumented(&opts, "analysis", |sinks, failures| {
+            cmd_analyze(&opts, sinks, failures)
+        }),
         "trace" => cmd_trace(&opts),
         "ingest" => cmd_ingest(&opts),
-        "run" => cmd_run(&opts),
+        "run" => instrumented(&opts, "run", |_, _| cmd_run(&opts)),
         "disasm" => cmd_disasm(&opts),
         "dot" => cmd_dot(&opts),
-        "sweep" => cmd_sweep(&opts),
+        "sweep" => instrumented(&opts, "sweep", |_, _| cmd_sweep(&opts)),
         "compare" => cmd_compare(&opts),
         "stats" => cmd_stats(&opts),
         "report" => cmd_report(&opts),
@@ -320,20 +322,19 @@ fault tolerance (analyze):
   --live-well-cap N     bound the live-well table to N memory locations,
                         evicting the coldest (reported as a caveat)
 
-telemetry (analyze; see docs/telemetry.md):
-  --progress[=SECS]     heartbeat line to stderr every SECS seconds
-                        (default 2): records, %done, MB/s, critical path, ETA
+instrumentation (analyze / run / sweep; see docs/telemetry.md): every
+stage is one span, recorded by whichever sinks are armed
   --telemetry-out FILE  write a JSONL structured event log
-  --metrics-out FILE    write a Prometheus text snapshot at exit and at
-                        every checkpoint
-  stats --telemetry FILE   summarize a JSONL log (per-stage table); bad
-                        lines are skipped with a warning (--strict: fail)
-  stats --metrics FILE     validate a Prometheus snapshot
-
-flight recorder (analyze / run / sweep; see docs/telemetry.md):
+  --metrics-out FILE    write a Prometheus text snapshot at exit (and, for
+                        analyze, at every checkpoint)
   --timeline-out FILE   record a per-thread span timeline and export it as
                         Chrome trace-event JSON (open in ui.perfetto.dev);
                         lane capacity via PARAGRAPH_TIMELINE_EVENTS
+  --progress[=SECS]     analyze: heartbeat line to stderr every SECS seconds
+                        (default 2): records, %done, MB/s, critical path, ETA
+  stats --telemetry FILE   summarize a JSONL log (per-stage table); bad
+                        lines are skipped with a warning (--strict: fail)
+  stats --metrics FILE     validate a Prometheus snapshot
   profile T.json [--top N]        per-stage self-time, lanes, slow slices
   profile A.json --diff B.json    stage-by-stage timeline comparison
   profile CUR --bench-compare BASE [--bench-threshold PCT]
@@ -775,13 +776,11 @@ fn trace_reader(
 /// Runs the workload on the VM and collects its trace.
 fn generate(opts: &Options) -> Result<(Vec<TraceRecord>, SegmentMap), CliError> {
     let mut span = paragraph_core::span!("generate");
-    let mut tspan = telemetry::timeline::timeline_span("generate");
     let workload = opts.build_workload().map_err(usage_err)?;
     let (records, segments) = workload
         .collect_trace(opts.fuel())
         .map_err(|e| CliError::Analysis(format!("{}: {e}", workload.id())))?;
-    span.field("records", records.len() as u64);
-    tspan.arg("records", records.len() as u64);
+    span.arg("records", records.len() as u64);
     Ok((records, segments))
 }
 
@@ -794,7 +793,6 @@ fn generate(opts: &Options) -> Result<(Vec<TraceRecord>, SegmentMap), CliError> 
 fn load_records(opts: &Options) -> Result<LoadedTrace, CliError> {
     let mut loaded = if let Some(path) = &opts.trace {
         let mut span = paragraph_core::span!("decode");
-        let mut tspan = telemetry::timeline::timeline_span("decode");
         let source = open_trace_source(path, opts.mmap)?;
         let mut reader = trace_reader(opts, path, source, Limits::from_env())?;
         let segments = reader.segment_map();
@@ -807,14 +805,12 @@ fn load_records(opts: &Options) -> Result<LoadedTrace, CliError> {
             > 0
         {}
         let recovery = opts.recover.then(|| reader.recovery_stats());
-        span.field("records", reader.records_read());
-        span.field("bytes", reader.bytes_read());
-        tspan.arg("records", reader.records_read());
-        tspan.arg("bytes", reader.bytes_read());
+        span.arg("records", reader.records_read());
+        span.arg("bytes", reader.bytes_read());
         paragraph_core::counter!("decode.records", reader.records_read());
         paragraph_core::counter!("decode.bytes", reader.bytes_read());
         if let Some(stats) = &recovery {
-            span.field("resyncs", stats.resyncs);
+            span.arg("resyncs", stats.resyncs);
             paragraph_core::counter!("decode.resyncs", stats.resyncs);
             paragraph_core::counter!("decode.records_skipped", stats.records_skipped);
         }
@@ -922,85 +918,124 @@ fn save_checkpoint_atomic(analyzer: &LiveWell, path: &str) -> Result<(), CliErro
     .map_err(|e| io_err(path, e))
 }
 
-/// The telemetry wiring of one `analyze` run: whether the global registry
-/// was enabled, and where to drop the Prometheus snapshot.
-struct TelemetrySetup {
-    enabled: bool,
+/// The instrumentation sinks of one command. `--telemetry-out`,
+/// `--metrics-out` and `--progress` arm the global registry, and
+/// `--timeline-out` the flight recorder; with none of them every span stays
+/// inert. [`instrumented`] arms them before a command and closes them after
+/// it, the same way for every command that takes them.
+struct Sinks {
+    registry: bool,
+    telemetry_out: Option<String>,
     metrics_out: Option<String>,
+    timeline_out: Option<String>,
 }
 
-/// Turns telemetry on when any of `--progress`/`--telemetry-out`/
-/// `--metrics-out` asks for it; otherwise the global registry stays absent
-/// and the hot path pays only the macros' disabled check.
-fn init_telemetry(opts: &Options) -> Result<TelemetrySetup, CliError> {
-    let wanted =
-        opts.progress.is_some() || opts.telemetry_out.is_some() || opts.metrics_out.is_some();
-    if !wanted {
-        return Ok(TelemetrySetup {
-            enabled: false,
-            metrics_out: None,
-        });
+impl Sinks {
+    fn arm(opts: &Options) -> Result<Sinks, CliError> {
+        let registry =
+            opts.progress.is_some() || opts.telemetry_out.is_some() || opts.metrics_out.is_some();
+        if registry {
+            let global = telemetry::global();
+            global.enable();
+            if let Some(path) = &opts.telemetry_out {
+                let file = File::create(path).map_err(|e| io_err(path, e))?;
+                global.set_event_sink(Box::new(BufWriter::new(file)));
+            }
+        }
+        if opts.timeline_out.is_some() {
+            let timeline = telemetry::timeline::timeline();
+            // Events per thread lane.
+            if let Some(cap) = std::env::var("PARAGRAPH_TIMELINE_EVENTS")
+                .ok()
+                .and_then(|v| v.trim().parse::<usize>().ok())
+            {
+                timeline.set_lane_capacity(cap);
+            }
+            timeline.enable();
+            telemetry::name_lane(format_args!("main"));
+        }
+        Ok(Sinks {
+            registry,
+            telemetry_out: opts.telemetry_out.clone(),
+            metrics_out: opts.metrics_out.clone(),
+            timeline_out: opts.timeline_out.clone(),
+        })
     }
-    let registry = telemetry::global();
-    registry.enable();
-    if let Some(path) = &opts.telemetry_out {
-        let file = File::create(path).map_err(|e| io_err(path, e))?;
-        registry.set_event_sink(Box::new(BufWriter::new(file)));
+
+    /// Closes every armed sink: the log's final dump and flush, the metrics
+    /// snapshot, the timeline export. Each failure warns and lands in
+    /// `failures`. Touches only the sink files and stderr — never stdout,
+    /// so instrumented output stays byte-identical to a plain run's.
+    fn finish(&self, failures: &mut Vec<String>) {
+        if self.registry {
+            let registry = telemetry::global();
+            registry.emit_final_dump();
+            match registry.flush_sink() {
+                Err(e) => {
+                    eprintln!("warning: telemetry log failed ({e})");
+                    failures.push(format!("telemetry log: {e}"));
+                }
+                Ok(()) => {
+                    if let Some(path) = &self.telemetry_out {
+                        eprintln!("telemetry log written to {path}");
+                    }
+                }
+            }
+            if let Some(path) = &self.metrics_out {
+                match write_metrics_snapshot(path) {
+                    Ok(()) => eprintln!("metrics snapshot written to {path}"),
+                    Err(e) => {
+                        eprintln!("warning: metrics snapshot failed ({e})");
+                        failures.push(format!("metrics {path}: {e}"));
+                    }
+                }
+            }
+        }
+        if let Some(path) = &self.timeline_out {
+            let timeline = telemetry::timeline::timeline();
+            match paragraph_core::artifact::write_atomic(std::path::Path::new(path), |out| {
+                timeline.export_chrome_trace(out)
+            }) {
+                Ok(()) => eprintln!("timeline written to {path}"),
+                Err(e) => {
+                    eprintln!("warning: timeline export failed ({path}: {e})");
+                    failures.push(format!("timeline {path}: {e}"));
+                }
+            }
+        }
     }
-    Ok(TelemetrySetup {
-        enabled: true,
-        metrics_out: opts.metrics_out.clone(),
-    })
+}
+
+/// Runs one instrumented command: arms the sinks, runs `body`, and closes
+/// the sinks whether or not it succeeded, so even a failed run leaves a
+/// complete log. The artifact-failure ledger (`body`'s own failures, then
+/// the sinks') never aborts the work: each failure warns, the command runs
+/// to completion, and a non-empty ledger becomes exit code 3 — unless
+/// `body` failed, whose error wins.
+fn instrumented(
+    opts: &Options,
+    what: &str,
+    body: impl FnOnce(&Sinks, &mut Vec<String>) -> Result<(), CliError>,
+) -> Result<(), CliError> {
+    let sinks = Sinks::arm(opts)?;
+    let mut failures = Vec::new();
+    let result = body(&sinks, &mut failures);
+    sinks.finish(&mut failures);
+    result?;
+    if failures.is_empty() {
+        return Ok(());
+    }
+    Err(CliError::Io(format!(
+        "{what} completed, but {} artifact(s) failed: {}",
+        failures.len(),
+        failures.join("; ")
+    )))
 }
 
 /// Writes the current global metrics as a Prometheus text snapshot.
 fn write_metrics_snapshot(path: &str) -> Result<(), CliError> {
     let text = telemetry::global().snapshot().to_prometheus();
     std::fs::write(path, text).map_err(|e| io_err(path, e))
-}
-
-/// Arms the flight recorder when `--timeline-out` asks for it. Separate
-/// from the metrics registry: a timeline can be recorded without paying
-/// for counters/heartbeats and vice versa. Lane capacity is overridable
-/// via `PARAGRAPH_TIMELINE_EVENTS` (events per thread lane).
-fn init_timeline(opts: &Options) -> bool {
-    if opts.timeline_out.is_none() {
-        return false;
-    }
-    let timeline = telemetry::timeline::timeline();
-    if let Some(cap) = std::env::var("PARAGRAPH_TIMELINE_EVENTS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-    {
-        timeline.set_lane_capacity(cap);
-    }
-    timeline.enable();
-    timeline.set_thread_name("main");
-    true
-}
-
-/// Exports the recorded timeline as Chrome trace-event JSON, atomically.
-/// Touches only the target file and stderr — never stdout, so instrumented
-/// reports stay byte-identical to plain runs.
-fn export_timeline(path: &str) -> Result<(), CliError> {
-    let Some(timeline) = telemetry::timeline::timeline_active() else {
-        return Ok(());
-    };
-    paragraph_core::artifact::write_atomic(std::path::Path::new(path), |out| {
-        timeline.export_chrome_trace(out)
-    })
-    .map_err(|e| io_err(path, e))?;
-    eprintln!("timeline written to {path}");
-    Ok(())
-}
-
-/// [`export_timeline`] with ledger-style degradation: a failed export
-/// warns and lands in the artifact-failure ledger instead of aborting.
-fn export_timeline_degraded(path: &str, artifact_failures: &mut Vec<String>) {
-    if let Err(e) = export_timeline(path) {
-        eprintln!("warning: timeline export failed ({e})");
-        artifact_failures.push(format!("timeline {path}: {e}"));
-    }
 }
 
 /// The sink of an `analyze` run. Checkpoints are saved crash-consistently
@@ -1014,16 +1049,16 @@ struct AnalyzeSink<'a> {
     checkpoint_path: String,
     checkpointing: bool,
     failures: Vec<String>,
-    setup: &'a TelemetrySetup,
+    sinks: &'a Sinks,
     reporter: Option<ProgressReporter>,
 }
 
 impl AnalyzeSink<'_> {
     fn write_checkpoint(&self, well: &LiveWell) -> Result<(), CliError> {
         save_checkpoint_atomic(well, &self.checkpoint_path)?;
-        if self.setup.enabled {
+        if self.sinks.registry {
             well.publish_telemetry(telemetry::global());
-            if let Some(metrics_path) = &self.setup.metrics_out {
+            if let Some(metrics_path) = &self.sinks.metrics_out {
                 write_metrics_snapshot(metrics_path)?;
             }
         }
@@ -1116,7 +1151,7 @@ struct AnalyzeInput {
 /// decoding; any other file (v1, damaged, `--recover`, unmappable) is
 /// counted by one extra pass of the same reader, and only when
 /// checkpoints are in play. No pass keeps the records.
-fn open_input(opts: &Options, setup: &TelemetrySetup) -> Result<AnalyzeInput, CliError> {
+fn open_input(opts: &Options, sinks: &Sinks) -> Result<AnalyzeInput, CliError> {
     let checkpointing = opts.checkpoint_every.is_some() || opts.resume.is_some();
     let skip = opts.skip.unwrap_or(0);
     let Some(path) = &opts.trace else {
@@ -1133,7 +1168,7 @@ fn open_input(opts: &Options, setup: &TelemetrySetup) -> Result<AnalyzeInput, Cl
     let limits = Limits::from_env();
     let source = open_trace_source(path, opts.mmap)?;
     let bytes = std::fs::metadata(path).map_or(0, |m| m.len());
-    let scanned = (!opts.recover && (checkpointing || setup.enabled))
+    let scanned = (!opts.recover && (checkpointing || sinks.registry))
         .then(|| source.shared_bytes())
         .flatten()
         .and_then(|bytes| scan_chunks(&bytes))
@@ -1176,10 +1211,12 @@ fn stop_err(path: &str, stop: Stop) -> CliError {
 /// firewalls across `--jobs` threads (see docs/hotpath.md). The driver
 /// owns the skip/take window, checkpoint cadence and heartbeats; this
 /// function wires its sinks and renders what it returns.
-fn cmd_analyze(opts: &Options) -> Result<(), CliError> {
-    let setup = init_telemetry(opts)?;
-    init_timeline(opts);
-    let input = open_input(opts, &setup)?;
+fn cmd_analyze(
+    opts: &Options,
+    sinks: &Sinks,
+    artifact_failures: &mut Vec<String>,
+) -> Result<(), CliError> {
+    let input = open_input(opts, sinks)?;
     let take = opts.take.map_or(u64::MAX, |t| t as u64);
     let total = input.total.map(|t| t.min(take));
     let name = opts
@@ -1187,7 +1224,7 @@ fn cmd_analyze(opts: &Options) -> Result<(), CliError> {
         .clone()
         .or_else(|| opts.workload.map(|w| w.name().to_owned()))
         .unwrap_or_default();
-    if setup.enabled {
+    if sinks.registry {
         telemetry::global().emit(
             "run_start",
             &[
@@ -1203,7 +1240,6 @@ fn cmd_analyze(opts: &Options) -> Result<(), CliError> {
     let mut analyzer = match &opts.resume {
         Some(path) => {
             let mut span = paragraph_core::span!("checkpoint.load");
-            let _tspan = telemetry::timeline::timeline_span("checkpoint.load");
             let file = File::open(path).map_err(|e| io_err(path, e))?;
             let analyzer = LiveWell::resume_from(BufReader::new(file), config)
                 .map_err(|e| checkpoint_err(path, e))?;
@@ -1212,7 +1248,7 @@ fn cmd_analyze(opts: &Options) -> Result<(), CliError> {
                     .verify_trace_identity(current)
                     .map_err(|e| checkpoint_err(path, e))?;
             }
-            span.field("records", analyzer.records_processed());
+            span.arg("records", analyzer.records_processed());
             eprintln!(
                 "resumed from {path} at record {}",
                 analyzer.records_processed()
@@ -1227,7 +1263,7 @@ fn cmd_analyze(opts: &Options) -> Result<(), CliError> {
         checkpoint_path: checkpoint_path(opts),
         checkpointing: opts.checkpoint_every.is_some(),
         failures: Vec::new(),
-        setup: &setup,
+        sinks,
         reporter: opts.progress.map(|secs| {
             ProgressReporter::new(Duration::from_secs_f64(secs), total)
                 .with_total_bytes((input.bytes > 0).then_some(input.bytes))
@@ -1262,8 +1298,8 @@ fn cmd_analyze(opts: &Options) -> Result<(), CliError> {
             Source::Slice(records) => run.slice(&records),
         };
         let stats = run.stats();
-        span.field("records", stats.analyzed);
-        span.field("bytes", stats.bytes);
+        span.arg("records", stats.analyzed);
+        span.arg("bytes", stats.bytes);
         (outcome, stats)
     };
     if let Some(decoded) = &stats.decode {
@@ -1289,20 +1325,12 @@ fn cmd_analyze(opts: &Options) -> Result<(), CliError> {
         }
     }
     sink.tick(&analyzer, 0, stats.bytes, true);
-    // Artifact-failure ledger: sink failures (checkpoint, telemetry log,
-    // metrics, CSVs) never abort the analysis — they warn, the analysis
-    // runs to completion, and a non-empty ledger becomes exit code 3.
-    let mut artifact_failures = sink.failures;
+    artifact_failures.append(&mut sink.failures);
 
     let report = paragraph_core::run::report(analyzer);
-    print_report(&report, opts, &mut artifact_failures);
-    if let Some(path) = &opts.timeline_out {
-        export_timeline_degraded(path, &mut artifact_failures);
-    }
-
-    if setup.enabled {
-        let registry = telemetry::global();
-        registry.emit(
+    print_report(&report, opts, artifact_failures);
+    if sinks.registry {
+        telemetry::global().emit(
             "run_end",
             &[
                 ("records", Value::U64(report.total_records())),
@@ -1310,30 +1338,6 @@ fn cmd_analyze(opts: &Options) -> Result<(), CliError> {
                 ("critical_path", Value::U64(report.critical_path_length())),
             ],
         );
-        registry.emit_final_dump();
-        if let Err(e) = registry.flush_sink() {
-            eprintln!("warning: telemetry log failed ({e}); analysis output is complete");
-            artifact_failures.push(format!("telemetry log: {e}"));
-        }
-        if let Some(path) = &setup.metrics_out {
-            match write_metrics_snapshot(path) {
-                Ok(()) => eprintln!("metrics snapshot written to {path}"),
-                Err(e) => {
-                    eprintln!("warning: metrics snapshot failed ({e})");
-                    artifact_failures.push(format!("metrics {path}: {e}"));
-                }
-            }
-        }
-        if let Some(path) = &opts.telemetry_out {
-            eprintln!("telemetry log written to {path}");
-        }
-    }
-    if !artifact_failures.is_empty() {
-        return Err(CliError::Io(format!(
-            "analysis completed, but {} artifact(s) failed: {}",
-            artifact_failures.len(),
-            artifact_failures.join("; ")
-        )));
     }
     Ok(())
 }
@@ -1461,7 +1465,6 @@ fn cmd_ingest(opts: &Options) -> Result<(), CliError> {
 }
 
 fn cmd_run(opts: &Options) -> Result<(), CliError> {
-    init_timeline(opts);
     let path = opts
         .asm
         .as_deref()
@@ -1470,7 +1473,7 @@ fn cmd_run(opts: &Options) -> Result<(), CliError> {
     // Assembly files are front-door input too: assemble under limits so a
     // hostile `.space` declaration is a typed rejection, not an allocation.
     let program = {
-        let _tspan = telemetry::timeline::timeline_span("assemble");
+        let _span = paragraph_core::span!("assemble");
         paragraph_asm::assemble_with_limits(
             &source,
             paragraph_asm::DEFAULT_DATA_BASE,
@@ -1493,11 +1496,11 @@ fn cmd_run(opts: &Options) -> Result<(), CliError> {
     let mut vm = Vm::new(program);
     vm.extend_input(opts.inputs.iter().copied());
     let outcome = {
-        let mut tspan = telemetry::timeline::timeline_span("vm.run");
+        let mut span = paragraph_core::span!("vm.run");
         let outcome = vm
             .run(opts.fuel())
             .map_err(|e| CliError::Analysis(format!("{path}: {e}")))?;
-        tspan.arg("instructions", outcome.executed());
+        span.arg("instructions", outcome.executed());
         outcome
     };
     print!("{}", vm.output());
@@ -1506,9 +1509,6 @@ fn cmd_run(opts: &Options) -> Result<(), CliError> {
         outcome.executed(),
         outcome.reason()
     );
-    if let Some(out) = &opts.timeline_out {
-        export_timeline(out)?;
-    }
     Ok(())
 }
 
@@ -1856,7 +1856,6 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
     if !opts.workloads.is_empty() {
         return cmd_sweep_grid(opts);
     }
-    init_timeline(opts);
     let LoadedTrace {
         records, segments, ..
     } = load_records(opts)?;
@@ -1866,7 +1865,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
         opts.windows.clone()
     };
     let full = {
-        let _tspan = telemetry::timeline::timeline_span("sweep.window");
+        let _span = paragraph_core::span!("sweep.window");
         analyze_refs(&records, &opts.config(segments))
     };
     let total = full.available_parallelism();
@@ -1877,11 +1876,8 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
     for &w in &windows {
         let config = opts.config(segments).with_window(WindowSize::bounded(w));
         let report = {
-            let mut tspan = match telemetry::timeline::timeline_active() {
-                Some(timeline) => timeline.span_labeled("sweep.window", Some(&format!("w{w}"))),
-                None => telemetry::timeline::timeline_span("sweep.window"),
-            };
-            tspan.arg("window", w as u64);
+            let mut span = paragraph_core::span!("sweep.window", "w{w}");
+            span.arg("window", w as u64);
             analyze_refs(&records, &config)
         };
         println!(
@@ -1898,9 +1894,6 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
         total,
         "100.00%"
     );
-    if let Some(out) = &opts.timeline_out {
-        export_timeline(out)?;
-    }
     Ok(())
 }
 
@@ -1924,8 +1917,6 @@ fn cmd_sweep_grid(opts: &Options) -> Result<(), CliError> {
             "use --windows (the ladder) instead of --window with --workloads",
         ));
     }
-    let setup = init_telemetry(opts)?;
-    init_timeline(opts);
     let windows = if opts.windows.is_empty() {
         vec![1, 10, 100, 1000, 10_000, 100_000]
     } else {
@@ -2041,12 +2032,6 @@ fn cmd_sweep_grid(opts: &Options) -> Result<(), CliError> {
         outcome.arena.hits,
         outcome.arena.evictions,
     );
-    if let Some(path) = &setup.metrics_out {
-        write_metrics_snapshot(path)?;
-    }
-    if let Some(path) = &opts.timeline_out {
-        export_timeline(path)?;
-    }
     if outcome.quarantined() > 0 {
         let details: Vec<String> = outcome
             .cells

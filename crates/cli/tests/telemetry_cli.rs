@@ -109,6 +109,128 @@ fn instrumented_report_is_byte_identical_and_artifacts_parse() {
     let _ = std::fs::remove_file(&prom);
 }
 
+/// Checks the artifacts of one instrumented command: the log parses
+/// strictly and ends with the final dump, its stage table lists `stage`
+/// with `calls` calls, and the metrics snapshot (when written) validates.
+fn assert_complete_artifacts(
+    jsonl: &PathBuf,
+    prom: Option<&PathBuf>,
+    stage: &str,
+    calls: u64,
+) -> String {
+    let log = std::fs::read_to_string(jsonl).expect("read the event log");
+    assert!(
+        log.lines()
+            .last()
+            .is_some_and(|l| l.contains("\"event\":\"span_total\"")),
+        "the log must end with the final dump: {log}"
+    );
+    let stats = paragraph(&[
+        "stats",
+        "--strict",
+        "--telemetry",
+        jsonl.to_str().expect("utf-8 temp path"),
+    ]);
+    assert!(
+        stats.status.success(),
+        "stats --strict rejected the log: {}",
+        String::from_utf8_lossy(&stats.stderr)
+    );
+    let table = String::from_utf8_lossy(&stats.stdout).into_owned();
+    let row = table
+        .lines()
+        .find(|l| l.split_whitespace().next() == Some(stage))
+        .unwrap_or_else(|| panic!("stage table lacks {stage}: {table}"));
+    assert_eq!(
+        row.split_whitespace().nth(1),
+        Some(calls.to_string().as_str()),
+        "{stage} calls: {row}"
+    );
+    if let Some(prom) = prom {
+        let metrics = paragraph(&[
+            "stats",
+            "--metrics",
+            prom.to_str().expect("utf-8 temp path"),
+        ]);
+        assert!(
+            metrics.status.success(),
+            "stats --metrics rejected the snapshot: {}",
+            String::from_utf8_lossy(&metrics.stderr)
+        );
+    }
+    table
+}
+
+#[test]
+fn every_instrumented_command_writes_complete_artifacts() {
+    let jsonl = scratch("sweep.jsonl");
+    let prom = scratch("sweep.prom");
+    let grid = paragraph(&[
+        "sweep",
+        "--workloads",
+        "xlisp,eqntott",
+        "--windows",
+        "64",
+        "--fuel",
+        "30000",
+        "--jobs",
+        "2",
+        "--telemetry-out",
+        jsonl.to_str().expect("utf-8 temp path"),
+        "--metrics-out",
+        prom.to_str().expect("utf-8 temp path"),
+    ]);
+    assert!(
+        grid.status.success(),
+        "grid sweep failed: {}",
+        String::from_utf8_lossy(&grid.stderr)
+    );
+    assert_complete_artifacts(&jsonl, Some(&prom), "sweep.cell", 4);
+
+    let ladder = paragraph(&[
+        "sweep",
+        "--workload",
+        "matrix300",
+        "--size",
+        "4",
+        "--windows",
+        "1,10",
+        "--telemetry-out",
+        jsonl.to_str().expect("utf-8 temp path"),
+    ]);
+    assert!(
+        ladder.status.success(),
+        "window ladder failed: {}",
+        String::from_utf8_lossy(&ladder.stderr)
+    );
+    // The full-window pass plus one per window.
+    assert_complete_artifacts(&jsonl, None, "sweep.window", 3);
+
+    let asm = scratch("run.s");
+    std::fs::write(&asm, ".text\nmain: li r8, 3\nhalt\n").expect("write asm");
+    let run = paragraph(&[
+        "run",
+        "--asm",
+        asm.to_str().expect("utf-8 temp path"),
+        "--telemetry-out",
+        jsonl.to_str().expect("utf-8 temp path"),
+    ]);
+    assert!(
+        run.status.success(),
+        "run failed: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let table = assert_complete_artifacts(&jsonl, None, "vm.run", 1);
+    assert!(
+        table.contains("assemble"),
+        "stage table lacks assemble: {table}"
+    );
+
+    for path in [&jsonl, &prom, &asm] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
 #[test]
 fn malformed_artifacts_are_rejected() {
     let bad = scratch("bad.jsonl");

@@ -21,8 +21,9 @@
 //! heartbeat every [`BEAT_STRIDE`] records. What a checkpoint or a
 //! heartbeat *does* is the injected [`RunSink`]'s business (`()` for
 //! nothing), as a storage-generic interpreter injects its storage, never
-//! chosen by a flag inside the loop. The driver emits the `livewell`, `checkpoint.save`, `segment`
-//! and `merge` timeline spans, and [`report`] the `report` span.
+//! chosen by a flag inside the loop. The driver marks the `livewell`,
+//! `checkpoint.save`, `segment`, `merge` and `decode.block` spans, and
+//! [`report`] the `report` span, each with one [`span!`](crate::span).
 //!
 //! A run ends cleanly or with a typed [`Stop`]; [`Run::stats`] says what it
 //! did either way. Every stop leaves
@@ -32,7 +33,7 @@
 use crate::livewell::LiveWell;
 use crate::parallel;
 use crate::report::AnalysisReport;
-use crate::telemetry::timeline::{timeline_active, timeline_span, TimelineSpan};
+use crate::telemetry::{self, Span};
 use paragraph_trace::binary::TraceReader;
 use paragraph_trace::source::{DecodeAhead, DecodeEvent, DecodeFinal, DecodeObserver};
 use paragraph_trace::{TraceError, TraceRecord, TraceSource};
@@ -405,11 +406,9 @@ impl<'w, S: RunSink> Run<'w, S> {
                 .map(|(i, (&lo, hi))| {
                     let (segment, config, workers) = (&input[lo..hi], &config, &workers);
                     scope.spawn(move || {
-                        if let Some(timeline) = timeline_active() {
-                            timeline.set_thread_name(&format!("analyze-{}", i + 1));
-                        }
-                        let mut tspan = timeline_span("segment");
-                        tspan.arg("records", segment.len() as u64);
+                        telemetry::name_lane(format_args!("analyze-{}", i + 1));
+                        let mut span = crate::span!("segment");
+                        span.arg("records", segment.len() as u64);
                         parallel::run_segment_until(segment, config, workers, deadline)
                     })
                 })
@@ -427,8 +426,8 @@ impl<'w, S: RunSink> Run<'w, S> {
         let outcomes = outcomes.into_iter().collect::<Result<Vec<_>, Stop>>()?;
         if outcomes.iter().all(Option::is_some) {
             self.stats.analyzed += workers.load(Ordering::Relaxed);
-            let mut tspan = timeline_span("merge");
-            tspan.arg("segments", outcomes.len() as u64);
+            let mut span = crate::span!("merge");
+            span.arg("segments", outcomes.len() as u64);
             for segment in outcomes.iter().flatten() {
                 self.well.merge_segment(segment);
             }
@@ -450,26 +449,22 @@ impl<'w, S: RunSink> Run<'w, S> {
 /// slower on the 10M-record memwalk trace (two cores, alternating runs).
 #[inline(never)]
 fn process(well: &mut LiveWell, records: &[TraceRecord]) {
-    let mut tspan = timeline_span("livewell");
-    tspan.arg("records", records.len() as u64);
+    let mut span = crate::span!("livewell");
+    span.arg("records", records.len() as u64);
     well.process_slice(records);
 }
 
 /// Hands a checkpoint of `well` to `sink` under a `checkpoint.save` span:
 /// the driver's call at each boundary, and a caller's final save.
 pub fn checkpoint<S: RunSink + ?Sized>(sink: &mut S, well: &LiveWell) {
-    let records = well.records_processed();
     let mut span = crate::span!("checkpoint.save");
-    span.field("records", records);
-    let mut tspan = timeline_span("checkpoint.save");
-    tspan.arg("records", records);
+    span.arg("records", well.records_processed());
     sink.checkpoint(well);
 }
 
 /// Finishes `well` into its report under a `report` span.
 pub fn report(well: LiveWell) -> AnalysisReport {
     let _span = crate::span!("report");
-    let _tspan = timeline_span("report");
     well.finish()
 }
 
@@ -482,13 +477,15 @@ fn window(records: &[TraceRecord], skip: u64, take: u64) -> &[TraceRecord] {
 }
 
 /// Names the decode-ahead thread's timeline lane and gives each block
-/// decode a `decode.block` slice, when the flight recorder is on.
+/// decode a `decode.block` span, when a sink is armed.
 fn decode_observer() -> Option<DecodeObserver> {
-    let timeline = timeline_active()?;
-    let mut block: Option<TimelineSpan<'static>> = None;
+    if !telemetry::armed() {
+        return None;
+    }
+    let mut block: Option<Span<'static>> = None;
     Some(Box::new(move |event: DecodeEvent| match event {
-        DecodeEvent::ThreadStart => timeline.set_thread_name("decode-ahead"),
-        DecodeEvent::BlockStart => block = Some(timeline.span("decode.block")),
+        DecodeEvent::ThreadStart => telemetry::name_lane(format_args!("decode-ahead")),
+        DecodeEvent::BlockStart => block = Some(crate::span!("decode.block")),
         DecodeEvent::BlockEnd { records } => {
             if let Some(mut span) = block.take() {
                 span.arg("records", records as u64);

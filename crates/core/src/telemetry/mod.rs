@@ -16,8 +16,13 @@
 //! * **Macros** — [`counter!`](crate::counter), [`gauge!`](crate::gauge),
 //!   [`histogram!`](crate::histogram), [`span!`](crate::span) — are safe to
 //!   leave in hot loops. With the `telemetry` cargo feature disabled they
-//!   compile to nothing; with the feature on but telemetry not enabled at
-//!   runtime they cost two relaxed atomic loads and a branch.
+//!   compile to nothing; with the feature on but no sink armed at runtime
+//!   they cost two relaxed atomic loads and a branch.
+//! * **One span guard** — [`Span`], opened by [`span!`](crate::span), marks
+//!   a stage once for every sink: on drop it records into the registry
+//!   aggregate (the JSONL `span` event and the Prometheus
+//!   `_seconds_total`/`_calls_total` pair) and puts one complete event on
+//!   the calling thread's timeline lane.
 //! * **Sinks** — a JSONL structured event log ([`Registry::set_event_sink`]),
 //!   a Prometheus text snapshot ([`prom`]), and a human stderr heartbeat
 //!   ([`progress`]). [`summary`] parses a JSONL log back into a per-stage
@@ -38,7 +43,8 @@
 //! registry.counter("decode.records").add(4096);
 //! registry.histogram("livewell.occupancy").observe(12_000);
 //! {
-//!     let _guard = registry.span("decode");
+//!     let mut span = registry.span("decode");
+//!     span.arg("records", 4096);
 //!     // ... timed work ...
 //! }
 //! let snapshot = registry.snapshot();
@@ -333,6 +339,36 @@ struct Inner {
     sink_failed: bool,
 }
 
+impl Inner {
+    /// The event sink, unless none is installed or a write has failed.
+    fn live_sink(&mut self) -> Option<&mut (dyn Write + Send + 'static)> {
+        if self.sink_failed {
+            return None;
+        }
+        self.sink.as_deref_mut()
+    }
+
+    /// Formats one event line, timed from `start`, and writes it — only
+    /// when a live sink takes it. A failed write disables the sink.
+    fn write_event(&mut self, start: Instant, event: &str, fields: &[(&str, Value<'_>)]) {
+        let Some(sink) = self.live_sink() else {
+            return;
+        };
+        let ts = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let mut line = String::with_capacity(64 + 24 * fields.len());
+        line.push_str(&format!("{{\"ts_ns\":{ts},\"event\":\""));
+        write_json_escaped(&mut line, event);
+        line.push('"');
+        for &(key, value) in fields {
+            append_field(&mut line, key, value);
+        }
+        line.push_str("}\n");
+        if sink.write_all(line.as_bytes()).is_err() {
+            self.sink_failed = true;
+        }
+    }
+}
+
 /// A named-metric registry with an optional structured event sink.
 ///
 /// One process-wide registry ([`global`]) backs the macros; libraries that
@@ -441,55 +477,44 @@ impl Registry {
     }
 
     /// Emits one structured event line (`{"ts_ns":..,"event":..,...fields}`)
-    /// to the sink, if one is installed. Events are flat: scalar fields
-    /// only, which keeps the log greppable and the parser trivial.
+    /// to the sink, if one is installed; with none (or a failed one) the
+    /// line is never formatted. Events are flat: scalar fields only, which
+    /// keeps the log greppable and the parser trivial.
     pub fn emit(&self, event: &str, fields: &[(&str, Value<'_>)]) {
-        let ts = self.elapsed_ns();
-        let mut line = String::with_capacity(64 + 24 * fields.len());
-        line.push_str(&format!("{{\"ts_ns\":{ts},\"event\":\""));
-        write_json_escaped(&mut line, event);
-        line.push('"');
-        for &(key, value) in fields {
-            append_field(&mut line, key, value);
-        }
-        line.push_str("}\n");
-        let mut inner = self.lock();
-        if inner.sink_failed {
-            return;
-        }
-        if let Some(sink) = inner.sink.as_mut() {
-            if sink.write_all(line.as_bytes()).is_err() {
-                inner.sink_failed = true;
-            }
-        }
+        self.lock().write_event(self.start, event, fields);
     }
 
-    /// Starts a timed span; the guard records on drop. Inert when the
-    /// registry is disabled.
-    pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
-        SpanGuard {
-            registry: self.is_enabled().then_some(self),
-            name,
-            start: Instant::now(),
-            fields: Vec::new(),
-        }
+    /// Opens a span on this registry alone (inert when it is disabled); the
+    /// [`span!`](crate::span) macro opens one on every armed global sink.
+    pub fn span(&self, name: &'static str) -> Span<'_> {
+        Span::new(self.is_enabled().then_some(self), None, name)
     }
 
     /// Records one completed execution of span `name` and emits a `span`
-    /// event carrying the duration plus any `extra` fields.
-    pub fn record_span(&self, name: &'static str, dur_ns: u64, extra: &[(&str, Value<'_>)]) {
-        {
-            let mut inner = self.lock();
-            let stat = inner.spans.entry(name).or_default();
-            stat.count = stat.count.saturating_add(1);
-            stat.total_ns = stat.total_ns.saturating_add(dur_ns);
-            stat.max_ns = stat.max_ns.max(dur_ns);
+    /// event carrying the duration, the label if any, and the span's args.
+    fn record_span(
+        &self,
+        name: &'static str,
+        dur_ns: u64,
+        label: Option<&str>,
+        args: &[(&'static str, u64)],
+    ) {
+        let mut inner = self.lock();
+        let stat = inner.spans.entry(name).or_default();
+        stat.count = stat.count.saturating_add(1);
+        stat.total_ns = stat.total_ns.saturating_add(dur_ns);
+        stat.max_ns = stat.max_ns.max(dur_ns);
+        if inner.live_sink().is_none() {
+            return;
         }
-        let mut fields: Vec<(&str, Value<'_>)> = Vec::with_capacity(2 + extra.len());
+        let mut fields: Vec<(&str, Value<'_>)> = Vec::with_capacity(3 + args.len());
         fields.push(("name", Value::Str(name)));
         fields.push(("dur_ns", Value::U64(dur_ns)));
-        fields.extend_from_slice(extra);
-        self.emit("span", &fields);
+        if let Some(label) = label {
+            fields.push(("label", Value::Str(label)));
+        }
+        fields.extend(args.iter().map(|&(k, v)| (k, Value::U64(v))));
+        inner.write_event(self.start, "span", &fields);
     }
 
     /// Emits every counter, gauge and span aggregate as `counter`/`gauge`/
@@ -584,46 +609,95 @@ impl MetricsSnapshot {
     }
 }
 
-/// RAII timer for one span execution; records into its registry on drop.
+/// One timed stage, marked once for every armed sink.
 ///
-/// Obtained from [`Registry::span`] or the [`span!`](crate::span) macro.
-/// Extra `u64` fields attached with [`SpanGuard::field`] travel on the
-/// emitted `span` event (e.g. records decoded inside the span).
+/// Opened by the [`span!`](crate::span) macro on the global sinks, or by
+/// [`Registry::span`] / [`Timeline::span`](timeline::Timeline::span) on one
+/// private sink. On drop it records one execution into the registry
+/// aggregate — which feeds the JSONL `span` event and the Prometheus
+/// `_seconds_total`/`_calls_total` pair — and one complete event on the
+/// calling thread's timeline lane. A guard opened with no sink armed is
+/// inert: it reads no clock, allocates nothing and formats no label.
 #[derive(Debug)]
-pub struct SpanGuard<'a> {
-    registry: Option<&'a Registry>,
-    name: &'static str,
-    start: Instant,
-    fields: Vec<(&'static str, u64)>,
+#[must_use = "a span times the region until the guard drops"]
+pub struct Span<'a> {
+    open: Option<OpenSpan<'a>>,
 }
 
-impl SpanGuard<'_> {
-    /// Attaches an extra field to the span's completion event.
-    pub fn field(&mut self, key: &'static str, value: u64) {
-        if self.registry.is_some() {
-            self.fields.push((key, value));
+#[derive(Debug)]
+struct OpenSpan<'a> {
+    registry: Option<&'a Registry>,
+    timeline: Option<&'a timeline::Timeline>,
+    name: &'static str,
+    label: Option<String>,
+    start: Instant,
+    args: Vec<(&'static str, u64)>,
+}
+
+impl<'a> Span<'a> {
+    /// Opens span `name` on the given sinks; inert when both are `None`.
+    pub fn new(
+        registry: Option<&'a Registry>,
+        timeline: Option<&'a timeline::Timeline>,
+        name: &'static str,
+    ) -> Span<'a> {
+        let open = (registry.is_some() || timeline.is_some()).then(|| OpenSpan {
+            registry,
+            timeline,
+            name,
+            label: None,
+            start: Instant::now(),
+            args: Vec::new(),
+        });
+        Span { open }
+    }
+
+    /// Gives the span a dynamic label (the timeline slice name and the JSONL
+    /// `label` field; `name` stays the aggregation key). `label` runs only
+    /// when a sink is armed.
+    pub fn labeled(mut self, label: impl FnOnce() -> String) -> Span<'a> {
+        if let Some(open) = &mut self.open {
+            open.label = Some(label());
+        }
+        self
+    }
+
+    /// Attaches a scalar arg, carried by the JSONL event and the timeline
+    /// slice (e.g. records decoded inside the span).
+    pub fn arg(&mut self, key: &'static str, value: u64) {
+        if let Some(open) = &mut self.open {
+            open.args.push((key, value));
         }
     }
 
-    /// Whether this guard will record anything (false when telemetry was
-    /// disabled at creation).
+    /// Whether this guard will record anything (false when no sink was
+    /// armed at creation).
     pub fn is_active(&self) -> bool {
-        self.registry.is_some()
+        self.open.is_some()
     }
 }
 
-impl Drop for SpanGuard<'_> {
+impl Span<'static> {
+    /// Opens span `name` on every armed global sink — what
+    /// [`span!`](crate::span) expands to.
+    #[inline]
+    pub fn global(name: &'static str) -> Span<'static> {
+        Span::new(active(), timeline::timeline_active(), name)
+    }
+}
+
+impl Drop for Span<'_> {
     fn drop(&mut self) {
-        let Some(registry) = self.registry else {
+        let Some(open) = self.open.take() else {
             return;
         };
-        let dur = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let extra: Vec<(&str, Value<'_>)> = self
-            .fields
-            .iter()
-            .map(|&(k, v)| (k, Value::U64(v)))
-            .collect();
-        registry.record_span(self.name, dur, &extra);
+        let dur_ns = u64::try_from(open.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        if let Some(registry) = open.registry {
+            registry.record_span(open.name, dur_ns, open.label.as_deref(), &open.args);
+        }
+        if let Some(timeline) = open.timeline {
+            timeline.complete(open.name, open.label, open.start, dur_ns, open.args);
+        }
     }
 }
 
@@ -657,17 +731,18 @@ pub fn enabled() -> bool {
     active().is_some()
 }
 
-/// Starts a span on the global registry (inert when telemetry is off).
+/// Whether any global sink — the registry or the timeline — is armed.
 #[inline]
-pub fn global_span(name: &'static str) -> SpanGuard<'static> {
-    match active() {
-        Some(registry) => registry.span(name),
-        None => SpanGuard {
-            registry: None,
-            name,
-            start: Instant::now(),
-            fields: Vec::new(),
-        },
+pub(crate) fn armed() -> bool {
+    active().is_some() || timeline::timeline_active().is_some()
+}
+
+/// Names the calling thread's lane on the global timeline (`worker-3`),
+/// the Perfetto track title. A no-op, formatting nothing, when the
+/// timeline is disarmed.
+pub fn name_lane(name: std::fmt::Arguments<'_>) {
+    if let Some(timeline) = timeline::timeline_active() {
+        timeline.set_thread_name(&name.to_string());
     }
 }
 
@@ -715,17 +790,24 @@ macro_rules! histogram {
     }};
 }
 
-/// Opens a timed span on the global registry; bind the result to keep it
-/// alive for the region being timed:
+/// Opens a [`Span`] on every armed global sink; bind the result to keep it
+/// alive for the region being timed. A second form labels the span,
+/// formatting the label only when a sink is armed:
 ///
 /// ```
-/// let _span = paragraph_core::span!("decode");
+/// let mut span = paragraph_core::span!("decode");
+/// span.arg("records", 4096);
 /// // ... timed work ...
+/// let (workload, config) = ("xlisp", "w64");
+/// let _cell = paragraph_core::span!("sweep.cell", "{workload}@{config}");
 /// ```
 #[macro_export]
 macro_rules! span {
     ($name:literal) => {
-        $crate::telemetry::global_span($name)
+        $crate::telemetry::Span::global($name)
+    };
+    ($name:literal, $($label:tt)+) => {
+        $crate::telemetry::Span::global($name).labeled(|| ::std::format!($($label)+))
     };
 }
 
@@ -841,7 +923,7 @@ mod tests {
         registry.set_event_sink(Box::new(SharedSink(Arc::clone(&sink))));
         {
             let mut guard = registry.span("stage");
-            guard.field("records", 17);
+            guard.arg("records", 17);
         }
         {
             let _guard = registry.span("stage");
@@ -854,6 +936,38 @@ mod tests {
         assert_eq!(log.lines().count(), 2);
         assert!(log.contains("\"event\":\"span\""));
         assert!(log.contains("\"records\":17"));
+    }
+
+    #[test]
+    fn one_span_feeds_the_registry_and_the_timeline() {
+        let registry = Registry::new();
+        registry.enable();
+        let sink: Arc<Mutex<Vec<u8>>> = Arc::default();
+        registry.set_event_sink(Box::new(SharedSink(Arc::clone(&sink))));
+        let timeline = timeline::Timeline::new();
+        timeline.enable();
+        {
+            let mut span = Span::new(Some(&registry), Some(&timeline), "sweep.cell")
+                .labeled(|| "xlisp@w64".to_owned());
+            span.arg("records", 9);
+        }
+        assert_eq!(registry.snapshot().spans["sweep.cell"].count, 1);
+        let log = String::from_utf8(sink.lock().unwrap().clone()).unwrap();
+        let events = summary::parse_jsonl(&log).unwrap();
+        let label = events[0].field("label").and_then(|v| v.as_str());
+        assert_eq!(label, Some("xlisp@w64"));
+        assert_eq!(events[0].field("records").and_then(|v| v.as_u64()), Some(9));
+        let lanes = timeline.snapshot();
+        let event = &lanes[0].events[0];
+        assert_eq!(event.name, "sweep.cell");
+        assert_eq!(event.label.as_deref(), Some("xlisp@w64"));
+        assert_eq!(event.args, vec![("records", 9)]);
+    }
+
+    #[test]
+    fn an_unarmed_span_formats_no_label() {
+        let span = Span::new(None, None, "idle").labeled(|| unreachable!("no sink is armed"));
+        assert!(!span.is_active());
     }
 
     #[test]
@@ -904,7 +1018,7 @@ mod tests {
         registry.counter("c").add(1);
         registry.gauge("g").set(2);
         registry.histogram("h").observe(3);
-        registry.record_span("s", 10, &[]);
+        registry.record_span("s", 10, None, &[]);
         registry.emit_final_dump();
         let log = String::from_utf8(sink.lock().unwrap().clone()).unwrap();
         for needle in [
@@ -917,8 +1031,13 @@ mod tests {
         }
     }
 
+    /// Serializes the tests that flip the process-global registry, which
+    /// would otherwise enable and disable it under each other.
+    static GLOBAL_REGISTRY: Mutex<()> = Mutex::new(());
+
     #[test]
     fn macros_are_inert_without_an_enabled_global_registry() {
+        let _serial = GLOBAL_REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
         // Never enabled in this test binary unless another test enabled it;
         // either way the macros must not panic, and with the registry
         // disabled they must record nothing new.
@@ -932,6 +1051,7 @@ mod tests {
 
     #[test]
     fn macros_record_through_the_global_registry_when_enabled() {
+        let _serial = GLOBAL_REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
         global().enable();
         counter!("test.macro.live_counter", 2);
         counter!("test.macro.live_counter", 3);

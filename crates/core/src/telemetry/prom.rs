@@ -162,7 +162,7 @@ mod tests {
         registry.gauge("livewell.floor").set(-3);
         registry.histogram("livewell.occupancy").observe(5);
         registry.histogram("livewell.occupancy").observe(5000);
-        registry.record_span("analyze", 1_500_000, &[]);
+        registry.record_span("analyze", 1_500_000, None, &[]);
         let text = registry.snapshot().to_prometheus();
         let samples = validate(&text).expect("rendered snapshot must validate");
         assert!(samples >= 6, "expected several samples, got {samples}");

@@ -2,51 +2,14 @@
 //!
 //! The event log written via [`Registry::emit`](super::Registry::emit) is a
 //! deliberately flat dialect of JSON — one object per line, scalar fields
-//! only. [`parse_jsonl`] reads exactly that dialect with no external
-//! dependencies, and [`summarize`]/[`render_table`] turn a log into the
-//! per-stage time/throughput table behind `paragraph stats --telemetry`.
+//! only. [`parse_jsonl_lossy`] reads each line with the one JSON parser,
+//! [`parse_json`], and rejects what the writer never produces; [`summarize`]/
+//! [`render_table`] turn a log into the per-stage time/throughput table
+//! behind `paragraph stats --telemetry`.
 
+use super::tracefmt::{parse_json, JsonValue};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// One scalar field value from a telemetry event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FieldValue {
-    /// A JSON number (integers are representable exactly up to 2^53).
-    Num(f64),
-    /// A JSON string, unescaped.
-    Str(String),
-    /// `true`/`false`.
-    Bool(bool),
-    /// `null`.
-    Null,
-}
-
-impl FieldValue {
-    /// The value as `u64`, when it is a non-negative integral number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            FieldValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-
-    /// The value as `f64`, when numeric.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            FieldValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as `&str`, when a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            FieldValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
 
 /// One parsed telemetry event.
 #[derive(Debug, Clone)]
@@ -55,168 +18,56 @@ pub struct Event {
     pub ts_ns: u64,
     /// Event kind (`span`, `progress`, `run_start`, ...).
     pub event: String,
-    /// Remaining fields, in file order of first occurrence.
-    pub fields: BTreeMap<String, FieldValue>,
+    /// Remaining fields, each a scalar (string, number, bool or null).
+    pub fields: BTreeMap<String, JsonValue>,
 }
 
 impl Event {
     /// Field accessor.
-    pub fn field(&self, key: &str) -> Option<&FieldValue> {
+    pub fn field(&self, key: &str) -> Option<&JsonValue> {
         self.fields.get(key)
     }
 }
 
-/// Parses a flat JSON object: `{"key": scalar, ...}` with string, number,
-/// bool, or null values. Nested objects/arrays are rejected — the telemetry
-/// writer never produces them.
-fn parse_flat_object(line: &str) -> Result<BTreeMap<String, FieldValue>, String> {
+/// Parses one log line: a flat JSON object with a `ts_ns` and an `event`.
+fn parse_line(line: &str) -> Result<Event, String> {
+    let JsonValue::Obj(members) = parse_json(line)? else {
+        return Err("expected a JSON object".to_owned());
+    };
     let mut fields = BTreeMap::new();
-    let mut chars = line.char_indices().peekable();
-
-    fn skip_ws(chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>) {
-        while matches!(chars.peek(), Some((_, c)) if c.is_ascii_whitespace()) {
-            chars.next();
+    for (key, value) in members {
+        if matches!(value, JsonValue::Arr(_) | JsonValue::Obj(_)) {
+            return Err(format!("nested value in field {key:?}"));
         }
-    }
-
-    fn parse_string(
-        chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-    ) -> Result<String, String> {
-        match chars.next() {
-            Some((_, '"')) => {}
-            other => return Err(format!("expected string, found {other:?}")),
-        }
-        let mut out = String::new();
-        loop {
-            match chars.next() {
-                Some((_, '"')) => return Ok(out),
-                Some((_, '\\')) => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, '/')) => out.push('/'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, 'b')) => out.push('\u{8}'),
-                    Some((_, 'f')) => out.push('\u{c}'),
-                    Some((_, 'u')) => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = chars
-                                .next()
-                                .and_then(|(_, c)| c.to_digit(16))
-                                .ok_or("bad \\u escape")?;
-                            code = code * 16 + d;
-                        }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some((_, c)) => out.push(c),
-                None => return Err("unterminated string".to_owned()),
-            }
-        }
-    }
-
-    skip_ws(&mut chars);
-    match chars.next() {
-        Some((_, '{')) => {}
-        _ => return Err("expected '{'".to_owned()),
-    }
-    skip_ws(&mut chars);
-    if matches!(chars.peek(), Some((_, '}'))) {
-        chars.next();
-        return Ok(fields);
-    }
-    loop {
-        skip_ws(&mut chars);
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some((_, ':')) => {}
-            other => return Err(format!("expected ':', found {other:?}")),
-        }
-        skip_ws(&mut chars);
-        let value = match chars.peek() {
-            Some((_, '"')) => FieldValue::Str(parse_string(&mut chars)?),
-            Some(&(start, c)) if c == '-' || c.is_ascii_digit() => {
-                let mut end = start;
-                while let Some(&(i, c)) = chars.peek() {
-                    if c == '-'
-                        || c == '+'
-                        || c == '.'
-                        || c == 'e'
-                        || c == 'E'
-                        || c.is_ascii_digit()
-                    {
-                        end = i + c.len_utf8();
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                let text = &line[start..end];
-                FieldValue::Num(text.parse::<f64>().map_err(|e| format!("{text:?}: {e}"))?)
-            }
-            Some((_, 't' | 'f' | 'n')) => {
-                let mut word = String::new();
-                while matches!(chars.peek(), Some((_, c)) if c.is_ascii_alphabetic()) {
-                    word.push(chars.next().map(|(_, c)| c).unwrap_or('\0'));
-                }
-                match word.as_str() {
-                    "true" => FieldValue::Bool(true),
-                    "false" => FieldValue::Bool(false),
-                    "null" => FieldValue::Null,
-                    other => return Err(format!("bad literal {other:?}")),
-                }
-            }
-            other => return Err(format!("unsupported value start {other:?}")),
-        };
         fields.insert(key, value);
-        skip_ws(&mut chars);
-        match chars.next() {
-            Some((_, ',')) => continue,
-            Some((_, '}')) => break,
-            other => return Err(format!("expected ',' or '}}', found {other:?}")),
-        }
     }
-    skip_ws(&mut chars);
-    if let Some((_, c)) = chars.next() {
-        return Err(format!("trailing content starting at {c:?}"));
-    }
-    Ok(fields)
+    let ts_ns = fields
+        .remove("ts_ns")
+        .and_then(|v| v.as_u64())
+        .ok_or("missing ts_ns")?;
+    let Some(JsonValue::Str(event)) = fields.remove("event") else {
+        return Err("missing event".to_owned());
+    };
+    Ok(Event {
+        ts_ns,
+        event,
+        fields,
+    })
 }
 
-/// Parses a JSONL telemetry log into events. Blank lines are skipped.
+/// Parses a JSONL telemetry log into events: [`parse_jsonl_lossy`], failing
+/// on the first line it would skip. Blank lines are skipped.
 ///
 /// # Errors
 ///
-/// Returns `line-number: description` for the first malformed line, a line
-/// that is not a flat object, or a line missing `ts_ns`/`event`.
+/// Returns `line N: description` for the first malformed line, a line that
+/// is not a flat object, or a line missing `ts_ns`/`event`.
 pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, String> {
-    let mut events = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut fields =
-            parse_flat_object(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let ts_ns = fields
-            .remove("ts_ns")
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| format!("line {}: missing ts_ns", lineno + 1))?;
-        let event = match fields.remove("event") {
-            Some(FieldValue::Str(s)) => s,
-            _ => return Err(format!("line {}: missing event", lineno + 1)),
-        };
-        events.push(Event {
-            ts_ns,
-            event,
-            fields,
-        });
+    let (events, skipped) = parse_jsonl_lossy(text);
+    match skipped.first() {
+        Some(bad) => Err(format!("line {}: {}", bad.line, bad.reason)),
+        None => Ok(events),
     }
-    Ok(events)
 }
 
 /// One line `parse_jsonl_lossy` could not parse: its 1-based line number
@@ -229,7 +80,7 @@ pub struct SkippedLine {
     pub reason: String,
 }
 
-/// Like [`parse_jsonl`], but a malformed line is recorded and skipped
+/// Parses a JSONL telemetry log, recording and skipping each malformed line
 /// instead of failing the whole log. A telemetry log's tail is routinely
 /// truncated mid-line by a crash or a full disk — the readable prefix is
 /// still worth summarizing, which is exactly when the summary matters most.
@@ -241,35 +92,13 @@ pub fn parse_jsonl_lossy(text: &str) -> (Vec<Event>, Vec<SkippedLine>) {
         if line.is_empty() {
             continue;
         }
-        let mut skip = |reason: String| {
-            skipped.push(SkippedLine {
+        match parse_line(line) {
+            Ok(event) => events.push(event),
+            Err(reason) => skipped.push(SkippedLine {
                 line: lineno + 1,
                 reason,
-            });
-        };
-        let mut fields = match parse_flat_object(line) {
-            Ok(fields) => fields,
-            Err(e) => {
-                skip(e);
-                continue;
-            }
-        };
-        let Some(ts_ns) = fields.remove("ts_ns").and_then(|v| v.as_u64()) else {
-            skip("missing ts_ns".to_owned());
-            continue;
-        };
-        let event = match fields.remove("event") {
-            Some(FieldValue::Str(s)) => s,
-            _ => {
-                skip("missing event".to_owned());
-                continue;
-            }
-        };
-        events.push(Event {
-            ts_ns,
-            event,
-            fields,
-        });
+            }),
+        }
     }
     (events, skipped)
 }
@@ -452,8 +281,8 @@ mod tests {
         assert_eq!(events[0].ts_ns, 1);
         assert_eq!(events[0].field("s").unwrap().as_str(), Some("a\nb"));
         assert_eq!(events[0].field("n").unwrap().as_f64(), Some(-2.5));
-        assert_eq!(events[0].field("t"), Some(&FieldValue::Bool(true)));
-        assert_eq!(events[0].field("z"), Some(&FieldValue::Null));
+        assert_eq!(events[0].field("t"), Some(&JsonValue::Bool(true)));
+        assert_eq!(events[0].field("z"), Some(&JsonValue::Null));
     }
 
     #[test]
@@ -463,6 +292,8 @@ mod tests {
         assert!(parse_jsonl("{\"event\":\"x\"}").is_err(), "missing ts_ns");
         assert!(parse_jsonl("{\"ts_ns\":1}").is_err(), "missing event");
         assert!(parse_jsonl("{\"ts_ns\":1,\"event\":\"x\"} trailing").is_err());
+        let err = parse_jsonl("{\"ts_ns\":1,\"event\":\"x\"}\n[1,2]\n").unwrap_err();
+        assert!(err.starts_with("line 2: "), "{err}");
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //! 3. **Cheap when off, compiled out when absent.** [`timeline_active`]
 //!    is two relaxed atomic loads behind the same `telemetry` cargo
 //!    feature as the metric macros; with the feature off it is a constant
-//!    `None` and every recording site is dead code.
+//!    `None` and every recording site is dead code. Spans are the shared
+//!    [`Span`] guard of [`span!`](crate::span), which feeds this timeline
+//!    and the metrics registry from one call.
 //! 4. **Batch-granular.** Events are recorded at batch/stage boundaries
 //!    (a decoded block, an analyzed slice, a sweep cell), never per trace
 //!    record — the per-record hot path stays branch-free.
@@ -49,6 +51,7 @@
 //! assert!(text.contains("\"name\":\"decode\""));
 //! ```
 
+use super::Span;
 use std::cell::RefCell;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -298,22 +301,30 @@ impl Timeline {
         self.lane().lock_ring().push(event);
     }
 
-    /// Opens a span on the calling thread's lane; the guard records one
-    /// complete event on drop. Inert when the timeline is disabled.
-    pub fn span(&self, name: &'static str) -> TimelineSpan<'_> {
-        self.span_labeled(name, None)
+    /// Opens a span on this timeline alone; the guard records one complete
+    /// event on the calling thread's lane at drop. Inert when the timeline
+    /// is disabled.
+    pub fn span(&self, name: &'static str) -> Span<'_> {
+        Span::new(None, self.is_enabled().then_some(self), name)
     }
 
-    /// [`span`](Timeline::span) with a dynamic label — the exported slice
-    /// name (the static `name` stays as the aggregation category).
-    pub fn span_labeled(&self, name: &'static str, label: Option<&str>) -> TimelineSpan<'_> {
-        TimelineSpan {
-            timeline: self.is_enabled().then_some(self),
+    /// Records a closed span that began at `start` as one complete event.
+    pub(super) fn complete(
+        &self,
+        name: &'static str,
+        label: Option<String>,
+        start: Instant,
+        dur_ns: u64,
+        args: Vec<(&'static str, u64)>,
+    ) {
+        let since = start.saturating_duration_since(self.start).as_nanos();
+        self.push(TimelineEvent {
+            ts_ns: u64::try_from(since).unwrap_or(u64::MAX),
             name,
-            label: label.map(Box::from),
-            start: Instant::now(),
-            args: Vec::new(),
-        }
+            label: label.map(String::into_boxed_str),
+            kind: EventKind::Complete { dur_ns },
+            args,
+        });
     }
 
     /// Records a point-in-time marker.
@@ -537,52 +548,6 @@ fn render_event(tid: u32, event: &TimelineEvent) -> String {
     line
 }
 
-/// RAII guard for one timeline span; records a complete event on drop.
-#[derive(Debug)]
-pub struct TimelineSpan<'a> {
-    timeline: Option<&'a Timeline>,
-    name: &'static str,
-    label: Option<Box<str>>,
-    start: Instant,
-    args: Vec<(&'static str, u64)>,
-}
-
-impl TimelineSpan<'_> {
-    /// Attaches a scalar arg to the span's completion event.
-    pub fn arg(&mut self, key: &'static str, value: u64) {
-        if self.timeline.is_some() {
-            self.args.push((key, value));
-        }
-    }
-
-    /// Whether this guard will record anything.
-    pub fn is_active(&self) -> bool {
-        self.timeline.is_some()
-    }
-}
-
-impl Drop for TimelineSpan<'_> {
-    fn drop(&mut self) {
-        let Some(timeline) = self.timeline else {
-            return;
-        };
-        let dur_ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let ts_ns = u64::try_from(
-            self.start
-                .saturating_duration_since(timeline.start)
-                .as_nanos(),
-        )
-        .unwrap_or(u64::MAX);
-        timeline.push(TimelineEvent {
-            ts_ns,
-            name: self.name,
-            label: self.label.take(),
-            kind: EventKind::Complete { dur_ns },
-            args: std::mem::take(&mut self.args),
-        });
-    }
-}
-
 static GLOBAL_TIMELINE: OnceLock<Timeline> = OnceLock::new();
 
 /// The process-wide timeline backing the CLI and the sweep scheduler.
@@ -607,21 +572,6 @@ pub fn timeline_active() -> Option<&'static Timeline> {
     }
 }
 
-/// Opens a span on the global timeline (inert when recording is off).
-#[inline]
-pub fn timeline_span(name: &'static str) -> TimelineSpan<'static> {
-    match timeline_active() {
-        Some(timeline) => timeline.span(name),
-        None => TimelineSpan {
-            timeline: None,
-            name,
-            label: None,
-            start: Instant::now(),
-            args: Vec::new(),
-        },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,7 +593,9 @@ mod tests {
         let timeline = Timeline::new();
         timeline.enable();
         {
-            let mut span = timeline.span_labeled("sweep.cell", Some("xlisp@w64"));
+            let mut span = timeline
+                .span("sweep.cell")
+                .labeled(|| "xlisp@w64".to_owned());
             span.arg("records", 17);
         }
         let lanes = timeline.snapshot();
@@ -706,7 +658,7 @@ mod tests {
         {
             let mut span = timeline.span("analyze");
             span.arg("records", 100);
-            let _nested = timeline.span_labeled("sweep.cell", Some("a\"b"));
+            let _nested = timeline.span("sweep.cell").labeled(|| "a\"b".to_owned());
         }
         timeline.instant("checkpoint", None);
         timeline.flow_start("retry", 7);
@@ -739,8 +691,7 @@ mod tests {
     fn global_timeline_is_inert_until_enabled() {
         timeline().disable();
         assert!(timeline_active().is_none());
-        let span = timeline_span("inert");
-        assert!(!span.is_active());
+        assert!(!timeline().span("inert").is_active());
     }
 
     #[test]

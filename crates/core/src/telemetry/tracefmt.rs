@@ -10,10 +10,10 @@
 //! `chrome://tracing` / Perfetto interchange): an object with a
 //! `traceEvents` array (or a bare array) of event objects carrying
 //! `ph` (phase), `ts`/`dur` (microseconds), `pid`/`tid` lanes, and
-//! free-form `args`. Unlike the flat JSONL parser in
-//! [`summary`](super::summary), this one handles nested objects and
-//! arrays, so it gets a small recursive-descent JSON parser of its own
-//! (depth-capped — timelines can come from outside the process).
+//! free-form `args`. Its small recursive-descent JSON parser
+//! ([`parse_json`], depth-capped — timelines can come from outside the
+//! process) is the crate's one JSON reader: the JSONL log reader in
+//! [`summary`](super::summary) parses each line with it too.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -58,6 +58,14 @@ impl JsonValue {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as `u64`, when it is a non-negative integral number.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
         }
     }
