@@ -4,9 +4,9 @@
 //! from disk and stream it through the live well — in its two
 //! implementations:
 //!
-//! * **before** — the pre-optimization decode shape: per-record decode
-//!   ([`TraceReader::with_per_record_decode`]) feeding
-//!   [`LiveWell::process`] one record at a time.
+//! * **before** — the pre-block-decode shape: the per-record decoder
+//!   ([`oracle::decode`]) feeding [`LiveWell::process`] one record at a
+//!   time.
 //! * **after** — block decode ([`TraceReader::read_block`]) feeding
 //!   [`LiveWell::process_slice`] in chunk-sized slices.
 //!
@@ -25,7 +25,7 @@ use paragraph_core::{analyze_parallel, AnalysisConfig, AnalysisReport, LiveWell,
 use paragraph_isa::OpClass;
 use paragraph_trace::binary::{TraceReader, TraceWriter};
 use paragraph_trace::source::DecodeAhead;
-use paragraph_trace::{Loc, SegmentMap, TraceRecord, TraceSource};
+use paragraph_trace::{oracle, Loc, SegmentMap, TraceRecord, TraceSource};
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter};
 use std::path::{Path, PathBuf};
@@ -142,46 +142,22 @@ fn write_trace(
     writer.finish()
 }
 
-/// The pre-optimization pipeline: per-record decode into the live well,
-/// one record at a time.
+/// The pre-block-decode pipeline: the per-record oracle decodes the
+/// trace, and the live well takes it one record at a time.
 fn run_before(path: &Path, config: &AnalysisConfig) -> AnalysisReport {
-    let file = File::open(path).expect("benchmark trace must open");
-    let reader = TraceReader::new(BufReader::new(file))
-        .expect("benchmark trace must parse")
-        .with_per_record_decode();
+    let bytes = fs::read(path).expect("benchmark trace must read");
+    let decoded = oracle::decode(&bytes).expect("benchmark trace must parse");
+    assert!(decoded.fault.is_none(), "benchmark trace must decode");
     let mut analyzer = LiveWell::new(config.clone());
-    for record in reader {
-        let record = record.expect("benchmark trace must decode");
-        analyzer.process(&record);
+    for record in &decoded.records {
+        analyzer.process(record);
     }
     analyzer.finish()
 }
 
-/// The PR 4 decode baseline: buffered reads and the scalar varint kernel,
-/// block decode and analysis strictly back to back on one thread.
-fn run_decode_before(path: &Path, config: &AnalysisConfig) -> AnalysisReport {
-    let file = File::open(path).expect("benchmark trace must open");
-    let mut reader = TraceReader::new(BufReader::new(file))
-        .expect("benchmark trace must parse")
-        .with_scalar_block_decode();
-    let mut analyzer = LiveWell::new(config.clone());
-    let mut block = Vec::new();
-    loop {
-        block.clear();
-        let n = reader
-            .read_block(&mut block)
-            .expect("benchmark trace must decode");
-        if n == 0 {
-            break;
-        }
-        analyzer.process_slice(&block);
-    }
-    analyzer.finish()
-}
-
-/// The overhauled decode pipeline: the trace is memory-mapped, varints
-/// decode through the SWAR kernel, and a helper thread CRC-checks and
-/// decodes chunk N+1 while the analyzer consumes chunk N.
+/// The decode-ahead pipeline: the trace is memory-mapped, and a helper
+/// thread CRC-checks and decodes chunk N+1 while the analyzer consumes
+/// chunk N.
 fn run_decode_after(path: &Path, config: &AnalysisConfig) -> AnalysisReport {
     let source = TraceSource::mapped_file(path).expect("benchmark trace must map");
     let reader = TraceReader::from_source(source).expect("benchmark trace must parse");
@@ -196,7 +172,9 @@ fn run_decode_after(path: &Path, config: &AnalysisConfig) -> AnalysisReport {
     analyzer.finish()
 }
 
-/// The optimized pipeline: block decode feeding `process_slice`.
+/// The block pipeline: buffered reads, block decode feeding
+/// `process_slice` back to back on one thread. The "after" leg of the
+/// block-decode row and the "before" leg of the decode row.
 fn run_after(path: &Path, config: &AnalysisConfig) -> AnalysisReport {
     let file = File::open(path).expect("benchmark trace must open");
     let mut reader = TraceReader::new(BufReader::new(file)).expect("benchmark trace must parse");
@@ -310,16 +288,16 @@ fn main() {
     paragraph_bench::append_bench_row(Path::new("BENCH.hotpath.json"), &line)
         .expect("bench log append");
 
-    // ---- decoder overhaul leg ------------------------------------------
-    // Same trace, the decode data path before and after its overhaul:
-    // buffered reads + scalar varints back to back versus mmap + SWAR
-    // varints with decode-ahead overlapping analysis. Byte-identical
-    // reports are asserted every rep before any timing is kept.
+    // ---- decoder data path leg -----------------------------------------
+    // Same trace, two ways to feed the live well: buffered reads with
+    // decode and analysis back to back versus an mmap with decode-ahead
+    // overlapping analysis. Byte-identical reports are asserted every
+    // rep before any timing is kept.
     let mut dec_before_ns = u64::MAX;
     let mut dec_after_ns = u64::MAX;
     for rep in 0..reps {
         let start = Instant::now();
-        let before = run_decode_before(&trace_path, &config);
+        let before = run_after(&trace_path, &config);
         let before_elapsed = start.elapsed().as_nanos() as u64;
 
         let start = Instant::now();
@@ -329,12 +307,12 @@ fn main() {
         assert_eq!(
             before.to_json(),
             after.to_json(),
-            "mmap/SWAR/decode-ahead pipeline must produce a byte-identical report"
+            "mmap/decode-ahead pipeline must produce a byte-identical report"
         );
         dec_before_ns = dec_before_ns.min(before_elapsed);
         dec_after_ns = dec_after_ns.min(after_elapsed);
         println!(
-            "  rep {}: scalar+buffered {:>8.1} ms   swar+mmap+ahead {:>8.1} ms",
+            "  rep {}: buffered {:>8.1} ms   mmap+ahead {:>8.1} ms",
             rep + 1,
             before_elapsed as f64 / 1e6,
             after_elapsed as f64 / 1e6,

@@ -461,7 +461,11 @@ fn run_sweep_supervised(
             scope.spawn(move || {
                 telemetry::name_lane(format_args!("worker-{me}"));
                 loop {
-                    let next = lock_poison_ok_deque(&queues[me]).pop_front().or_else(|| {
+                    // Release the own queue's lock before trying a victim's:
+                    // two workers each holding theirs while reaching for the
+                    // other's would deadlock once both queues run dry.
+                    let own = lock_poison_ok_deque(&queues[me]).pop_front();
+                    let next = own.or_else(|| {
                         (1..jobs)
                             .map(|step| (me + step) % jobs)
                             .find_map(|victim| lock_poison_ok_deque(&queues[victim]).pop_back())

@@ -191,6 +191,12 @@ fn run(args: &[String]) -> Result<(), CliError> {
         return Ok(());
     };
     let opts = Options::parse(&args[1..]).map_err(CliError::Usage)?;
+    if let Some(flag) = opts.unarmed_instrumentation(command) {
+        return Err(usage_err(format!(
+            "`{flag}` is not accepted by `{command}` (sinks: analyze, run, sweep; \
+             --progress: analyze)"
+        )));
+    }
     // Only `profile` (timeline/bench-log files) and `client`
     // (METHOD PATH) take positional arguments; everywhere else a stray
     // word is a typo, not an input.
@@ -304,10 +310,6 @@ common options:
                     checkpointing runs, use one thread. `analyze --trace`
                     always streams the file through the decode-ahead
                     pipeline (one decode thread, one analysis thread)
-  --mmap / --no-mmap  force the trace input backend: memory-mapped or
-                    buffered reads (default: map regular files, fall back
-                    to buffered reads; identical records, errors, and
-                    recovery accounting either way — see docs/hotpath.md)
   --retries N       grid sweep: failed-cell retries before quarantine
                     (default 2; see docs/supervision.md)
   --retry-backoff-ms N  base backoff between cell retries (default 25;
@@ -323,7 +325,8 @@ fault tolerance (analyze):
                         evicting the coldest (reported as a caveat)
 
 instrumentation (analyze / run / sweep; see docs/telemetry.md): every
-stage is one span, recorded by whichever sinks are armed
+stage is one span, recorded by whichever sinks are armed; other commands
+refuse these flags (exit 2)
   --telemetry-out FILE  write a JSONL structured event log
   --metrics-out FILE    write a Prometheus text snapshot at exit (and, for
                         analyze, at every checkpoint)
@@ -402,11 +405,6 @@ struct Options {
     inputs: Vec<i64>,
     windows: Vec<usize>,
     recover: bool,
-    /// Trace input backend: `Some(true)` forces the memory-mapped backend
-    /// (`--mmap`), `Some(false)` forces buffered reads (`--no-mmap`),
-    /// `None` maps regular files and silently falls back to buffered
-    /// reads where mapping is unavailable.
-    mmap: Option<bool>,
     checkpoint_every: Option<u64>,
     checkpoint: Option<String>,
     resume: Option<String>,
@@ -551,8 +549,6 @@ impl Options {
                 "--retries" => opts.retries = Some(parse_num(&value()?)?),
                 "--retry-backoff-ms" => opts.retry_backoff_ms = Some(parse_num(&value()?)?),
                 "--recover" => opts.recover = true,
-                "--mmap" => opts.mmap = Some(true),
-                "--no-mmap" => opts.mmap = Some(false),
                 "--checkpoint-every" => {
                     let n: u64 = parse_num(&value()?)?;
                     if n == 0 {
@@ -624,6 +620,21 @@ impl Options {
             }
         }
         Ok(opts)
+    }
+
+    /// The first instrumentation flag `command` would ignore: only
+    /// `analyze`, `run` and `sweep` arm the sinks, and only `analyze`
+    /// prints a heartbeat.
+    fn unarmed_instrumentation(&self, command: &str) -> Option<&'static str> {
+        let sinks = matches!(command, "analyze" | "run" | "sweep");
+        [
+            ("--telemetry-out", self.telemetry_out.is_some() && !sinks),
+            ("--metrics-out", self.metrics_out.is_some() && !sinks),
+            ("--timeline-out", self.timeline_out.is_some() && !sinks),
+            ("--progress", self.progress.is_some() && command != "analyze"),
+        ]
+        .into_iter()
+        .find_map(|(flag, ignored)| ignored.then_some(flag))
     }
 
     fn config(&self, segments: SegmentMap) -> AnalysisConfig {
@@ -740,18 +751,11 @@ struct LoadedTrace {
     recovery: Option<RecoveryStats>,
 }
 
-/// Opens the trace input through the backend `--mmap`/`--no-mmap` asks
-/// for: forced mapped, forced buffered, or (by default) mapped with a
-/// silent fallback to buffered reads. Decode semantics are identical
-/// across backends; only how bytes reach the decoder differs.
-fn open_trace_source(path: &str, mmap: Option<bool>) -> Result<TraceSource, CliError> {
-    let p = std::path::Path::new(path);
-    match mmap {
-        Some(true) => TraceSource::mapped_file(p),
-        Some(false) => TraceSource::buffered_file(p),
-        None => TraceSource::auto_file(p),
-    }
-    .map_err(|e| io_err(path, e))
+/// Opens the trace input: mapped where the file can be mapped, buffered
+/// reads otherwise (a pipe, say). Decode semantics are identical either
+/// way; only how bytes reach the decoder differs.
+fn open_trace_source(path: &str) -> Result<TraceSource, CliError> {
+    TraceSource::auto_file(std::path::Path::new(path)).map_err(|e| io_err(path, e))
 }
 
 /// A reader over `source`, in recovery mode under `--recover`. Every
@@ -793,7 +797,7 @@ fn generate(opts: &Options) -> Result<(Vec<TraceRecord>, SegmentMap), CliError> 
 fn load_records(opts: &Options) -> Result<LoadedTrace, CliError> {
     let mut loaded = if let Some(path) = &opts.trace {
         let mut span = paragraph_core::span!("decode");
-        let source = open_trace_source(path, opts.mmap)?;
+        let source = open_trace_source(path)?;
         let mut reader = trace_reader(opts, path, source, Limits::from_env())?;
         let segments = reader.segment_map();
         // Block decode: whole chunk payloads at a time, no per-record
@@ -1166,7 +1170,7 @@ fn open_input(opts: &Options, sinks: &Sinks) -> Result<AnalyzeInput, CliError> {
         });
     };
     let limits = Limits::from_env();
-    let source = open_trace_source(path, opts.mmap)?;
+    let source = open_trace_source(path)?;
     let bytes = std::fs::metadata(path).map_or(0, |m| m.len());
     let scanned = (!opts.recover && (checkpointing || sinks.registry))
         .then(|| source.shared_bytes())
@@ -1175,7 +1179,7 @@ fn open_input(opts: &Options, sinks: &Sinks) -> Result<AnalyzeInput, CliError> {
         .map(|scan| scan.total);
     let reader = trace_reader(opts, path, source, limits)?;
     let identity = if checkpointing {
-        let source = open_trace_source(path, opts.mmap)?;
+        let source = open_trace_source(path)?;
         let mut counter = trace_reader(opts, path, source, limits)?;
         let identity = TraceIdentity::of_stream(&mut counter, skip as u64, scanned)
             .map_err(|e| trace_err(path, e))?;

@@ -1,16 +1,19 @@
 //! End-to-end byte-identity checks for the trace input backends.
 //!
-//! `--mmap` / `--no-mmap` select *how* trace bytes reach the decoder,
-//! never *what* is decoded: for every combination of {buffered, mapped}
-//! × {--jobs 1, 4}, over clean and damaged (`--recover`) traces,
-//! analyze/sweep/ingest output must be byte-identical. These tests drive the built `paragraph`
-//! binary; the engine-level differentials live in `paragraph-trace`'s
-//! `source` module and the root `decoder_backends` suite.
+//! A trace file is mapped where it can be and read through a buffer where
+//! it cannot; that choice changes *how* trace bytes reach the decoder,
+//! never *what* is decoded. A pipe cannot be mapped, so
+//! `--trace /dev/stdin` fed by a pipe takes the buffered fallback: over
+//! clean and damaged (`--recover`) traces, under `--jobs 1` and `4`,
+//! analyze/sweep/ingest output must be byte-identical to the mapped
+//! file's. These tests drive the built `paragraph` binary; the
+//! engine-level differentials live in `paragraph-trace`'s `source` module
+//! and the root `decoder_backends` suite.
 
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use paragraph_isa::OpClass;
 use paragraph_trace::binary::TraceWriter;
@@ -22,6 +25,47 @@ fn paragraph(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("failed to spawn the paragraph binary")
+}
+
+/// Runs `paragraph` with a pipe as stdin, fed `input` by a thread. A pipe
+/// cannot be mapped, so `--trace /dev/stdin` reads through the buffered
+/// fallback.
+fn paragraph_piped(args: &[&str], input: Vec<u8>) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_paragraph"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("failed to spawn the paragraph binary");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    // A command that fails early stops reading; the write error is moot.
+    let feeder = std::thread::spawn(move || {
+        let _ = stdin.write_all(&input);
+    });
+    let out = child.wait_with_output().expect("paragraph must finish");
+    feeder.join().expect("stdin feeder must not panic");
+    out
+}
+
+/// `args` with every `--trace PATH` pointed at `/dev/stdin`, and the
+/// bytes of that trace to pipe in.
+fn through_pipe<'a>(args: &[&'a str]) -> (Vec<&'a str>, Vec<u8>) {
+    let at = args
+        .iter()
+        .position(|&a| a == "--trace")
+        .expect("a --trace argument");
+    let bytes = std::fs::read(args[at + 1]).expect("read trace");
+    let mut piped = args.to_vec();
+    piped[at + 1] = "/dev/stdin";
+    (piped, bytes)
+}
+
+/// Runs `args` over the trace file (mapped) and again over the same bytes
+/// through a pipe (buffered), returning both outputs.
+fn mapped_and_piped(args: &[&str]) -> (Output, Output) {
+    let (piped, bytes) = through_pipe(args);
+    (paragraph(args), paragraph_piped(&piped, bytes))
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -63,24 +107,23 @@ fn analyze_stdout(trace: &Path, extra: &[&str]) -> Vec<u8> {
 }
 
 #[test]
-fn analyze_report_is_byte_identical_across_the_backend_matrix() {
+fn analyze_report_is_byte_identical_across_jobs_and_the_pipe() {
     let trace = write_random_trace("matrix", 30_000, 42);
-    let reference = analyze_stdout(&trace, &["--no-mmap", "--jobs", "1"]);
+    let reference = analyze_stdout(&trace, &["--jobs", "1"]);
     assert!(!reference.is_empty());
-    for backend in [&["--mmap"][..], &["--no-mmap"][..], &[][..]] {
-        for jobs in [&["--jobs", "1"][..], &["--jobs", "4"][..], &[][..]] {
-            let mut extra: Vec<&str> = Vec::new();
-            extra.extend_from_slice(backend);
-            extra.extend_from_slice(jobs);
-            let stdout = analyze_stdout(&trace, &extra);
-            assert_eq!(reference, stdout, "analyze stdout diverged under {extra:?}");
-        }
+    for jobs in [&["--jobs", "4"][..], &[][..]] {
+        let stdout = analyze_stdout(&trace, jobs);
+        assert_eq!(reference, stdout, "analyze stdout diverged under {jobs:?}");
     }
+    let trace_str = trace.to_str().expect("utf-8 path");
+    let (_, piped) = mapped_and_piped(&["analyze", "--trace", trace_str]);
+    assert_ok(&piped, "analyze from a pipe");
+    assert_eq!(reference, piped.stdout, "analyze from a pipe diverged");
     let _ = std::fs::remove_file(&trace);
 }
 
 #[test]
-fn recover_mode_matches_across_backends() {
+fn recover_mode_matches_through_a_pipe() {
     let trace = write_random_trace("recover", 20_000, 43);
     // Flip one byte mid-file: recovery skips the damaged chunk the same
     // way no matter how the bytes were read.
@@ -90,26 +133,24 @@ fn recover_mode_matches_across_backends() {
     std::fs::write(&trace, &bytes).expect("write damaged trace");
 
     let trace_str = trace.to_str().expect("utf-8 path");
-    let mut outputs = Vec::new();
-    for backend in [&["--mmap"][..], &["--no-mmap"][..]] {
-        let mut args = vec!["analyze", "--trace", trace_str, "--recover"];
-        args.extend_from_slice(backend);
-        let out = paragraph(&args);
-        assert_ok(&out, &format!("analyze --recover {backend:?}"));
-        outputs.push((out.stdout, out.stderr));
-    }
-    assert_eq!(outputs[0], outputs[1], "recovery output diverged");
+    let (mapped, piped) = mapped_and_piped(&["analyze", "--trace", trace_str, "--recover"]);
+    assert_ok(&mapped, "analyze --recover");
+    assert_ok(&piped, "analyze --recover from a pipe");
+    assert_eq!(mapped.stdout, piped.stdout, "recovery report diverged");
     // The damage warning itself must appear, with identical accounting.
-    let stderr = String::from_utf8_lossy(&outputs[0].1);
-    assert!(
-        stderr.contains("trace damage"),
-        "expected a damage warning, got: {stderr}"
-    );
+    let recovery_line = |out: &Output| {
+        String::from_utf8_lossy(&out.stderr)
+            .lines()
+            .find(|line| line.contains("trace damage"))
+            .map(|line| line.replace(trace_str, "TRACE").replace("/dev/stdin", "TRACE"))
+    };
+    let line = recovery_line(&mapped).expect("a damage warning");
+    assert_eq!(Some(line), recovery_line(&piped), "recovery line diverged");
     let _ = std::fs::remove_file(&trace);
 }
 
 #[test]
-fn corrupt_trace_fails_identically_across_backends() {
+fn corrupt_trace_fails_identically_through_a_pipe() {
     let trace = write_random_trace("corrupt", 20_000, 44);
     let mut bytes = std::fs::read(&trace).expect("read trace");
     let mid = bytes.len() / 2;
@@ -117,45 +158,34 @@ fn corrupt_trace_fails_identically_across_backends() {
     std::fs::write(&trace, &bytes).expect("write damaged trace");
 
     let trace_str = trace.to_str().expect("utf-8 path");
-    let mut outputs = Vec::new();
-    for backend in [&["--mmap"][..], &["--no-mmap"][..]] {
-        let mut args = vec!["analyze", "--trace", trace_str];
-        args.extend_from_slice(backend);
-        let out = paragraph(&args);
-        assert_eq!(
-            out.status.code(),
-            Some(4),
-            "corrupt trace must exit 4 under {backend:?}"
-        );
-        outputs.push(out.stderr);
-    }
+    let (mapped, piped) = mapped_and_piped(&["analyze", "--trace", trace_str]);
+    assert_eq!(mapped.status.code(), Some(4), "corrupt trace must exit 4");
+    assert_eq!(piped.status.code(), Some(4), "corrupt pipe must exit 4");
     assert_eq!(
-        outputs[0], outputs[1],
-        "corruption error diverged (mmap vs buffered)"
+        String::from_utf8_lossy(&mapped.stderr).replace(trace_str, "TRACE"),
+        String::from_utf8_lossy(&piped.stderr).replace("/dev/stdin", "TRACE"),
+        "corruption error diverged (mapped vs buffered)"
     );
     let _ = std::fs::remove_file(&trace);
 }
 
 #[test]
-fn sweep_is_byte_identical_across_backends() {
+fn sweep_is_byte_identical_through_a_pipe() {
     let trace = write_random_trace("sweep", 12_000, 45);
     let trace_str = trace.to_str().expect("utf-8 path");
-    let mut outputs = Vec::new();
-    for backend in [&["--mmap"][..], &["--no-mmap"][..]] {
-        let mut args = vec!["sweep", "--trace", trace_str, "--windows", "10,1000"];
-        args.extend_from_slice(backend);
-        let out = paragraph(&args);
-        assert_ok(&out, &format!("sweep {backend:?}"));
-        outputs.push(out.stdout);
-    }
-    assert_eq!(outputs[0], outputs[1], "sweep output diverged");
+    let (mapped, piped) =
+        mapped_and_piped(&["sweep", "--trace", trace_str, "--windows", "10,1000"]);
+    assert_ok(&mapped, "sweep");
+    assert_ok(&piped, "sweep from a pipe");
+    assert!(!mapped.stdout.is_empty());
+    assert_eq!(mapped.stdout, piped.stdout, "sweep output diverged");
     let _ = std::fs::remove_file(&trace);
 }
 
 #[test]
-fn ingested_traces_analyze_identically_on_both_backends() {
+fn ingested_traces_analyze_identically_through_a_pipe() {
     // Render a text trace, ingest it to binary, then analyze the result
-    // through both backends: the whole conversion pipeline must be
+    // mapped and through a pipe: the whole conversion pipeline must be
     // backend-agnostic end to end.
     let records = synthetic::random_trace(2_000, 46);
     let text = paragraph_trace::ingest::render_trace(&records, SegmentMap::all_data());
@@ -172,25 +202,34 @@ fn ingested_traces_analyze_identically_on_both_backends() {
     ]);
     assert_ok(&out, "ingest");
 
-    let mapped = analyze_stdout(&bin_path, &["--mmap"]);
-    let buffered = analyze_stdout(&bin_path, &["--no-mmap"]);
-    assert_eq!(mapped, buffered, "ingested trace analysis diverged");
+    let bin_str = bin_path.to_str().expect("utf-8 path");
+    let (mapped, piped) = mapped_and_piped(&["analyze", "--trace", bin_str]);
+    assert_ok(&mapped, "analyze");
+    assert_ok(&piped, "analyze from a pipe");
+    assert_eq!(mapped.stdout, piped.stdout, "ingested trace analysis diverged");
     let _ = std::fs::remove_file(&text_path);
     let _ = std::fs::remove_file(&bin_path);
 }
 
 #[test]
-fn run_accepts_the_backend_flags_inertly() {
-    // `run` consumes assembly, not a binary trace; the backend flags must
-    // parse and change nothing.
+fn analyze_and_run_reject_the_backend_flags() {
+    // The input backend is chosen from what can be observed (a regular
+    // file maps, anything else is buffered); there is no flag to force it.
+    let trace = write_random_trace("flags", 100, 48);
     let asm_path = scratch("run.s");
     std::fs::write(&asm_path, ".text\nmain: li r8, 3\nhalt\n").expect("write asm");
+    let trace_str = trace.to_str().expect("utf-8 path");
     let asm_str = asm_path.to_str().expect("utf-8 path");
-    let plain = paragraph(&["run", "--asm", asm_str]);
-    assert_ok(&plain, "run");
-    let flagged = paragraph(&["run", "--asm", asm_str, "--mmap"]);
-    assert_ok(&flagged, "run with backend flags");
-    assert_eq!(plain.stdout, flagged.stdout, "run output diverged");
+    for flag in ["--mmap", "--no-mmap"] {
+        for args in [["analyze", "--trace", trace_str], ["run", "--asm", asm_str]] {
+            let out = paragraph(&[&args[..], &[flag]].concat());
+            assert_eq!(out.status.code(), Some(2), "{args:?} {flag}");
+            assert!(out.stdout.is_empty(), "{args:?} {flag}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(flag), "{args:?} {flag}: {stderr}");
+        }
+    }
+    let _ = std::fs::remove_file(&trace);
     let _ = std::fs::remove_file(&asm_path);
 }
 
@@ -218,20 +257,22 @@ fn crc_valid_inconsistent_record_exits_4_identically_on_every_path() {
     std::fs::write(&trace, &bytes).expect("write inconsistent trace");
 
     let trace_str = trace.to_str().expect("utf-8 path");
+    let args = ["analyze", "--trace", trace_str];
+    let (piped, piped_bytes) = through_pipe(&args);
+    let runs = [
+        ("--jobs 1", paragraph(&[&args[..], &["--jobs", "1"]].concat())),
+        ("--jobs 2", paragraph(&[&args[..], &["--jobs", "2"]].concat())),
+        ("pipe", paragraph_piped(&piped, piped_bytes)),
+    ];
     let mut outputs = Vec::new();
-    for extra in [
-        &["--jobs", "1"][..],
-        &["--jobs", "2"][..],
-        &["--no-mmap"][..],
-    ] {
-        let mut args = vec!["analyze", "--trace", trace_str];
-        args.extend_from_slice(extra);
-        let out = paragraph(&args);
-        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-        assert_eq!(out.status.code(), Some(4), "{extra:?}: {stderr}");
+    for (what, out) in runs {
+        let stderr = String::from_utf8_lossy(&out.stderr)
+            .replace(trace_str, "TRACE")
+            .replace("/dev/stdin", "TRACE");
+        assert_eq!(out.status.code(), Some(4), "{what}: {stderr}");
         assert!(
             stderr.contains("store must name its memory destination"),
-            "{extra:?}: {stderr}"
+            "{what}: {stderr}"
         );
         outputs.push(stderr);
     }

@@ -294,3 +294,36 @@ fn report_json_flags_bounded_live_well() {
     assert!(json.contains("\"parallelism_is_upper_bound\":false"));
     let _ = std::fs::remove_file(&json_path);
 }
+
+#[test]
+fn commands_that_arm_no_sinks_refuse_instrumentation_flags() {
+    let log = scratch("refused.jsonl");
+    let log_str = log.to_str().expect("utf-8 temp path");
+    let workload = ["--workload", "matrix300", "--size", "4"];
+    for flag in ["--telemetry-out", "--metrics-out", "--timeline-out"] {
+        let _ = std::fs::remove_file(&log);
+        let out = paragraph(&[&["compare"][..], &workload, &[flag, log_str]].concat());
+        assert_eq!(out.status.code(), Some(2), "compare {flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "compare {flag}: {stderr}");
+        assert!(!log.exists(), "compare {flag} created {log_str}");
+    }
+    // `--progress` is a heartbeat of `analyze` alone.
+    for command in ["compare", "sweep"] {
+        let out = paragraph(&[&[command][..], &workload, &["--progress"]].concat());
+        assert_eq!(out.status.code(), Some(2), "{command} --progress");
+    }
+    let out = paragraph(&[&["analyze"][..], &workload, &["--telemetry-out", log_str]].concat());
+    assert!(
+        out.status.success(),
+        "analyze --telemetry-out failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stats = paragraph(&["stats", "--strict", "--telemetry", log_str]);
+    assert!(
+        stats.status.success(),
+        "the analyze log must parse: {}",
+        String::from_utf8_lossy(&stats.stderr)
+    );
+    let _ = std::fs::remove_file(&log);
+}

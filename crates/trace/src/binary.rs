@@ -45,10 +45,9 @@
 //! for v1, a large buffered run) is decoded straight out of the stream
 //! buffer into a record batch — no per-record reads, no payload copy.
 //! [`TraceReader::read_block`] exposes the batches directly for hot loops;
-//! the record iterator drains the same batches one record at a time. The
-//! legacy per-record path is kept behind
-//! [`TraceReader::with_per_record_decode`] as a benchmark baseline and
-//! differential-testing oracle.
+//! the record iterator drains the same batches one record at a time.
+//! [`oracle::decode`](crate::oracle::decode), an independent per-record
+//! decoder, is what the tests compare this one against.
 //!
 //! # Examples
 //!
@@ -74,7 +73,7 @@ use crate::crc32::Crc32;
 use crate::error::{TraceError, TraceErrorKind};
 use crate::govern::{LimitViolation, ResourceGovernor};
 use crate::loc::Loc;
-use crate::record::{BranchInfo, OperandViolation, Packed, TraceRecord, MAX_SRCS};
+use crate::record::{OperandViolation, Packed, TraceRecord, MAX_SRCS};
 use crate::segment::SegmentMap;
 use crate::source::SharedBytes;
 use crate::wire::{
@@ -84,9 +83,9 @@ use paragraph_isa::OpClass;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-const MAGIC: &[u8; 4] = b"PGTR";
-const VERSION_V1: u8 = 1;
-const VERSION_V2: u8 = 2;
+pub(crate) const MAGIC: &[u8; 4] = b"PGTR";
+pub(crate) const VERSION_V1: u8 = 1;
+pub(crate) const VERSION_V2: u8 = 2;
 
 /// Marker opening every v2 chunk; recovery mode scans for it.
 ///
@@ -115,16 +114,15 @@ const MAX_HEADER_LEN: usize = 8 + 3 * 10 + 4;
 /// starts a record it cannot finish.
 const MAX_RECORD_LEN: usize = 80;
 
-/// Records per batch served by the block decoder (and per block returned
-/// by [`TraceReader::read_block`] on the legacy path).
+/// Records per batch served by the v1 block decoder.
 const BATCH_RECORDS: usize = DEFAULT_CHUNK_RECORDS as usize;
 
 /// Bytes the v1 block decoder buffers per refill.
 const V1_FILL_BYTES: usize = 64 * 1024;
 
-const TAG_INT: u8 = 0;
-const TAG_FP: u8 = 1;
-const TAG_MEM: u8 = 2;
+pub(crate) const TAG_INT: u8 = 0;
+pub(crate) const TAG_FP: u8 = 1;
+pub(crate) const TAG_MEM: u8 = 2;
 
 fn write_loc<W: Write>(mut w: W, loc: Loc) -> io::Result<()> {
     match loc {
@@ -134,30 +132,6 @@ fn write_loc<W: Write>(mut w: W, loc: Loc) -> io::Result<()> {
             w.write_all(&[TAG_MEM])?;
             write_varint(w, addr)
         }
-    }
-}
-
-fn read_loc<R: Read>(mut r: R) -> io::Result<Loc> {
-    let mut tag = [0u8; 1];
-    r.read_exact(&mut tag)?;
-    match tag[0] {
-        TAG_INT | TAG_FP => {
-            let mut idx = [0u8; 1];
-            r.read_exact(&mut idx)?;
-            let loc = if tag[0] == TAG_INT {
-                paragraph_isa::IntReg::new(idx[0]).map(Loc::IntReg)
-            } else {
-                paragraph_isa::FpReg::new(idx[0]).map(Loc::FpReg)
-            };
-            loc.ok_or_else(|| {
-                io::Error::new(io::ErrorKind::InvalidData, "register index out of range")
-            })
-        }
-        TAG_MEM => Ok(Loc::Mem(read_varint(r)?)),
-        t => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unknown location tag {t}"),
-        )),
     }
 }
 
@@ -189,55 +163,8 @@ fn encode_record(buf: &mut Vec<u8>, record: &TraceRecord, last_pc: &mut u64) {
     }
 }
 
-/// Decodes one record, or `None` at a clean end-of-stream boundary.
-fn decode_record<R: Read>(mut input: R, last_pc: &mut u64) -> io::Result<Option<TraceRecord>> {
-    let mut head = [0u8; 2];
-    match input.read_exact(&mut head) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let class = OpClass::from_id(head[0])
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "unknown opcode class"))?;
-    let nsrc = (head[1] & 0x3f) as usize;
-    if nsrc > 3 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "record has too many sources",
-        ));
-    }
-    let has_dest = head[1] & 0x80 != 0;
-    let has_branch = head[1] & 0x40 != 0;
-    let delta = unzigzag(read_varint(&mut input)?);
-    let pc = last_pc.wrapping_add(delta as u64);
-    *last_pc = pc;
-    let mut srcs = [Loc::mem(0); 3];
-    for slot in srcs.iter_mut().take(nsrc) {
-        *slot = read_loc(&mut input)?;
-    }
-    let dest = if has_dest {
-        Some(read_loc(&mut input)?)
-    } else {
-        None
-    };
-    let branch = if has_branch {
-        let mut taken = [0u8; 1];
-        input.read_exact(&mut taken)?;
-        let target = read_varint(&mut input)?;
-        Some(BranchInfo {
-            taken: taken[0] != 0,
-            target,
-        })
-    } else {
-        None
-    };
-    TraceRecord::try_new(pc, class, &srcs[..nsrc], dest, branch)
-        .map(Some)
-        .map_err(invalid_operands)
-}
-
 /// A record whose operands break the record contract: corrupt data.
-fn invalid_operands(v: OperandViolation) -> io::Error {
+pub(crate) fn invalid_operands(v: OperandViolation) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, v.to_string())
 }
 
@@ -256,22 +183,9 @@ const LOC_DISPATCH: [u8; 256] = {
     table
 };
 
-/// Reads one varint with the kernel selected at monomorphization time:
-/// the SWAR bit-trick decoder on the hot path, the scalar loop for the
-/// retained oracle/baseline configuration.
-#[inline]
-fn read_varint_fast<const SWAR: bool>(buf: &[u8], pos: &mut usize) -> io::Result<u64> {
-    if SWAR {
-        read_varint_swar(buf, pos)
-    } else {
-        read_varint_slice(buf, pos)
-    }
-}
-
-/// Slice-based twin of [`read_loc`] for the block decoder: reads one
-/// location straight into the form a record slot holds it in.
+/// Reads one location straight into the form a record slot holds it in.
 #[inline(always)]
-fn read_operand_slice_impl<const SWAR: bool>(buf: &[u8], pos: &mut usize) -> io::Result<Packed> {
+fn read_operand_slice(buf: &[u8], pos: &mut usize) -> io::Result<Packed> {
     let Some(&tag) = buf.get(*pos) else {
         return Err(eof_mid_record());
     };
@@ -291,7 +205,7 @@ fn read_operand_slice_impl<const SWAR: bool>(buf: &[u8], pos: &mut usize) -> io:
                 io::Error::new(io::ErrorKind::InvalidData, "register index out of range")
             })
         }
-        2 => Ok(Packed::mem(read_varint_fast::<SWAR>(buf, pos)?)),
+        2 => Ok(Packed::mem(read_varint_swar(buf, pos)?)),
         _ => Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("unknown location tag {tag}"),
@@ -299,32 +213,11 @@ fn read_operand_slice_impl<const SWAR: bool>(buf: &[u8], pos: &mut usize) -> io:
     }
 }
 
-/// Scalar-varint record decode: the differential baseline for the SWAR
-/// path and the kernel behind [`TraceReader::with_scalar_block_decode`].
-#[inline]
-fn decode_record_slice(
-    buf: &[u8],
-    pos: &mut usize,
-    last_pc: &mut u64,
-) -> io::Result<Option<TraceRecord>> {
-    decode_record_slice_impl::<false>(buf, pos, last_pc)
-}
-
-/// SWAR-varint record decode: the production hot path.
-#[inline]
-fn decode_record_slice_swar(
-    buf: &[u8],
-    pos: &mut usize,
-    last_pc: &mut u64,
-) -> io::Result<Option<TraceRecord>> {
-    decode_record_slice_impl::<true>(buf, pos, last_pc)
-}
-
-/// The block decoder's record kernel, behind every block path: decodes
-/// one record from `buf` at `*pos`, advancing `*pos` past it. `SWAR`
-/// selects the varint kernel; both instantiations decode identical bytes
-/// to identical records with identical errors, and agree with
-/// [`decode_record`], the independent per-record oracle.
+/// The record kernel, behind every decode path: decodes one record from
+/// `buf` at `*pos`, advancing `*pos` past it, with the SWAR varint
+/// decoder. It decodes the same records with the same errors as
+/// [`oracle::decode`](crate::oracle::decode), the independent per-record
+/// decoder.
 ///
 /// The record contract is checked once, here: the record is packed in
 /// place as its operands are read, zero-register operands dropped, and
@@ -335,11 +228,11 @@ fn decode_record_slice_swar(
 /// same condition the `Read`-based decoder treats as a clean end of
 /// stream. Running out of bytes mid-record is `UnexpectedEof`.
 ///
-/// Forced inline, as is [`read_operand_slice_impl`]: called out of line, each
+/// Forced inline, as is [`read_operand_slice`]: called out of line, each
 /// record went back through memory on return, and inlining both into the
 /// chunk loop cut `read_block` by about a quarter (docs/hotpath.md).
 #[inline(always)]
-fn decode_record_slice_impl<const SWAR: bool>(
+fn decode_record_slice(
     buf: &[u8],
     pos: &mut usize,
     last_pc: &mut u64,
@@ -357,24 +250,24 @@ fn decode_record_slice_impl<const SWAR: bool>(
             "record has too many sources",
         ));
     }
-    let delta = unzigzag(read_varint_fast::<SWAR>(buf, pos)?);
+    let delta = unzigzag(read_varint_swar(buf, pos)?);
     let pc = last_pc.wrapping_add(delta as u64);
     *last_pc = pc;
     // The record is packed in place as its operands are read; pushing
     // the zero register stores nothing the record keeps.
     let mut record = TraceRecord::bare(pc, class);
     for _ in 0..nsrc {
-        record.push_src(read_operand_slice_impl::<SWAR>(buf, pos)?);
+        record.push_src(read_operand_slice(buf, pos)?);
     }
     if flags & 0x80 != 0 {
-        record.set_dest(read_operand_slice_impl::<SWAR>(buf, pos)?);
+        record.set_dest(read_operand_slice(buf, pos)?);
     }
     if flags & 0x40 != 0 {
         let Some(&taken) = buf.get(*pos) else {
             return Err(eof_mid_record());
         };
         *pos += 1;
-        record.set_outcome(taken != 0, read_varint_fast::<SWAR>(buf, pos)?);
+        record.set_outcome(taken != 0, read_varint_swar(buf, pos)?);
     }
     record.check().map_err(invalid_operands)?;
     Ok(Some(record))
@@ -401,24 +294,8 @@ struct ChunkDecode {
 
 /// Decodes `count` records of a CRC-valid chunk payload into `out`,
 /// skipping the first `discard` (already delivered by an overlapping
-/// frame). Trailing payload bytes beyond `count` records are ignored,
-/// exactly as the per-record path ignores them. `swar` selects the varint
-/// kernel (both decode identically; the scalar one is the baseline).
+/// frame). Trailing payload bytes beyond `count` records are ignored.
 fn decode_chunk_payload(
-    payload: &[u8],
-    count: u64,
-    discard: u64,
-    out: &mut Vec<TraceRecord>,
-    swar: bool,
-) -> ChunkDecode {
-    if swar {
-        decode_chunk_payload_impl::<true>(payload, count, discard, out)
-    } else {
-        decode_chunk_payload_impl::<false>(payload, count, discard, out)
-    }
-}
-
-fn decode_chunk_payload_impl<const SWAR: bool>(
     payload: &[u8],
     count: u64,
     discard: u64,
@@ -430,7 +307,7 @@ fn decode_chunk_payload_impl<const SWAR: bool>(
     let mut decoded = 0u64;
     let mut delivered = 0u64;
     while decoded < count {
-        match decode_record_slice_impl::<SWAR>(payload, &mut pos, &mut last_pc) {
+        match decode_record_slice(payload, &mut pos, &mut last_pc) {
             Ok(Some(record)) => {
                 decoded += 1;
                 if decoded > discard {
@@ -803,32 +680,18 @@ pub struct TraceReader<R: Read> {
     last_pc: u64,
     /// Records delivered so far (also: index of the next record).
     delivered: u64,
-    /// v2: payload of the chunk currently being decoded.
-    payload: io::Cursor<Vec<u8>>,
-    payload_last_pc: u64,
-    /// v2: records remaining in the current chunk.
-    payload_remaining: u64,
-    /// v2: records at the head of the current chunk to decode and drop
-    /// (already delivered from an earlier copy of an overlapping frame).
-    payload_discard: u64,
     /// v2: ordinal of the chunk being read.
     chunk_ordinal: u64,
     /// v2: next expected record index (delivered + known-skipped).
     pos: u64,
     stats: RecoveryStats,
     total_written: Option<u64>,
-    /// Block-decode straight from the stream buffer (default); false
-    /// selects the legacy per-record pull path.
-    batched: bool,
     /// Decoded records waiting to be served.
     batch: Vec<TraceRecord>,
     /// Cursor into `batch`.
     batch_pos: usize,
     /// Fault to surface once the records batched ahead of it are served.
     pending_err: Option<TraceError>,
-    /// SWAR varint kernel in the block decoder (default); false selects
-    /// the scalar kernel retained as baseline and differential oracle.
-    swar: bool,
     /// Resource caps enforced while decoding (generous by default).
     governor: ResourceGovernor,
 }
@@ -910,19 +773,13 @@ impl<R: Read> TraceReader<R> {
             done: false,
             last_pc: 0,
             delivered: 0,
-            payload: io::Cursor::new(Vec::new()),
-            payload_last_pc: 0,
-            payload_remaining: 0,
-            payload_discard: 0,
             chunk_ordinal: 0,
             pos: 0,
             stats: RecoveryStats::default(),
             total_written: None,
-            batched: true,
             batch: Vec::new(),
             batch_pos: 0,
             pending_err: None,
-            swar: true,
             governor: ResourceGovernor::default(),
         })
     }
@@ -942,29 +799,6 @@ impl<R: Read> TraceReader<R> {
     /// [`ResourceGovernor::peak_alloc`] after a decode).
     pub fn governor(&self) -> &ResourceGovernor {
         &self.governor
-    }
-
-    /// Switches this reader to the legacy per-record decode path (one
-    /// buffered read per field instead of block decodes straight from the
-    /// stream buffer). Both paths decode the same streams to the same
-    /// records with the same faults; this one is retained as the
-    /// benchmark baseline and as a differential-testing oracle for the
-    /// block decoder.
-    #[must_use]
-    pub fn with_per_record_decode(mut self) -> TraceReader<R> {
-        self.batched = false;
-        self
-    }
-
-    /// Switches the block decoder to the scalar varint kernel (the
-    /// pre-SWAR production path). Both kernels decode the same streams to
-    /// the same records with the same faults; this one is retained as the
-    /// benchmark baseline and a differential-testing oracle for the SWAR
-    /// kernel.
-    #[must_use]
-    pub fn with_scalar_block_decode(mut self) -> TraceReader<R> {
-        self.swar = false;
-        self
     }
 
     /// The segment map recorded in the trace header.
@@ -1056,9 +890,6 @@ impl<R: Read> TraceReader<R> {
                 self.done = true;
                 return Err(e);
             }
-            if !self.batched {
-                return self.read_block_per_record(out);
-            }
             // Decode straight into the caller's buffer — no intermediate
             // batch, no copy.
             let start = out.len();
@@ -1087,33 +918,6 @@ impl<R: Read> TraceReader<R> {
                 }
             }
         }
-    }
-
-    /// Legacy-path block fill: pulls records one at a time.
-    fn read_block_per_record(&mut self, out: &mut Vec<TraceRecord>) -> Result<usize, TraceError> {
-        let mut n = 0usize;
-        while n < BATCH_RECORDS {
-            let next = if self.version == VERSION_V1 {
-                self.next_v1()
-            } else {
-                self.next_v2()
-            };
-            match next {
-                Ok(Some(record)) => {
-                    out.push(record);
-                    n += 1;
-                }
-                Ok(None) => {
-                    self.done = true;
-                    break;
-                }
-                Err(e) => {
-                    self.done = true;
-                    return Err(e);
-                }
-            }
-        }
-        Ok(n)
     }
 
     fn error(&self, kind: TraceErrorKind) -> TraceError {
@@ -1148,21 +952,6 @@ impl<R: Read> TraceReader<R> {
         match self.governor.charge_records(n) {
             Ok(()) => Ok(()),
             Err(v) => Err(self.error(TraceErrorKind::LimitExceeded(v))),
-        }
-    }
-
-    /// v1: decode the next record straight off the stream.
-    fn next_v1(&mut self) -> Result<Option<TraceRecord>, TraceError> {
-        self.check_budgets()?;
-        match decode_record(&mut self.input, &mut self.last_pc) {
-            Ok(Some(record)) => {
-                self.delivered += 1;
-                self.stats.records_read += 1;
-                self.charge_delivered(1)?;
-                Ok(Some(record))
-            }
-            Ok(None) => Ok(None),
-            Err(e) => Err(self.error(io_to_kind(e))),
         }
     }
 
@@ -1329,17 +1118,6 @@ impl<R: Read> TraceReader<R> {
         }
     }
 
-    /// Installs a freshly parsed chunk for per-record decoding.
-    fn install_chunk(&mut self, first_index: u64, count: u64, payload: Vec<u8>) {
-        let Some(discard) = self.reconcile_chunk(first_index, count) else {
-            return;
-        };
-        self.payload_discard = discard;
-        self.payload = io::Cursor::new(payload);
-        self.payload_last_pc = 0;
-        self.payload_remaining = count;
-    }
-
     /// Refills the internal batch with the next decoded block.
     ///
     /// `Ok(true)` means there is something to serve — batched records, a
@@ -1396,17 +1174,11 @@ impl<R: Read> TraceReader<R> {
             let mut clean_end = false;
             while out.len() - base < BATCH_RECORDS && pos < stop {
                 let before = pos;
-                let decoded = if self.swar {
-                    decode_record_slice_swar(bytes, &mut pos, &mut self.last_pc)
-                } else {
-                    decode_record_slice(bytes, &mut pos, &mut self.last_pc)
-                };
-                match decoded {
+                match decode_record_slice(bytes, &mut pos, &mut self.last_pc) {
                     Ok(Some(record)) => out.push(record),
                     Ok(None) => {
                         // At most one dangling byte at end of input: the
-                        // stream ends cleanly at a record boundary, as
-                        // the per-record decoder treats it.
+                        // stream ends cleanly at a record boundary.
                         clean_end = true;
                         pos = bytes.len();
                         break;
@@ -1452,7 +1224,7 @@ impl<R: Read> TraceReader<R> {
                         continue;
                     };
                     let payload = &self.input.buffered()[header_len..frame_len];
-                    let outcome = decode_chunk_payload(payload, count, discard, out, self.swar);
+                    let outcome = decode_chunk_payload(payload, count, discard, out);
                     self.input.consume(frame_len);
                     self.pos += outcome.delivered;
                     let Some(fault) = outcome.fault else {
@@ -1500,14 +1272,14 @@ impl<R: Read> TraceReader<R> {
                 }
                 ChunkParse::Truncated => {
                     if self.recover {
-                        self.resync_or_fail()?;
+                        self.resync()?;
                         continue;
                     }
                     return Err(self.error(TraceErrorKind::Truncated));
                 }
                 ChunkParse::BadSync => {
                     if self.recover {
-                        self.resync_or_fail()?;
+                        self.resync()?;
                         continue;
                     }
                     return Err(
@@ -1516,7 +1288,7 @@ impl<R: Read> TraceReader<R> {
                 }
                 ChunkParse::BadHeader(what) => {
                     if self.recover {
-                        self.resync_or_fail()?;
+                        self.resync()?;
                         continue;
                     }
                     return Err(
@@ -1526,7 +1298,7 @@ impl<R: Read> TraceReader<R> {
                 ChunkParse::BadCrc { stored, computed } => {
                     self.stats.chunks_skipped += 1;
                     if self.recover {
-                        self.resync_or_fail()?;
+                        self.resync()?;
                         continue;
                     }
                     return Err(self.error(TraceErrorKind::ChecksumMismatch { stored, computed }));
@@ -1540,133 +1312,10 @@ impl<R: Read> TraceReader<R> {
         }
     }
 
-    /// v2: decode the next record, advancing through chunks as needed.
-    fn next_v2(&mut self) -> Result<Option<TraceRecord>, TraceError> {
-        loop {
-            while self.payload_remaining > 0 {
-                match decode_record(&mut self.payload, &mut self.payload_last_pc) {
-                    Ok(Some(record)) => {
-                        self.payload_remaining -= 1;
-                        if self.payload_discard > 0 {
-                            self.payload_discard -= 1;
-                            continue;
-                        }
-                        self.delivered += 1;
-                        self.pos += 1;
-                        self.stats.records_read += 1;
-                        self.charge_delivered(1)?;
-                        return Ok(Some(record));
-                    }
-                    // A CRC-valid chunk that does not decode (possible
-                    // only under checksum collision): count the declared
-                    // remainder as lost.
-                    Ok(None) => {
-                        let why = TraceErrorKind::Corrupt(
-                            "chunk payload shorter than its record count".into(),
-                        );
-                        if !self.recover {
-                            return Err(self.error(why));
-                        }
-                        let lost = self.payload_remaining
-                            - self.payload_discard.min(self.payload_remaining);
-                        self.stats.records_skipped += lost;
-                        self.pos += lost;
-                        self.payload_remaining = 0;
-                        self.payload_discard = 0;
-                    }
-                    Err(e) => {
-                        if !self.recover {
-                            return Err(self.error(io_to_kind(e)));
-                        }
-                        let lost = self.payload_remaining
-                            - self.payload_discard.min(self.payload_remaining);
-                        self.stats.records_skipped += lost;
-                        self.pos += lost;
-                        self.payload_remaining = 0;
-                        self.payload_discard = 0;
-                    }
-                }
-            }
-            let parsed = match self.try_parse_chunk() {
-                Ok(parsed) => parsed,
-                Err(e) => return Err(self.error(TraceErrorKind::Io(e))),
-            };
-            match parsed {
-                ChunkParse::Chunk {
-                    first_index,
-                    count,
-                    header_len,
-                    frame_len,
-                } => {
-                    let payload = self.input.buffered()[header_len..frame_len].to_vec();
-                    self.input.consume(frame_len);
-                    self.install_chunk(first_index, count, payload);
-                }
-                ChunkParse::Trailer { total } => {
-                    self.total_written = Some(total);
-                    if total > self.pos {
-                        // The tail before the trailer was destroyed.
-                        self.stats.records_skipped += total - self.pos;
-                        self.pos = total;
-                    }
-                    return Ok(None);
-                }
-                ChunkParse::End => {
-                    if self.recover {
-                        // Truncated before the trailer: the tail loss is
-                        // unknowable, so it is not counted.
-                        return Ok(None);
-                    }
-                    return Err(self.error(TraceErrorKind::Truncated));
-                }
-                ChunkParse::Truncated => {
-                    if self.recover {
-                        self.resync_or_fail()?;
-                        continue;
-                    }
-                    return Err(self.error(TraceErrorKind::Truncated));
-                }
-                ChunkParse::BadSync => {
-                    if self.recover {
-                        self.resync_or_fail()?;
-                        continue;
-                    }
-                    return Err(
-                        self.error(TraceErrorKind::Corrupt("expected chunk sync marker".into()))
-                    );
-                }
-                ChunkParse::BadHeader(what) => {
-                    if self.recover {
-                        self.resync_or_fail()?;
-                        continue;
-                    }
-                    return Err(
-                        self.error(TraceErrorKind::Corrupt(format!("bad chunk header: {what}")))
-                    );
-                }
-                ChunkParse::BadCrc { stored, computed } => {
-                    self.stats.chunks_skipped += 1;
-                    if self.recover {
-                        self.resync_or_fail()?;
-                        continue;
-                    }
-                    return Err(self.error(TraceErrorKind::ChecksumMismatch { stored, computed }));
-                }
-                // Terminal even in recovery mode.
-                ChunkParse::LimitExceeded(v) => {
-                    return Err(self.error(TraceErrorKind::LimitExceeded(v)));
-                }
-            }
-        }
-    }
-
-    fn resync_or_fail(&mut self) -> Result<(), TraceError> {
-        self.resync()
-    }
 }
 
 /// Maps low-level decode errors to trace error kinds.
-fn io_to_kind(e: io::Error) -> TraceErrorKind {
+pub(crate) fn io_to_kind(e: io::Error) -> TraceErrorKind {
     match e.kind() {
         io::ErrorKind::UnexpectedEof => TraceErrorKind::Truncated,
         io::ErrorKind::InvalidData => TraceErrorKind::Corrupt(e.to_string()),
@@ -1826,7 +1475,7 @@ pub fn decode_span(bytes: &[u8], span: &ChunkSpan, out: &mut [TraceRecord]) -> b
     // The pc-delta chain restarts at every chunk.
     let (mut pos, mut last_pc) = (0usize, 0u64);
     out.iter_mut().all(
-        |slot| match decode_record_slice_swar(payload, &mut pos, &mut last_pc) {
+        |slot| match decode_record_slice(payload, &mut pos, &mut last_pc) {
             Ok(Some(record)) => {
                 *slot = record;
                 true
@@ -1843,50 +1492,32 @@ impl<R: Read> Iterator for TraceReader<R> {
         if self.done {
             return None;
         }
-        if self.batched {
-            loop {
-                if self.batch_pos < self.batch.len() {
-                    let record = self.batch[self.batch_pos];
-                    self.batch_pos += 1;
-                    self.delivered += 1;
-                    self.stats.records_read += 1;
-                    if let Err(e) = self.charge_delivered(1) {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                    return Some(Ok(record));
-                }
-                if let Some(e) = self.pending_err.take() {
+        loop {
+            if self.batch_pos < self.batch.len() {
+                let record = self.batch[self.batch_pos];
+                self.batch_pos += 1;
+                self.delivered += 1;
+                self.stats.records_read += 1;
+                if let Err(e) = self.charge_delivered(1) {
                     self.done = true;
                     return Some(Err(e));
                 }
-                match self.refill_batch() {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        self.done = true;
-                        return None;
-                    }
-                    Err(e) => {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
+                return Some(Ok(record));
+            }
+            if let Some(e) = self.pending_err.take() {
+                self.done = true;
+                return Some(Err(e));
+            }
+            match self.refill_batch() {
+                Ok(true) => {}
+                Ok(false) => {
+                    self.done = true;
+                    return None;
                 }
-            }
-        }
-        let next = if self.version == VERSION_V1 {
-            self.next_v1()
-        } else {
-            self.next_v2()
-        };
-        match next {
-            Ok(Some(record)) => Some(Ok(record)),
-            Ok(None) => {
-                self.done = true;
-                None
-            }
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
+                Err(e) => {
+                    self.done = true;
+                    return Some(Err(e));
+                }
             }
         }
     }
@@ -1896,7 +1527,7 @@ impl<R: Read> Iterator for TraceReader<R> {
 mod tests {
     use super::*;
     use crate::error::TraceErrorKind;
-    use crate::synthetic;
+    use crate::{oracle, synthetic};
 
     fn encode(records: &[TraceRecord], segments: SegmentMap) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -2205,63 +1836,46 @@ mod tests {
         (records, None)
     }
 
-    /// The SWAR block decoder, the scalar block decoder, and the legacy
-    /// per-record decoder must agree on everything observable: records,
-    /// fault kind/position, and stats.
-    fn assert_paths_agree(bytes: &[u8], recover: bool) {
-        let open = || {
-            if recover {
-                TraceReader::with_recovery(bytes)
-            } else {
-                TraceReader::new(bytes)
-            }
-        };
-        // Header validation runs before the decode paths diverge; a
-        // stream that does not open has nothing to compare.
-        let (Ok(mut batched), Ok(scalar), Ok(legacy)) = (open(), open(), open()) else {
-            assert!(open().is_err(), "open must fail deterministically");
-            return;
-        };
-        let mut scalar = scalar.with_scalar_block_decode();
-        let mut legacy = legacy.with_per_record_decode();
-        let (b_records, b_err) = drain(&mut batched);
-        let (s_records, s_err) = drain(&mut scalar);
-        let (l_records, l_err) = drain(&mut legacy);
-        assert_eq!(b_records, l_records, "decoded records diverge");
-        assert_eq!(b_records, s_records, "SWAR and scalar records diverge");
-        let check_faults = |a: &Option<TraceError>, b: &Option<TraceError>, what: &str| match (a, b)
-        {
-            (None, None) => {}
-            (Some(a), Some(b)) => {
-                assert_eq!(a.byte_offset(), b.byte_offset(), "{what}: offsets diverge");
-                assert_eq!(a.record_index(), b.record_index(), "{what}");
-                assert_eq!(a.chunk(), b.chunk(), "{what}");
+    /// The reader must agree with the per-record oracle on everything the
+    /// oracle models: records, and the fault's kind, record index, chunk
+    /// and (on v2) byte offset. On a stream the oracle decodes cleanly, a
+    /// recovering reader must deliver the same records and tally no damage.
+    fn assert_matches_oracle(bytes: &[u8]) {
+        let expected = oracle::decode(bytes).expect("the oracle models this stream");
+        let mut reader = TraceReader::new(bytes).unwrap();
+        let v2 = reader.version() == VERSION_V2;
+        let (records, fault) = drain(&mut reader);
+        assert_eq!(records, expected.records, "decoded records diverge");
+        match (&fault, &expected.fault) {
+            (None, None) => {
+                let mut recovering = TraceReader::with_recovery(bytes).unwrap();
+                let (recovered, fault) = drain(&mut recovering);
+                assert!(fault.is_none(), "{fault:?}");
+                assert_eq!(recovered, expected.records);
+                let n = recovered.len() as u64;
                 assert_eq!(
-                    std::mem::discriminant(a.kind()),
-                    std::mem::discriminant(b.kind()),
-                    "{what}"
+                    recovering.recovery_stats(),
+                    RecoveryStats {
+                        records_read: n,
+                        ..RecoveryStats::default()
+                    }
                 );
+                assert_eq!(recovering.records_written(), v2.then_some(n));
             }
-            _ => panic!("{what}: fault disagreement: {a:?} vs {b:?}"),
-        };
-        check_faults(&b_err, &l_err, "batched vs legacy");
-        check_faults(&b_err, &s_err, "SWAR vs scalar");
-        assert_eq!(
-            batched.recovery_stats(),
-            legacy.recovery_stats(),
-            "recovery accounting diverges"
-        );
-        assert_eq!(
-            batched.recovery_stats(),
-            scalar.recovery_stats(),
-            "SWAR/scalar recovery accounting diverges"
-        );
-        assert_eq!(batched.records_written(), legacy.records_written());
-        assert_eq!(batched.records_written(), scalar.records_written());
+            (Some(a), Some(b)) => {
+                if v2 {
+                    assert_eq!(a.byte_offset(), b.byte_offset(), "offsets diverge");
+                }
+                assert_eq!(a.record_index(), b.record_index());
+                assert_eq!(a.chunk(), b.chunk());
+                assert_eq!(format!("{:?}", a.kind()), format!("{:?}", b.kind()));
+            }
+            _ => panic!("fault disagreement: {fault:?} vs {:?}", expected.fault),
+        }
     }
 
     #[test]
-    fn block_and_per_record_decode_agree_on_clean_streams() {
+    fn reader_matches_the_oracle_on_clean_streams() {
         let records = synthetic::random_trace(1000, 23);
         let segments = SegmentMap::new(64, 1 << 20);
         // v2 across chunk sizes (incl. ones that straddle batch edges).
@@ -2272,8 +1886,7 @@ mod tests {
                 writer.write_record(r).unwrap();
             }
             writer.finish().unwrap();
-            assert_paths_agree(&buf, false);
-            assert_paths_agree(&buf, true);
+            assert_matches_oracle(&buf);
         }
         // v1.
         let mut buf = Vec::new();
@@ -2282,12 +1895,78 @@ mod tests {
             writer.write_record(r).unwrap();
         }
         writer.finish().unwrap();
-        assert_paths_agree(&buf, false);
-        assert_paths_agree(&buf, true);
+        assert_matches_oracle(&buf);
+    }
+
+    /// What reading `clean` with the bytes at `hits` damaged must yield,
+    /// worked out from the pristine frame map.
+    struct Damage {
+        /// Records a strict reader delivers: those before the first
+        /// touched frame, where it faults.
+        strict: Vec<TraceRecord>,
+        /// The first touched frame: its ordinal and start offset.
+        fault_at: (u64, u64),
+        /// Records a recovering reader delivers: every untouched chunk's.
+        recovered: Vec<TraceRecord>,
+        stats: RecoveryStats,
+        /// The trailer's total, if the trailer was not touched.
+        written: Option<u64>,
+    }
+
+    /// A recovering reader resyncs once per touched frame it lands on; a
+    /// frame whose marker is damaged is skipped unseen when the scan from
+    /// an earlier damaged frame runs past it. A landed frame whose marker
+    /// survived fails its checksum. Lost records are counted once a later
+    /// untouched frame re-anchors the record index.
+    fn expected_damage(clean: &[u8], records: &[TraceRecord], hits: &[usize]) -> Damage {
+        let scan = scan_chunks(clean).unwrap();
+        let trailer = scan.chunks.last().map_or(0, |c| c.offset + c.frame_len);
+        // (start, length, first record, record count) of every frame,
+        // the trailer last.
+        let mut frames: Vec<(usize, usize, usize, usize)> = scan
+            .chunks
+            .iter()
+            .map(|c| (c.offset, c.frame_len, c.first_index as usize, c.count as usize))
+            .collect();
+        frames.push((trailer, clean.len() - trailer, records.len(), 0));
+        let hit_in = |start: usize, len: usize| hits.iter().any(|&h| (start..start + len).contains(&h));
+        let strict_end = frames
+            .iter()
+            .position(|&(start, len, _, _)| hit_in(start, len))
+            .unwrap_or(frames.len());
+        let mut damage = Damage {
+            strict: records[..frames[strict_end].2].to_vec(),
+            fault_at: (strict_end as u64, frames[strict_end].0 as u64),
+            recovered: Vec::new(),
+            stats: RecoveryStats::default(),
+            written: None,
+        };
+        let (mut landed, mut unanchored) = (true, 0);
+        for &(start, len, first, count) in &frames {
+            if !hit_in(start, len) {
+                damage.recovered.extend_from_slice(&records[first..first + count]);
+                damage.stats.records_skipped += unanchored;
+                (landed, unanchored) = (true, 0);
+                continue;
+            }
+            damage.stats.bytes_skipped += len as u64;
+            unanchored += count as u64;
+            let marker_hit = hit_in(start, SYNC_MARKER.len());
+            if landed || !marker_hit {
+                damage.stats.resyncs += 1;
+                damage.stats.chunks_skipped += u64::from(!marker_hit);
+            }
+            landed = false;
+        }
+        damage.stats.records_read = damage.recovered.len() as u64;
+        if !hit_in(trailer, clean.len() - trailer) {
+            damage.written = Some(records.len() as u64);
+        }
+        damage
     }
 
     #[test]
-    fn block_and_per_record_decode_agree_on_damaged_streams() {
+    fn reader_recovers_exactly_the_untouched_chunks_of_damaged_streams() {
         let records = synthetic::random_trace(600, 29);
         let mut clean = Vec::new();
         let mut writer =
@@ -2296,22 +1975,42 @@ mod tests {
             writer.write_record(r).unwrap();
         }
         writer.finish().unwrap();
+        let header_len = scan_chunks(&clean).unwrap().chunks[0].offset;
         // A deterministic spread of single-byte corruptions and cuts.
         for step in [3usize, 17, 41, 97, 211] {
             let mut damaged = clean.clone();
-            for i in (step..damaged.len()).step_by(251) {
+            let hits: Vec<usize> = (step..damaged.len()).step_by(251).collect();
+            for &i in &hits {
                 damaged[i] ^= 0x5a;
             }
-            assert_paths_agree(&damaged, false);
-            assert_paths_agree(&damaged, true);
+            if step < header_len {
+                // The file header itself is hit: nothing opens.
+                assert!(TraceReader::new(damaged.as_slice()).is_err(), "step {step}");
+                assert!(TraceReader::with_recovery(damaged.as_slice()).is_err());
+            } else {
+                let expected = expected_damage(&clean, &records, &hits);
+                let (got, fault) = drain(&mut TraceReader::new(damaged.as_slice()).unwrap());
+                assert_eq!(got, expected.strict, "step {step}: strict records");
+                let fault = fault.expect("a touched frame faults a strict read");
+                assert!(fault.is_corruption(), "step {step}: {fault}");
+                assert_eq!(fault.record_index(), expected.strict.len() as u64);
+                assert_eq!(fault.chunk(), Some(expected.fault_at.0), "step {step}");
+                assert_eq!(fault.byte_offset(), expected.fault_at.1, "step {step}");
+                let mut reader = TraceReader::with_recovery(damaged.as_slice()).unwrap();
+                let (got, fault) = drain(&mut reader);
+                assert!(fault.is_none(), "step {step}: {fault:?}");
+                assert_eq!(got, expected.recovered, "step {step}: recovered records");
+                assert_eq!(reader.recovery_stats(), expected.stats, "step {step}");
+                assert_eq!(reader.records_written(), expected.written, "step {step}");
+            }
             let cut = clean.len() * step % clean.len();
-            assert_paths_agree(&clean[..cut], false);
-            assert_paths_agree(&clean[..cut], true);
+            assert!(TraceReader::new(&clean[..cut]).is_err());
+            assert!(TraceReader::with_recovery(&clean[..cut]).is_err());
         }
     }
 
     #[test]
-    fn block_and_per_record_decode_agree_on_truncated_v1() {
+    fn reader_matches_the_oracle_on_truncated_v1() {
         let records = synthetic::random_trace(400, 31);
         let mut buf = Vec::new();
         let mut writer = TraceWriter::v1(&mut buf, SegmentMap::all_data()).unwrap();
@@ -2322,16 +2021,15 @@ mod tests {
         for keep in [buf.len() / 3, buf.len() / 2, buf.len() - 1] {
             let cut = &buf[..keep];
             let (b_records, b_err) = drain(&mut TraceReader::new(cut).unwrap());
-            let (l_records, l_err) =
-                drain(&mut TraceReader::new(cut).unwrap().with_per_record_decode());
-            assert_eq!(b_records, l_records);
+            let expected = oracle::decode(cut).unwrap();
+            assert_eq!(b_records, expected.records);
             // Both must fault mid-record (or both end cleanly at a
             // record boundary); byte offsets may differ by at most the
-            // partially-consumed record on the legacy path.
-            assert_eq!(b_err.is_some(), l_err.is_some(), "cut at {keep}");
-            if let (Some(b), Some(l)) = (&b_err, &l_err) {
-                assert_eq!(b.record_index(), l.record_index());
-                assert!(l.byte_offset() - b.byte_offset() < MAX_RECORD_LEN as u64);
+            // partially-consumed record the oracle reports inside.
+            assert_eq!(b_err.is_some(), expected.fault.is_some(), "cut at {keep}");
+            if let (Some(b), Some(o)) = (&b_err, &expected.fault) {
+                assert_eq!(b.record_index(), o.record_index());
+                assert!(o.byte_offset() - b.byte_offset() < MAX_RECORD_LEN as u64);
             }
         }
     }
@@ -2370,7 +2068,7 @@ mod tests {
             ),
         ];
         assert_eq!(*expected[1].srcs(), [Loc::mem(8), Loc::int(5)]);
-        assert_paths_agree(&bytes, false);
+        assert_matches_oracle(&bytes);
         let (records, fault) = drain(&mut TraceReader::new(bytes.as_slice()).unwrap());
         assert!(fault.is_none(), "{fault:?}");
         assert_eq!(records, expected);
@@ -2554,14 +2252,13 @@ mod tests {
             }
         };
         assert_eq!(err.limit_violation().unwrap().limit, "max-records");
-        // Per-record oracle path agrees.
+        // The iterator, served one record at a time, stops exactly there.
         let mut reader = TraceReader::new(buf.as_slice())
             .unwrap()
-            .with_governor(ResourceGovernor::new(limits))
-            .with_per_record_decode();
+            .with_governor(ResourceGovernor::new(limits));
         let (read, err) = drain(&mut reader);
         assert_eq!(read.len(), 100, "exactly the budget is delivered");
-        let err = err.expect("per-record path must also trip");
+        let err = err.expect("the iterator must also trip");
         assert_eq!(err.limit_violation().unwrap().limit, "max-records");
     }
 

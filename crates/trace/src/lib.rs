@@ -49,6 +49,8 @@ pub mod govern;
 pub mod ingest;
 mod interned;
 mod loc;
+#[doc(hidden)]
+pub mod oracle;
 mod record;
 mod segment;
 pub mod source;

@@ -128,60 +128,52 @@ pub fn check_varint_swar(data: &[u8]) {
     }
 }
 
-/// Differentially checks the block decoder against the per-record oracle
+/// Differentially checks the trace reader against the per-record oracle
 /// on `data` with every chunk's CRC resealed first, so payload mutations
-/// reach the record decoders instead of stopping at the checksum. The
-/// SWAR and scalar block decoders and the per-record decoder must deliver
+/// reach the record decoders instead of stopping at the checksum. Where
+/// the oracle models the stream (intact framing), the reader must deliver
 /// the same records and fail with the same error kind and record index
 /// (and, on chunked v2 streams, the same byte offset and chunk).
 pub fn check_resealed_chunks(data: &[u8]) {
     let mut bytes = data.to_vec();
     reseal_chunks(&mut bytes);
-    // No wall-clock deadline: a timeout on one decoder and not the other
-    // would be a false divergence.
+    // No wall-clock deadline: a timeout would be a false divergence.
     let limits = Limits {
         deadline: None,
         ..Limits::strict()
     };
-    let drain = |reader: TraceReader<&[u8]>| {
-        let mut reader = reader.with_governor(ResourceGovernor::new(limits));
-        let mut records = Vec::new();
-        let fault = loop {
-            match reader.read_block(&mut records) {
-                Ok(0) => break None,
-                Ok(_) => {}
-                Err(e) => break Some(e),
-            }
-        };
-        (records, fault)
-    };
-    let open = || TraceReader::new(bytes.as_slice());
-    let (Ok(swar), Ok(scalar), Ok(oracle)) = (open(), open(), open()) else {
+    let Ok(reader) = TraceReader::new(bytes.as_slice()) else {
         return;
     };
-    let chunked = swar.version() == 2;
-    let oracle = drain(oracle.with_per_record_decode());
-    for (name, (records, fault)) in [
-        ("SWAR", drain(swar)),
-        ("scalar", drain(scalar.with_scalar_block_decode())),
-    ] {
-        assert_eq!(records, oracle.0, "{name} block decoder records diverged");
-        match (&fault, &oracle.1) {
-            (None, None) => {}
-            (Some(a), Some(b)) => {
-                assert_eq!(
-                    format!("{:?}", a.kind()),
-                    format!("{:?}", b.kind()),
-                    "{name} block decoder error diverged"
-                );
-                assert_eq!(a.record_index(), b.record_index(), "{name} record index");
-                if chunked {
-                    assert_eq!(a.byte_offset(), b.byte_offset(), "{name} byte offset");
-                    assert_eq!(a.chunk(), b.chunk(), "{name} chunk");
-                }
-            }
-            (a, b) => panic!("{name} block decoder fault {a:?}, per-record {b:?}"),
+    let chunked = reader.version() == 2;
+    let mut reader = reader.with_governor(ResourceGovernor::new(limits));
+    let mut records = Vec::new();
+    let fault = loop {
+        match reader.read_block(&mut records) {
+            Ok(0) => break None,
+            Ok(_) => {}
+            Err(e) => break Some(e),
         }
+    };
+    let Some(oracle) = paragraph_trace::oracle::decode(&bytes) else {
+        return;
+    };
+    assert_eq!(records, oracle.records, "reader records diverged");
+    match (&fault, &oracle.fault) {
+        (None, None) => {}
+        (Some(a), Some(b)) => {
+            assert_eq!(
+                format!("{:?}", a.kind()),
+                format!("{:?}", b.kind()),
+                "reader error diverged"
+            );
+            assert_eq!(a.record_index(), b.record_index(), "record index");
+            if chunked {
+                assert_eq!(a.byte_offset(), b.byte_offset(), "byte offset");
+                assert_eq!(a.chunk(), b.chunk(), "chunk");
+            }
+        }
+        (a, b) => panic!("reader fault {a:?}, per-record {b:?}"),
     }
 }
 

@@ -244,19 +244,12 @@ fn a_load_into_the_zero_register_round_trips_every_binary_decoder() {
         buf
     };
     for bytes in [&v2, &v1] {
-        let readers = [
-            TraceReader::new(bytes.as_slice()).unwrap(),
-            TraceReader::new(bytes.as_slice())
-                .unwrap()
-                .with_scalar_block_decode(),
-            TraceReader::new(bytes.as_slice())
-                .unwrap()
-                .with_per_record_decode(),
-        ];
-        for reader in readers {
-            let decoded: Vec<_> = reader.map(|r| r.unwrap()).collect();
-            assert_eq!(decoded, trace);
-        }
+        let reader = TraceReader::new(bytes.as_slice()).unwrap();
+        let decoded: Vec<_> = reader.map(|r| r.unwrap()).collect();
+        assert_eq!(decoded, trace);
+        let oracle = paragraph::trace::oracle::decode(bytes).expect("intact stream");
+        assert!(oracle.fault.is_none(), "{:?}", oracle.fault);
+        assert_eq!(oracle.records, trace);
     }
 }
 

@@ -203,11 +203,9 @@ fn read_blocks(bytes: &[u8]) -> Vec<TraceRecord> {
 }
 
 fn read_per_record(bytes: &[u8]) -> Vec<TraceRecord> {
-    TraceReader::new(bytes)
-        .unwrap()
-        .with_per_record_decode()
-        .collect::<Result<_, _>>()
-        .unwrap()
+    let decoded = paragraph::trace::oracle::decode(bytes).unwrap();
+    assert!(decoded.fault.is_none(), "{:?}", decoded.fault);
+    decoded.records
 }
 
 /// The spec's trace as the text ingest path builds it, decoded back.
