@@ -1,27 +1,14 @@
-//! `paragraph` — command-line front end for the Paragraph toolkit.
-//!
-//! ```text
-//! paragraph list
-//! paragraph analyze --workload matrix300 [--size N] [--fuel N]
-//!                   [--rename none|regs|regs-stack|all] [--optimistic]
-//!                   [--window N] [--unit-latency] [--profile out.csv] [--plot]
-//! paragraph analyze --trace trace.pgtr [...]
-//! paragraph trace --workload eqntott --out trace.pgtr [--size N] [--fuel N]
-//! paragraph run --asm file.s [--input 1,2,3] [--fuel N]
-//! paragraph disasm --workload xlisp [--size N]
-//! paragraph dot --workload cc1 --out ddg.dot [--size N] [--fuel N]
-//! paragraph sweep --workload doduc --windows 1,10,100,1000 [--size N]
-//! ```
+//! `paragraph` — command-line front end for the Paragraph toolkit. Its
+//! commands and flags are declared once, in the mode and flag tables
+//! below, which also render `paragraph help`.
 
-use paragraph_core::branch::{BranchPolicy, PredictorKind};
 use paragraph_core::run::RunSink;
 use paragraph_core::telemetry::progress::ProgressReporter;
 use paragraph_core::telemetry::{self, Value};
 use paragraph_core::{
-    analyze_refs, AnalysisConfig, AnalysisReport, LiveWell, MemoryModel, Policy, RenameSet, Run,
-    Stop, SyscallPolicy, TraceIdentity, WindowSize,
+    analyze_refs, parse_num, AnalysisConfig, AnalysisReport, LiveWell, Policy, Run, Stop,
+    TraceIdentity, WindowSize,
 };
-use paragraph_isa::LatencyModel;
 use paragraph_trace::binary::{scan_chunks, RecoveryStats, TraceReader, TraceWriter};
 use paragraph_trace::govern::{Limits, ResourceGovernor};
 use paragraph_trace::{SegmentMap, TraceError, TraceErrorKind, TraceRecord, TraceSource};
@@ -30,6 +17,7 @@ use paragraph_workloads::{Workload, WorkloadId};
 use std::fmt;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -186,53 +174,32 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<(), CliError> {
-    let Some(command) = args.first() else {
-        print_usage();
-        return Ok(());
-    };
-    let opts = Options::parse(&args[1..]).map_err(CliError::Usage)?;
-    if let Some(flag) = opts.unarmed_instrumentation(command) {
-        return Err(usage_err(format!(
-            "`{flag}` is not accepted by `{command}` (sinks: analyze, run, sweep; \
-             --progress: analyze)"
-        )));
-    }
-    // Only `profile` (timeline/bench-log files) and `client`
-    // (METHOD PATH) take positional arguments; everywhere else a stray
-    // word is a typo, not an input.
-    if command != "profile" && command != "client" && !opts.positional.is_empty() {
-        return Err(usage_err(format!(
-            "unexpected argument `{}`",
-            opts.positional[0]
-        )));
-    }
-    let result = match command.as_str() {
-        "list" => cmd_list(),
-        "analyze" => instrumented(&opts, "analysis", |sinks, failures| {
+    let opts = Options::parse(args).map_err(CliError::Usage)?;
+    let result = match opts.mode {
+        Mode::List => cmd_list(),
+        Mode::Analyze => instrumented(&opts, "analysis", |sinks, failures| {
             cmd_analyze(&opts, sinks, failures)
         }),
-        "trace" => cmd_trace(&opts),
-        "ingest" => cmd_ingest(&opts),
-        "run" => instrumented(&opts, "run", |_, _| cmd_run(&opts)),
-        "disasm" => cmd_disasm(&opts),
-        "dot" => cmd_dot(&opts),
-        "sweep" => instrumented(&opts, "sweep", |_, _| cmd_sweep(&opts)),
-        "compare" => cmd_compare(&opts),
-        "stats" => cmd_stats(&opts),
-        "report" => cmd_report(&opts),
-        "profile" => cmd_profile(&opts),
-        "serve" => cmd_serve(&opts),
-        "client" => cmd_client(&opts),
-        "help" | "--help" | "-h" => {
-            print_usage();
+        Mode::Trace => cmd_trace(&opts),
+        Mode::Ingest => cmd_ingest(&opts),
+        Mode::Run => instrumented(&opts, "run", |_, _| cmd_run(&opts)),
+        Mode::Disasm => cmd_disasm(&opts),
+        Mode::Dot => cmd_dot(&opts),
+        Mode::Sweep => instrumented(&opts, "sweep", |_, _| cmd_sweep(&opts)),
+        Mode::SweepGrid => instrumented(&opts, "sweep", |_, _| cmd_sweep_grid(&opts)),
+        Mode::Compare => cmd_compare(&opts),
+        Mode::Stats | Mode::StatsLog | Mode::StatsSnapshot => cmd_stats(&opts),
+        Mode::Report => cmd_report(&opts),
+        Mode::Profile | Mode::ProfileDiff | Mode::ProfileBench => cmd_profile(&opts),
+        Mode::Serve => cmd_serve(&opts),
+        Mode::Client => cmd_client(&opts),
+        Mode::Help => {
+            print!("{}", usage());
             Ok(())
         }
-        other => Err(usage_err(format!(
-            "unknown command `{other}` (try `paragraph help`)"
-        ))),
     };
     if let (Err(CliError::InputRejected { report, .. }), Some(path)) =
-        (&result, &opts.reject_report)
+        (&result, opts.get("reject-report"))
     {
         if let Err(e) = std::fs::write(path, format!("{report}\n")) {
             eprintln!("warning: reject report failed ({path}: {e})");
@@ -241,488 +208,482 @@ fn run(args: &[String]) -> Result<(), CliError> {
     result
 }
 
-fn print_usage() {
-    println!(
-        "paragraph — dynamic dependency analysis of ordinary programs (ISCA 1992)
-
-usage: paragraph <command> [options]
-
-commands:
-  list      show the available workloads (the paper's Table 2 inventory)
-  analyze   run the live-well analyzer over a workload or a trace file
-  trace     capture a workload's execution trace to a binary file
-  ingest    convert an external text trace (--text FILE, see docs/ingest.md)
-            into the binary trace format (--out FILE); streaming, governed
-  run       execute an assembly file on the VM
-  disasm    print a workload's generated assembly
-  dot       export a (small) workload's explicit DDG in Graphviz format
-  sweep     window-size sweep: one workload (Figure 8, one curve), or a
-            parallel (workload x window) grid with --workloads [--jobs N]
-  compare   one workload under the standard ladder of machine conditions
-  stats     first-order operation frequencies of a workload or trace file
-  report    full Section-2.3 analysis: lifetimes, sharing, slack, storage
-  profile   summarize a --timeline-out recording: per-stage self-time,
-            lane utilization, slowest slices; --diff B compares two
-            timelines; --bench-compare BASELINE checks bench-log rows
-  serve     run the multi-tenant analysis daemon (see docs/serve.md):
-            trace uploads and analysis over HTTP on --addr or --uds, a
-            bounded worker pool with panic isolation, load shedding, and
-            graceful drain on SIGTERM/SIGINT
-  client    one request against a running daemon:
-            client ENDPOINT METHOD PATH [--body FILE]; the response body
-            goes to stdout and the status maps onto the exit codes below
-
-common options:
-  --workload NAME   one of the ten benchmark analogues
-  --trace FILE      read a binary trace instead of running a workload
-  --size N          workload problem size (default per workload)
-  --fuel N          dynamic instruction cap (default 100,000,000)
-  --rename MODE     none | regs | regs-stack | all   (default all)
-  --optimistic      ignore system calls (default: conservative firewalls)
-  --window N        instruction window size (default infinite)
-  --branch MODE     perfect | stall | always-taken | never-taken | btfn |
-                    bimodal:N | gshare:N   (default perfect)
-  --units N         at most N operations may start per level (default inf)
-  --no-disambiguation  conservative memory aliasing (loads wait for all
-                    earlier stores; stores for all earlier memory ops)
-  --value-stats     report value lifetime and sharing distributions
-  --unit-latency    all operations take one level (default: Table 1)
-  --seed N          workload input seed
-  --skip N          drop the first N trace records before analyzing
-  --take N          analyze at most N trace records (after --skip)
-  --input A,B,C     read_int inputs for `run`
-  --out FILE        output file (trace/dot)
-  --format FMT      trace output format: binary (default) | csv
-  --profile FILE    write the parallelism profile as CSV
-  --json FILE       write the analysis report as JSON
-  --plot            print an ASCII parallelism profile
-  --windows A,B,C   window sizes for `sweep`
-  --workloads LIST  grid sweep: comma-separated workloads, or `all`; each
-                    trace is decoded once into a shared arena and the
-                    (workload x window) cells run on --jobs workers
-  --jobs N          worker threads. For `sweep --workloads`: cells of the
-                    grid fan out across N workers (0 or absent: all cores;
-                    also PARAGRAPH_JOBS). For `analyze --workload`: the
-                    trace is cut at conservative-syscall firewalls into N
-                    segments analyzed concurrently; the report is
-                    byte-identical to --jobs 1 (see docs/hotpath.md).
-                    Configurations the cut rule cannot split exactly, and
-                    checkpointing runs, use one thread. `analyze --trace`
-                    always streams the file through the decode-ahead
-                    pipeline (one decode thread, one analysis thread)
-  --retries N       grid sweep: failed-cell retries before quarantine
-                    (default 2; see docs/supervision.md)
-  --retry-backoff-ms N  base backoff between cell retries (default 25;
-                    exponential growth, deterministic jitter)
-
-fault tolerance (analyze):
-  --recover             read a damaged trace: resynchronize past corrupt
-                        chunks and report how many records were lost
-  --checkpoint-every N  save analyzer state every N records
-  --checkpoint FILE     checkpoint path (default: <trace>.pgcp)
-  --resume FILE         resume an interrupted analysis from a checkpoint
-  --live-well-cap N     bound the live-well table to N memory locations,
-                        evicting the coldest (reported as a caveat)
-
-instrumentation (analyze / run / sweep; see docs/telemetry.md): every
-stage is one span, recorded by whichever sinks are armed; other commands
-refuse these flags (exit 2)
-  --telemetry-out FILE  write a JSONL structured event log
-  --metrics-out FILE    write a Prometheus text snapshot at exit (and, for
-                        analyze, at every checkpoint)
-  --timeline-out FILE   record a per-thread span timeline and export it as
-                        Chrome trace-event JSON (open in ui.perfetto.dev);
-                        lane capacity via PARAGRAPH_TIMELINE_EVENTS
-  --progress[=SECS]     analyze: heartbeat line to stderr every SECS seconds
-                        (default 2): records, %done, MB/s, critical path, ETA
-  stats --telemetry FILE   summarize a JSONL log (per-stage table); bad
-                        lines are skipped with a warning (--strict: fail)
-  stats --metrics FILE     validate a Prometheus snapshot
-  profile T.json [--top N]        per-stage self-time, lanes, slow slices
-  profile A.json --diff B.json    stage-by-stage timeline comparison
-  profile CUR --bench-compare BASE [--bench-threshold PCT]
-                        compare bench-log rows (BENCH.*.json); exit 5 when
-                        any row slows down more than PCT% (default 20)
-
-daemon (serve / client; see docs/serve.md):
-  --addr HOST:PORT      TCP bind address (default 127.0.0.1:7307)
-  --uds PATH            bind a unix-domain socket instead of TCP
-  --workers N           worker threads (default 4)
-  --queue N             admission queue capacity; beyond it, shed with
-                        429 + Retry-After (default 64)
-  --max-live-sessions N analyzers resident at once; beyond it, idle
-                        sessions are checkpointed to disk and resumed on
-                        touch (default 8)
-  --spool DIR           trace + session spool (default paragraph-serve)
-  --deadline-ms N       per-request analysis deadline (default none)
-  --max-body-mb N       largest accepted request body (default 256)
-  --ready-file FILE     write one line with the bound endpoint once
-                        listening, crash-consistently, for launchers
-  --body FILE           client: request body ('-' reads stdin)
-  uploads decode under Limits::strict(); PARAGRAPH_MAX_* overrides are
-  honored, but serve refuses to start on a malformed override (exit 2)
-  where the one-shot commands warn and fall back to defaults
-  PARAGRAPH_FAULT_REQUEST=<METHOD|*>@<path-prefix>[:fails[:kind]]
-  injects request faults (panic|reject|corrupt|deadline|disconnect|stall)
-
-untrusted input (see docs/ingest.md):
-  resource governors cap what a trace, checkpoint, ingest, or asm file may
-  declare or allocate (PARAGRAPH_MAX_* env overrides); a violation exits 7
-  with a one-line JSON rejection report on stderr
-  --reject-report FILE  also write the JSON rejection report to FILE
-
-exit codes: 0 ok, 2 usage, 3 I/O, 4 corrupt trace, 5 analysis failure,
-            6 degraded sweep (cells quarantined; healthy cells intact),
-            7 input rejected by a resource governor,
-            8 daemon busy or draining (client; retry with backoff)
-            (HTTP mapping for the daemon: see the README table)"
-    );
+/// What a command line runs: a command, or one of the modes a command's
+/// code branches on, selected by a flag of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[rustfmt::skip]
+enum Mode {
+    List, Analyze, Trace, Ingest, Run, Disasm, Dot, SweepGrid, Sweep, Compare,
+    StatsLog, StatsSnapshot, Stats, Report, ProfileBench, ProfileDiff, Profile, Serve, Client,
+    #[default]
+    Help,
 }
 
+/// A set of modes, one bit per [`Mode`].
+type Modes = u32;
+
+const fn modes(list: &[Mode]) -> Modes {
+    let mut set = 0;
+    let mut i = 0;
+    while i < list.len() {
+        set |= 1 << list[i] as u32;
+        i += 1;
+    }
+    set
+}
+
+/// One mode: its command, the flag (without `--`) that selects it from the
+/// command's other modes, its name in help text, the positional
+/// arguments it takes, and its help.
+#[rustfmt::skip]
+struct ModeRow(Mode, &'static str, Option<&'static str>, &'static str, &'static str, &'static str);
+
+/// The mode table: a command's selected modes come before its plain one.
+#[rustfmt::skip]
+const MODES: [ModeRow; 20] = {
+    use Mode::*;
+    [
+        ModeRow(List, "list", None, "list", "", "show the available workloads (the paper's Table 2 inventory)"),
+        ModeRow(Analyze, "analyze", None, "analyze", "", "run the live-well analyzer over a workload or a trace file"),
+        ModeRow(Trace, "trace", None, "trace", "", "capture a workload's execution trace to a binary or CSV file"),
+        ModeRow(Ingest, "ingest", None, "ingest", "", "convert an external text trace (docs/ingest.md) into the\nbinary trace format; streaming, governed"),
+        ModeRow(Run, "run", None, "run", "", "execute an assembly file on the VM"),
+        ModeRow(Disasm, "disasm", None, "disasm", "", "print a workload's generated assembly"),
+        ModeRow(Dot, "dot", None, "dot", "", "export a (small) workload's explicit DDG in Graphviz format"),
+        ModeRow(SweepGrid, "sweep", Some("workloads"), "sweep grid", "", "sweep over a workload list: a parallel (workload x window)\ngrid, each trace decoded once into a shared arena"),
+        ModeRow(Sweep, "sweep", None, "sweep", "", "window-size sweep of one workload or trace (Figure 8, one curve)"),
+        ModeRow(Compare, "compare", None, "compare", "", "one workload under the standard ladder of machine conditions"),
+        ModeRow(StatsLog, "stats", Some("telemetry"), "stats log", "", "stats of a JSONL telemetry log: a per-stage table; bad lines\nare skipped with a warning unless strict"),
+        ModeRow(StatsSnapshot, "stats", Some("metrics"), "stats snapshot", "", "stats of a Prometheus snapshot: validate it"),
+        ModeRow(Stats, "stats", None, "stats", "", "first-order operation frequencies of a workload or trace file"),
+        ModeRow(Report, "report", None, "report", "", "full Section-2.3 analysis: lifetimes, sharing, slack, storage"),
+        ModeRow(ProfileBench, "profile", Some("bench-compare"), "profile bench", "CURRENT", "compare a bench log's rows with a baseline log; exit 5\nwhen any row slows down past the threshold"),
+        ModeRow(ProfileDiff, "profile", Some("diff"), "profile diff", "TIMELINE", "compare a recorded timeline with a second one, stage by stage"),
+        ModeRow(Profile, "profile", None, "profile", "TIMELINE", "summarize a recorded timeline: per-stage self-time, lane\nutilization, slowest slices"),
+        ModeRow(Serve, "serve", None, "serve", "", "run the multi-tenant analysis daemon (docs/serve.md): uploads\nand analyses over HTTP, a bounded worker pool with panic\nisolation, load shedding, graceful drain on SIGTERM/SIGINT"),
+        ModeRow(Client, "client", None, "client", "ENDPOINT METHOD PATH", "one request against a running daemon; the response body\ngoes to stdout and the status maps onto the exit codes"),
+        ModeRow(Help, "help", None, "help", "", "print this help"),
+    ]
+};
+
+/// How a flag takes its value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arg {
+    /// No value: an on/off flag.
+    Off,
+    /// The next argument, named for help text.
+    Value(&'static str),
+    /// An optional `=VALUE` suffix.
+    Attached(&'static str),
+}
+
+/// What a flag needs of the command's input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Need {
+    Any,
+    /// A workload run: the flag does nothing to a `--trace` file.
+    Workload,
+    /// A `--trace` input.
+    TraceInput,
+    /// Under `--trace`, a regular file: a checkpointed run counts the
+    /// trace in a pass of its own, which a pipe cannot give twice.
+    RegularTrace,
+}
+
+/// A flag value's parser: it accepts or explains.
+type Parser = fn(&str) -> Result<(), String>;
+
+/// One flag: its name (without `--`), how it takes a value, the modes that
+/// read it, what it needs of the input, its value's parser (`None` for an
+/// analysis switch, whose grammar is [`AnalysisConfig::with_switch`]), and
+/// its help.
+struct Flag {
+    name: &'static str,
+    arg: Arg,
+    reads: Modes,
+    needs: Need,
+    parse: Option<Parser>,
+    help: &'static str,
+}
+
+#[rustfmt::skip]
+fn flag(name: &'static str, arg: Arg, reads: Modes, needs: Need, parse: Parser, help: &'static str) -> Flag {
+    Flag { name, arg, reads, needs, parse: Some(parse), help }
+}
+
+#[rustfmt::skip]
+fn switch(name: &'static str, arg: Arg, reads: Modes, help: &'static str) -> Flag {
+    Flag { name, arg, reads, needs: Need::Any, parse: None, help }
+}
+
+fn any(_: &str) -> Result<(), String> {
+    Ok(())
+}
+
+fn num<T: std::str::FromStr>(s: &str) -> Result<(), String> {
+    parse_num::<T>(s).map(drop)
+}
+
+/// `value` where `ok`, else the error `why`.
+fn check<T>(value: T, ok: bool, why: &str) -> Result<T, String> {
+    if ok {
+        Ok(value)
+    } else {
+        Err(why.to_owned())
+    }
+}
+
+fn positive<T: std::str::FromStr + PartialEq + Default>(s: &str) -> Result<(), String> {
+    let n: T = parse_num(s)?;
+    check((), n != T::default(), "not a positive count")
+}
+
+fn non_negative(s: &str) -> Result<f64, String> {
+    let x: f64 = parse_num(s)?;
+    check(x, x.is_finite() && x >= 0.0, "not a non-negative number")
+}
+
+fn parse_list<T: std::str::FromStr>(s: &str) -> Result<Vec<T>, String> {
+    s.split(',')
+        .map(str::trim)
+        .filter(|p| !p.is_empty())
+        .map(parse_num)
+        .collect()
+}
+
+fn workload(name: &str) -> Result<WorkloadId, String> {
+    WorkloadId::by_name(name).ok_or_else(|| format!("unknown workload `{name}`"))
+}
+
+/// `--workloads`: a comma-separated list, or `all`.
+fn workload_list(list: &str) -> Result<Vec<WorkloadId>, String> {
+    let ids: Vec<WorkloadId> = match list {
+        "all" => WorkloadId::ALL.to_vec(),
+        _ => list
+            .split(',')
+            .filter(|s| !s.is_empty())
+            .map(workload)
+            .collect::<Result<_, _>>()?,
+    };
+    let ok = !ids.is_empty();
+    check(ids, ok, "requires at least one workload")
+}
+
+/// `--windows`: positive sizes.
+fn window_list(list: &str) -> Result<Vec<usize>, String> {
+    let sizes: Vec<usize> = parse_list(list)?;
+    let ok = !sizes.contains(&0);
+    check(sizes, ok, "window sizes must be positive")
+}
+
+/// `--progress[=SECS]`: seconds between heartbeats, 2 when bare.
+fn progress_secs(value: &str) -> Result<f64, String> {
+    match value {
+        "" => Ok(2.0),
+        secs => non_negative(secs),
+    }
+}
+
+/// The flag table: the one place that says which modes read a flag.
+#[rustfmt::skip]
+fn flags() -> Vec<Flag> {
+    use Arg::{Attached, Off, Value};
+    use Mode::*;
+    use Need::*;
+    const RECORDS: Modes = modes(&[Analyze, Dot, Sweep, Compare, Stats, Report]);
+    const VM: Modes = RECORDS | modes(&[Trace, SweepGrid]);
+    const MACHINE: Modes = modes(&[Analyze, Dot, Report, Sweep, SweepGrid]);
+    const SINKS: Modes = modes(&[Analyze, Run, Sweep, SweepGrid]);
+    const ANALYZE: Modes = modes(&[Analyze]);
+    const SERVE: Modes = modes(&[Serve]);
+    vec![
+        flag("workload", Value("NAME"), RECORDS | modes(&[Trace, Disasm]), Any, |v| workload(v).map(drop),
+            "one of the ten benchmark analogues (see the list command)"),
+        flag("workloads", Value("LIST"), modes(&[SweepGrid]), Any, |v| workload_list(v).map(drop),
+            "comma-separated workloads, or `all`: the sweep grid"),
+        flag("trace", Value("FILE"), RECORDS, Any, any, "read a binary trace instead of running a workload"),
+        flag("asm", Value("FILE"), modes(&[Run]), Any, any, "the assembly file to run"),
+        flag("text", Value("FILE"), modes(&[Ingest]), Any, any, "the external text trace to convert ('-' reads stdin)"),
+        flag("size", Value("N"), VM | modes(&[Disasm]), Workload, num::<u32>, "workload problem size (default per workload)"),
+        flag("seed", Value("N"), VM | modes(&[Disasm]), Workload, num::<u64>, "workload input seed"),
+        flag("fuel", Value("N"), VM | modes(&[Run]), Workload, num::<u64>, "dynamic instruction cap (default 100,000,000)"),
+        flag("input", Value("A,B,C"), modes(&[Run]), Any, |v| parse_list::<i64>(v).map(drop), "read_int inputs for the program"),
+        flag("skip", Value("N"), RECORDS, Any, num::<usize>, "drop the first N trace records before analyzing"),
+        flag("take", Value("N"), RECORDS, Any, num::<usize>, "analyze at most N trace records (after the skip)"),
+        flag("recover", Off, RECORDS, TraceInput, any,
+            "read a damaged trace: resynchronize past corrupt chunks\nand report how many records were lost"),
+        switch("rename", Value("MODE"), MACHINE, "none | regs | regs-stack | all   (default all)"),
+        switch("optimistic", Off, MACHINE, "ignore system calls (default: conservative firewalls)"),
+        // The grid sets the window per cell; the one-workload sweep reads
+        // it for its unbounded reference row.
+        switch("window", Value("N"), MACHINE & !modes(&[SweepGrid]), "instruction window size (default infinite)"),
+        switch("branch", Value("MODE"), MACHINE,
+            "perfect | stall | always-taken | never-taken | btfn |\nbimodal:N | gshare:N   (N <= 28; default perfect)"),
+        switch("units", Value("N"), MACHINE, "at most N operations may start per level (default inf)"),
+        switch("no-disambiguation", Off, MACHINE,
+            "conservative memory aliasing (loads wait for all\nearlier stores; stores for all earlier memory ops)"),
+        // The explicit DDG collects no value statistics, and the ladder
+        // prints none.
+        switch("value-stats", Off, modes(&[Analyze, SweepGrid]), "report value lifetime and sharing distributions"),
+        switch("unit-latency", Off, MACHINE, "all operations take one level (default: Table 1)"),
+        // The explicit DDG keeps every value.
+        switch("live-well-cap", Value("N"), modes(&[Analyze, Sweep, SweepGrid]),
+            "bound the live-well table to N memory locations,\nevicting the coldest (reported as a caveat)"),
+        flag("windows", Value("A,B,C"), modes(&[Sweep, SweepGrid]), Any, |v| window_list(v).map(drop),
+            "window sizes to sweep (default 1,10,100,1000,10000,100000)"),
+        flag("jobs", Value("N"), modes(&[Analyze, SweepGrid]), Any, num::<usize>,
+            "worker threads. The sweep grid fans its cells out across N\n\
+             workers (0 or absent: all cores; also PARAGRAPH_JOBS). A\n\
+             workload's trace is cut at conservative-syscall firewalls\n\
+             into N segments analyzed concurrently, byte-identical to one\n\
+             (docs/hotpath.md); configurations the cut rule cannot split\n\
+             exactly, and checkpointing runs, use one thread. A trace file\n\
+             always streams through one decode thread into one analyzer"),
+        flag("retries", Value("N"), modes(&[SweepGrid]), Any, num::<u32>,
+            "failed-cell retries before quarantine (default 2;\nsee docs/supervision.md)"),
+        flag("retry-backoff-ms", Value("N"), modes(&[SweepGrid]), Any, num::<u64>,
+            "base backoff between cell retries (default 25;\nexponential growth, deterministic jitter)"),
+        flag("out", Value("FILE"), modes(&[Trace, Ingest, Dot, SweepGrid]), Any, any,
+            "output file; the sweep grid's artifact directory"),
+        flag("format", Value("FMT"), modes(&[Trace]), Any, any, "trace output format: binary (default) | csv"),
+        flag("profile", Value("FILE"), ANALYZE, Any, any, "write the parallelism profile as CSV"),
+        flag("json", Value("FILE"), ANALYZE, Any, any, "write the analysis report as JSON"),
+        flag("plot", Off, ANALYZE, Any, any, "print an ASCII parallelism profile"),
+        flag("checkpoint-every", Value("N"), ANALYZE, RegularTrace, positive::<u64>, "save analyzer state every N records"),
+        flag("checkpoint", Value("FILE"), ANALYZE, Any, any, "checkpoint path (default: <trace>.pgcp)"),
+        flag("resume", Value("FILE"), ANALYZE, RegularTrace, any, "resume an interrupted analysis from a checkpoint"),
+        flag("telemetry-out", Value("FILE"), SINKS, Any, any, "write a JSONL structured event log (docs/telemetry.md)"),
+        flag("metrics-out", Value("FILE"), SINKS, Any, any,
+            "write a Prometheus text snapshot at exit (and, for\nanalyze, at every checkpoint)"),
+        flag("timeline-out", Value("FILE"), SINKS, Any, any,
+            "record a per-thread span timeline and export it as\nChrome trace-event JSON (open in ui.perfetto.dev);\nlane capacity via PARAGRAPH_TIMELINE_EVENTS"),
+        flag("progress", Attached("SECS"), ANALYZE, Any, |v| progress_secs(v).map(drop),
+            "heartbeat line to stderr every SECS seconds (default 2):\nrecords, %done, MB/s, critical path, ETA"),
+        flag("telemetry", Value("FILE"), modes(&[StatsLog]), Any, any, "the JSONL log to summarize"),
+        flag("strict", Off, modes(&[StatsLog]), Any, any, "fail on the first malformed line"),
+        flag("metrics", Value("FILE"), modes(&[StatsSnapshot]), Any, any, "the Prometheus snapshot to validate"),
+        flag("diff", Value("FILE"), modes(&[ProfileDiff]), Any, any, "the second timeline"),
+        flag("top", Value("N"), modes(&[Profile]), Any, num::<usize>, "how many slowest slices to list (default 10)"),
+        flag("bench-compare", Value("BASELINE"), modes(&[ProfileBench]), Any, any, "the baseline bench log (BENCH.*.json rows)"),
+        flag("bench-threshold", Value("PCT"), modes(&[ProfileBench]), Any, |v| non_negative(v).map(drop),
+            "allowed slowdown per row in percent (default 20)"),
+        flag("addr", Value("HOST:PORT"), SERVE, Any, any, "TCP bind address (default 127.0.0.1:7307)"),
+        flag("uds", Value("PATH"), SERVE, Any, any, "bind a unix-domain socket instead of TCP"),
+        flag("workers", Value("N"), SERVE, Any, positive::<usize>, "worker threads (default 4)"),
+        flag("queue", Value("N"), SERVE, Any, num::<usize>,
+            "admission queue capacity; beyond it, shed with\n429 + Retry-After (default 64)"),
+        flag("max-live-sessions", Value("N"), SERVE, Any, positive::<usize>,
+            "analyzers resident at once; beyond it, idle\nsessions are checkpointed to disk and resumed on\ntouch (default 8)"),
+        flag("spool", Value("DIR"), SERVE, Any, any, "trace + session spool (default paragraph-serve)"),
+        flag("deadline-ms", Value("N"), SERVE, Any, num::<u64>, "per-request analysis deadline (default none)"),
+        flag("max-body-mb", Value("N"), SERVE, Any, num::<u64>, "largest accepted request body (default 256)"),
+        flag("ready-file", Value("FILE"), SERVE, Any, any,
+            "write one line with the bound endpoint once\nlistening, crash-consistently, for launchers"),
+        flag("body", Value("FILE"), modes(&[Client]), Any, any, "the request body ('-' reads stdin)"),
+        flag("reject-report", Value("FILE"), RECORDS | modes(&[Ingest, Run, Client]), Any, any,
+            "also write an exit 7's JSON rejection report to FILE"),
+    ]
+}
+
+/// The help text: the modes, then every flag with the modes that read it.
+fn usage() -> String {
+    let mut text = String::from(
+        "paragraph — dynamic dependency analysis of ordinary programs (ISCA 1992)\n\n\
+         usage: paragraph <command> [options]\n\ncommands:\n",
+    );
+    for ModeRow(_, _, _, name, takes, help) in &MODES {
+        column(&mut text, &format!("{name} {takes}"), help);
+    }
+    text.push_str("\noptions, with the commands that read them:\n");
+    for flag in flags() {
+        let arg = match flag.arg {
+            Arg::Off => String::new(),
+            Arg::Value(name) => format!(" {name}"),
+            Arg::Attached(name) => format!("[={name}]"),
+        };
+        let readers: Vec<&str> = MODES
+            .iter()
+            .filter(|ModeRow(mode, ..)| flag.reads & (1 << *mode as u32) != 0)
+            .map(|ModeRow(_, _, _, name, ..)| *name)
+            .collect();
+        let needs = match flag.needs {
+            Need::Any => "",
+            Need::Workload => "; workload input",
+            Need::TraceInput => "; trace input",
+            Need::RegularTrace => "; a trace must be a regular file",
+        };
+        let help = format!("{}\n[{}{needs}]", flag.help, readers.join(", "));
+        column(&mut text, &format!("--{}{arg}", flag.name), &help);
+    }
+    text.push_str(
+        "
+environment: PARAGRAPH_MAX_* resource governors (docs/ingest.md): a violation exits 7
+  with a one-line JSON rejection report on stderr, and serve refuses to start (exit 2)
+  on a malformed one; PARAGRAPH_FAULT_REQUEST injects daemon request faults (docs/serve.md)
+
+exit codes: 0 ok, 2 usage, 3 I/O, 4 corrupt trace, 5 analysis failure, 6 degraded sweep
+  (healthy cells intact), 7 input rejected by a resource governor, 8 daemon busy or
+  draining (retry with backoff); the README maps them onto the daemon's HTTP statuses
+",
+    );
+    text
+}
+
+/// One help entry: `head` in a 22-column field (on a line of its own when
+/// longer), then `help`, every line of it at column 24.
+fn column(text: &mut String, head: &str, help: &str) {
+    let head = if head.len() > 21 {
+        format!("{head}\n{:22}", "")
+    } else {
+        head.to_owned()
+    };
+    let help = help.replace('\n', &format!("\n{:24}", ""));
+    text.push_str(&format!("  {head:<22}{help}\n"));
+}
+
+/// A parsed command line.
 #[derive(Debug, Default)]
 struct Options {
-    workload: Option<WorkloadId>,
-    trace: Option<String>,
-    asm: Option<String>,
-    size: Option<u32>,
-    seed: Option<u64>,
-    fuel: Option<u64>,
-    rename: Option<RenameSet>,
-    optimistic: bool,
-    window: Option<usize>,
-    branch: Option<BranchPolicy>,
-    units: Option<usize>,
-    skip: Option<usize>,
-    take: Option<usize>,
-    no_disambiguation: bool,
-    value_stats: bool,
-    unit_latency: bool,
-    out: Option<String>,
-    profile: Option<String>,
-    json: Option<String>,
-    format: Option<String>,
-    plot: bool,
-    inputs: Vec<i64>,
-    windows: Vec<usize>,
-    recover: bool,
-    checkpoint_every: Option<u64>,
-    checkpoint: Option<String>,
-    resume: Option<String>,
-    live_well_cap: Option<usize>,
-    /// Heartbeat interval in seconds (`--progress[=N]`).
-    progress: Option<f64>,
-    telemetry_out: Option<String>,
-    metrics_out: Option<String>,
-    /// `stats --telemetry FILE`: summarize a JSONL telemetry log.
-    stats_telemetry: Option<String>,
-    /// `stats --metrics FILE`: validate a Prometheus snapshot.
-    stats_metrics: Option<String>,
-    /// `sweep --workloads a,b,c|all`: multi-workload grid sweep through the
-    /// parallel sweep engine instead of the single-workload ladder.
-    workloads: Vec<WorkloadId>,
-    /// Worker threads for the grid sweep (`0`/absent = all cores).
-    jobs: Option<usize>,
-    /// Failed-cell retries before quarantine (grid sweep).
-    retries: Option<u32>,
-    /// Base backoff between cell retries, in milliseconds (grid sweep).
-    retry_backoff_ms: Option<u64>,
-    /// `ingest --text FILE`: external text trace to convert.
-    text: Option<String>,
-    /// Where to also write the JSON rejection report on exit code 7.
-    reject_report: Option<String>,
-    /// `stats --telemetry`: fail on the first malformed JSONL line instead
-    /// of warning and skipping it.
-    strict: bool,
-    /// `--timeline-out FILE`: record a flight-recorder timeline and export
-    /// it as Chrome trace-event JSON (analyze / run / sweep).
-    timeline_out: Option<String>,
-    /// `profile A --diff B`: compare two timelines stage by stage.
-    diff: Option<String>,
-    /// `profile --top N`: how many slowest slices to list (default 10).
-    top: Option<usize>,
-    /// `profile CURRENT --bench-compare BASELINE`: compare bench-log rows
-    /// against a baseline instead of profiling a timeline.
-    bench_compare: Option<String>,
-    /// `--bench-threshold PCT`: allowed slowdown before the compare fails
-    /// (default 20).
-    bench_threshold: Option<f64>,
-    /// `serve --addr HOST:PORT`: TCP bind address.
-    addr: Option<String>,
-    /// `serve --uds PATH`: unix-domain socket path instead of TCP.
-    uds: Option<String>,
-    /// `serve --workers N`: worker threads.
-    workers: Option<usize>,
-    /// `serve --queue N`: admission queue capacity.
-    queue: Option<usize>,
-    /// `serve --max-live-sessions N`: resident analyzer budget.
-    max_live_sessions: Option<usize>,
-    /// `serve --spool DIR`: trace + session spool directory.
-    spool: Option<String>,
-    /// `serve --deadline-ms N`: per-request analysis deadline.
-    deadline_ms: Option<u64>,
-    /// `serve --max-body-mb N`: largest accepted request body.
-    max_body_mb: Option<u64>,
-    /// `serve --ready-file FILE`: readiness line for launchers.
-    ready_file: Option<String>,
-    /// `client --body FILE`: request body source (`-` reads stdin).
-    body: Option<String>,
-    /// Non-flag arguments (only `profile` and `client` accept them).
+    mode: Mode,
+    /// Each flag given, with its value (`""` for an on/off flag) as its
+    /// row's parser accepted it; the last of a repeated flag wins.
+    values: Vec<(&'static str, String)>,
+    /// The analysis switches given, over the dataflow limit.
+    config: AnalysisConfig,
+    /// Non-flag arguments, as many as the mode takes.
     positional: Vec<String>,
 }
 
 impl Options {
+    /// Parses `COMMAND [ARGS...]` (no command: `help`) against the mode and
+    /// flag tables: a flag outside its mode's row, or without the input it
+    /// needs, is refused.
     fn parse(args: &[String]) -> Result<Options, String> {
-        let mut opts = Options::default();
-        let mut it = args.iter();
-        while let Some(flag) = it.next() {
-            let mut value = || {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{flag} requires a value"))
+        let (command, rest) = match args.split_first() {
+            Some((c, rest)) if c != "--help" && c != "-h" => (c.as_str(), rest),
+            _ => ("help", args.get(1..).unwrap_or_default()),
+        };
+        let selects = |by: &str| rest.iter().any(|a| a.strip_prefix("--") == Some(by));
+        let ModeRow(mode, _, by, _, takes, _) = MODES
+            .iter()
+            .find(|ModeRow(_, c, by, ..)| *c == command && by.is_none_or(selects))
+            .ok_or_else(|| format!("unknown command `{command}` (try `paragraph help`)"))?;
+        let invocation = by.map_or(command.to_owned(), |by| format!("{command} --{by}"));
+        let table = flags();
+        let mut opts = Options {
+            mode: *mode,
+            ..Options::default()
+        };
+        let mut given = Vec::new();
+        let mut it = rest.iter();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with('-') {
+                opts.positional.push(arg.clone());
+                continue;
+            }
+            let word = arg.strip_prefix("--").unwrap_or_default();
+            let (name, attached) = word
+                .split_once('=')
+                .map_or((word, None), |(n, v)| (n, Some(v)));
+            let flag = table
+                .iter()
+                .find(|f| f.name == name)
+                .ok_or_else(|| format!("unknown option `{arg}`"))?;
+            if flag.reads & (1 << *mode as u32) == 0 {
+                return Err(format!(
+                    "`--{name}` is not read by `{invocation}` (see `paragraph help`)"
+                ));
+            }
+            let value = match (flag.arg, attached) {
+                (Arg::Attached(_), value) => value.unwrap_or_default(),
+                (Arg::Value(_), None) => it
+                    .next()
+                    .ok_or_else(|| format!("--{name} requires a value"))?,
+                (Arg::Off, None) => "",
+                (_, Some(_)) => return Err(format!("unknown option `{arg}`")),
             };
-            match flag.as_str() {
-                "--workload" => {
-                    let name = value()?;
-                    opts.workload = Some(
-                        WorkloadId::by_name(&name)
-                            .ok_or_else(|| format!("unknown workload `{name}`"))?,
-                    );
+            match flag.parse {
+                Some(parse) => parse(value),
+                None => std::mem::take(&mut opts.config)
+                    .with_switch(name, value)
+                    .map(|config| opts.config = config),
+            }
+            .map_err(|e| format!("--{name}: {e}"))?;
+            opts.values.push((flag.name, value.to_owned()));
+            given.push(flag);
+        }
+        if let Some(extra) = opts.positional.get(takes.split_whitespace().count()) {
+            return Err(format!("unexpected argument `{extra}`"));
+        }
+        for Flag { name, needs, .. } in given {
+            match (needs, opts.get("trace")) {
+                (Need::Workload, Some(_)) => {
+                    return Err(format!(
+                        "`--{name}` sets up a workload run; a --trace input has none"
+                    ))
                 }
-                "--trace" => opts.trace = Some(value()?),
-                "--asm" => opts.asm = Some(value()?),
-                "--size" => opts.size = Some(parse_num(&value()?)?),
-                "--seed" => opts.seed = Some(parse_num(&value()?)?),
-                "--fuel" => opts.fuel = Some(parse_num(&value()?)?),
-                "--rename" => {
-                    let mode = value()?;
-                    opts.rename = Some(match mode.as_str() {
-                        "none" => RenameSet::none(),
-                        "regs" => RenameSet::registers_only(),
-                        "regs-stack" => RenameSet::registers_and_stack(),
-                        "all" => RenameSet::all(),
-                        _ => return Err(format!("unknown rename mode `{mode}`")),
-                    });
+                (Need::TraceInput, None) => {
+                    return Err(format!("`--{name}` reads a --trace input"))
                 }
-                "--optimistic" => opts.optimistic = true,
-                "--window" => opts.window = Some(parse_num(&value()?)?),
-                "--branch" => {
-                    let mode = value()?;
-                    opts.branch = Some(parse_branch_policy(&mode)?);
+                (Need::RegularTrace, Some(path))
+                    if std::fs::metadata(path).is_ok_and(|m| !m.is_file()) =>
+                {
+                    return Err(format!(
+                        "`--{name}` needs a regular trace file, read once to count it and \
+                         once to analyze it; `{path}` is a pipe or device"
+                    ))
                 }
-                "--units" => opts.units = Some(parse_num(&value()?)?),
-                "--skip" => opts.skip = Some(parse_num(&value()?)?),
-                "--take" => opts.take = Some(parse_num(&value()?)?),
-                "--no-disambiguation" => opts.no_disambiguation = true,
-                "--value-stats" => opts.value_stats = true,
-                "--unit-latency" => opts.unit_latency = true,
-                "--out" => opts.out = Some(value()?),
-                "--profile" => opts.profile = Some(value()?),
-                "--json" => opts.json = Some(value()?),
-                "--format" => opts.format = Some(value()?),
-                "--plot" => opts.plot = true,
-                "--input" => {
-                    opts.inputs = parse_list(&value()?)?;
-                }
-                "--windows" => {
-                    opts.windows = parse_list(&value()?)?
-                        .into_iter()
-                        .map(|v| v as usize)
-                        .collect();
-                }
-                "--workloads" => {
-                    let list = value()?;
-                    if list == "all" {
-                        opts.workloads = WorkloadId::ALL.to_vec();
-                    } else {
-                        for name in list.split(',').filter(|s| !s.is_empty()) {
-                            opts.workloads.push(
-                                WorkloadId::by_name(name)
-                                    .ok_or_else(|| format!("unknown workload `{name}`"))?,
-                            );
-                        }
-                    }
-                    if opts.workloads.is_empty() {
-                        return Err("--workloads requires at least one workload".into());
-                    }
-                }
-                "--jobs" => opts.jobs = Some(parse_num(&value()?)?),
-                "--retries" => opts.retries = Some(parse_num(&value()?)?),
-                "--retry-backoff-ms" => opts.retry_backoff_ms = Some(parse_num(&value()?)?),
-                "--recover" => opts.recover = true,
-                "--checkpoint-every" => {
-                    let n: u64 = parse_num(&value()?)?;
-                    if n == 0 {
-                        return Err("--checkpoint-every requires a positive count".into());
-                    }
-                    opts.checkpoint_every = Some(n);
-                }
-                "--checkpoint" => opts.checkpoint = Some(value()?),
-                "--resume" => opts.resume = Some(value()?),
-                "--live-well-cap" => {
-                    let n: usize = parse_num(&value()?)?;
-                    if n == 0 {
-                        return Err("--live-well-cap requires a positive size".into());
-                    }
-                    opts.live_well_cap = Some(n);
-                }
-                "--progress" => opts.progress = Some(2.0),
-                "--telemetry-out" => opts.telemetry_out = Some(value()?),
-                "--metrics-out" => opts.metrics_out = Some(value()?),
-                "--telemetry" => opts.stats_telemetry = Some(value()?),
-                "--metrics" => opts.stats_metrics = Some(value()?),
-                "--text" => opts.text = Some(value()?),
-                "--reject-report" => opts.reject_report = Some(value()?),
-                "--strict" => opts.strict = true,
-                "--timeline-out" => opts.timeline_out = Some(value()?),
-                "--diff" => opts.diff = Some(value()?),
-                "--top" => opts.top = Some(parse_num(&value()?)?),
-                "--bench-compare" => opts.bench_compare = Some(value()?),
-                "--addr" => opts.addr = Some(value()?),
-                "--uds" => opts.uds = Some(value()?),
-                "--workers" => {
-                    let n: usize = parse_num(&value()?)?;
-                    if n == 0 {
-                        return Err("--workers requires a positive count".into());
-                    }
-                    opts.workers = Some(n);
-                }
-                "--queue" => opts.queue = Some(parse_num(&value()?)?),
-                "--max-live-sessions" => {
-                    let n: usize = parse_num(&value()?)?;
-                    if n == 0 {
-                        return Err("--max-live-sessions requires a positive count".into());
-                    }
-                    opts.max_live_sessions = Some(n);
-                }
-                "--spool" => opts.spool = Some(value()?),
-                "--deadline-ms" => opts.deadline_ms = Some(parse_num(&value()?)?),
-                "--max-body-mb" => opts.max_body_mb = Some(parse_num(&value()?)?),
-                "--ready-file" => opts.ready_file = Some(value()?),
-                "--body" => opts.body = Some(value()?),
-                "--bench-threshold" => {
-                    let pct: f64 = parse_num(&value()?)?;
-                    if !pct.is_finite() || pct < 0.0 {
-                        return Err("--bench-threshold must be a non-negative percent".into());
-                    }
-                    opts.bench_threshold = Some(pct);
-                }
-                flag if flag.starts_with("--progress=") => {
-                    let secs: f64 = flag["--progress=".len()..]
-                        .parse()
-                        .map_err(|_| format!("invalid progress interval `{flag}`"))?;
-                    if !secs.is_finite() || secs < 0.0 {
-                        return Err("--progress interval must be a non-negative number".into());
-                    }
-                    opts.progress = Some(secs);
-                }
-                other if !other.starts_with('-') => opts.positional.push(other.to_owned()),
-                other => return Err(format!("unknown option `{other}`")),
+                _ => {}
             }
         }
         Ok(opts)
     }
 
-    /// The first instrumentation flag `command` would ignore: only
-    /// `analyze`, `run` and `sweep` arm the sinks, and only `analyze`
-    /// prints a heartbeat.
-    fn unarmed_instrumentation(&self, command: &str) -> Option<&'static str> {
-        let sinks = matches!(command, "analyze" | "run" | "sweep");
-        [
-            ("--telemetry-out", self.telemetry_out.is_some() && !sinks),
-            ("--metrics-out", self.metrics_out.is_some() && !sinks),
-            ("--timeline-out", self.timeline_out.is_some() && !sinks),
-            ("--progress", self.progress.is_some() && command != "analyze"),
-        ]
-        .into_iter()
-        .find_map(|(flag, ignored)| ignored.then_some(flag))
+    /// The value of `--name`, if given.
+    fn get(&self, name: &str) -> Option<&str> {
+        debug_assert!(flags().iter().any(|f| f.name == name), "no flag --{name}");
+        let mut given = self.values.iter().rev();
+        given.find(|(n, _)| *n == name).map(|(_, v)| v.as_str())
+    }
+
+    fn has(&self, name: &str) -> bool {
+        self.get(name).is_some()
+    }
+
+    /// A numeric flag's value, in the type its row's parser checked.
+    fn num<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
+        self.get(name).and_then(|v| parse_num(v).ok())
     }
 
     fn config(&self, segments: SegmentMap) -> AnalysisConfig {
-        let mut config = AnalysisConfig::dataflow_limit().with_segments(segments);
-        if let Some(renames) = self.rename {
-            config = config.with_renames(renames);
-        }
-        if self.optimistic {
-            config = config.with_syscall_policy(SyscallPolicy::Optimistic);
-        }
-        if let Some(w) = self.window {
-            config = config.with_window(WindowSize::bounded(w));
-        }
-        if let Some(policy) = self.branch {
-            config = config.with_branch_policy(policy);
-        }
-        if let Some(units) = self.units {
-            config = config.with_issue_limit(units);
-        }
-        if self.no_disambiguation {
-            config = config.with_memory_model(MemoryModel::NoDisambiguation);
-        }
-        if self.value_stats {
-            config = config.with_value_stats(true);
-        }
-        if self.unit_latency {
-            config = config.with_latency(LatencyModel::unit());
-        }
-        if let Some(cap) = self.live_well_cap {
-            config = config.with_live_well_cap(cap);
-        }
-        config
+        self.config.clone().with_segments(segments)
+    }
+
+    /// `--windows`, or the default ladder.
+    fn windows(&self) -> Vec<usize> {
+        self.get("windows")
+            .and_then(|v| window_list(v).ok())
+            .unwrap_or_else(|| vec![1, 10, 100, 1000, 10_000, 100_000])
     }
 
     fn build_workload(&self) -> Result<Workload, String> {
         let id = self
-            .workload
+            .get("workload")
+            .and_then(WorkloadId::by_name)
             .ok_or("this command needs --workload (see `paragraph list`)")?;
         let mut workload = Workload::new(id);
-        if let Some(size) = self.size {
+        if let Some(size) = self.num("size") {
             workload = workload.with_size(size);
         }
-        if let Some(seed) = self.seed {
+        if let Some(seed) = self.num("seed") {
             workload = workload.with_seed(seed);
         }
         Ok(workload)
     }
 
     fn fuel(&self) -> u64 {
-        self.fuel.unwrap_or(paragraph_vm::DEFAULT_FUEL)
+        self.num("fuel").unwrap_or(paragraph_vm::DEFAULT_FUEL)
     }
-}
-
-fn parse_branch_policy(mode: &str) -> Result<BranchPolicy, String> {
-    Ok(match mode {
-        "perfect" => BranchPolicy::Perfect,
-        "stall" => BranchPolicy::StallAlways,
-        "always-taken" => BranchPolicy::Predict(PredictorKind::AlwaysTaken),
-        "never-taken" => BranchPolicy::Predict(PredictorKind::NeverTaken),
-        "btfn" => BranchPolicy::Predict(PredictorKind::Btfn),
-        other => {
-            let (kind, bits) = other
-                .split_once(':')
-                .ok_or_else(|| format!("unknown branch policy `{other}`"))?;
-            let index_bits: u8 = bits
-                .parse()
-                .map_err(|_| format!("invalid predictor size `{bits}`"))?;
-            match kind {
-                "bimodal" => BranchPolicy::Predict(PredictorKind::Bimodal { index_bits }),
-                "gshare" => BranchPolicy::Predict(PredictorKind::Gshare { index_bits }),
-                _ => return Err(format!("unknown branch policy `{other}`")),
-            }
-        }
-    })
-}
-
-fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
-    s.replace('_', "")
-        .parse()
-        .map_err(|_| format!("invalid number `{s}`"))
-}
-
-fn parse_list(s: &str) -> Result<Vec<i64>, String> {
-    s.split(',')
-        .map(str::trim)
-        .filter(|p| !p.is_empty())
-        .map(parse_num)
-        .collect()
 }
 
 fn cmd_list() -> Result<(), CliError> {
@@ -767,7 +728,7 @@ fn trace_reader(
     source: TraceSource,
     limits: Limits,
 ) -> Result<TraceReader<TraceSource>, CliError> {
-    let reader = if opts.recover {
+    let reader = if opts.has("recover") {
         TraceReader::from_source_with_recovery(source)
     } else {
         TraceReader::from_source(source)
@@ -795,7 +756,7 @@ fn generate(opts: &Options) -> Result<(Vec<TraceRecord>, SegmentMap), CliError> 
 /// stats say what was lost. `analyze` streams instead (see
 /// [`cmd_analyze`]).
 fn load_records(opts: &Options) -> Result<LoadedTrace, CliError> {
-    let mut loaded = if let Some(path) = &opts.trace {
+    let mut loaded = if let Some(path) = opts.get("trace") {
         let mut span = paragraph_core::span!("decode");
         let source = open_trace_source(path)?;
         let mut reader = trace_reader(opts, path, source, Limits::from_env())?;
@@ -808,7 +769,7 @@ fn load_records(opts: &Options) -> Result<LoadedTrace, CliError> {
             .map_err(|e| trace_err(path, e))?
             > 0
         {}
-        let recovery = opts.recover.then(|| reader.recovery_stats());
+        let recovery = opts.has("recover").then(|| reader.recovery_stats());
         span.arg("records", reader.records_read());
         span.arg("bytes", reader.bytes_read());
         paragraph_core::counter!("decode.records", reader.records_read());
@@ -831,10 +792,10 @@ fn load_records(opts: &Options) -> Result<LoadedTrace, CliError> {
             recovery: None,
         }
     };
-    if let Some(skip) = opts.skip {
+    if let Some(skip) = opts.num::<usize>("skip") {
         loaded.records.drain(..skip.min(loaded.records.len()));
     }
-    if let Some(take) = opts.take {
+    if let Some(take) = opts.num("take") {
         loaded.records.truncate(take);
     }
     Ok(loaded)
@@ -867,7 +828,7 @@ fn print_report(report: &AnalysisReport, opts: &Options, artifact_failures: &mut
     // responses call the same function), so serve/CLI byte-identity holds
     // by construction rather than by keeping two format strings in sync.
     print!("{}", paragraph_serve::render_report_text(report));
-    if let Some(path) = &opts.profile {
+    if let Some(path) = opts.get("profile") {
         match paragraph_core::artifact::write_atomic(std::path::Path::new(path), |out| {
             report.profile().write_csv(out)
         }) {
@@ -880,7 +841,7 @@ fn print_report(report: &AnalysisReport, opts: &Options, artifact_failures: &mut
             }
         }
     }
-    if let Some(path) = &opts.json {
+    if let Some(path) = opts.get("json") {
         match paragraph_core::artifact::write_atomic_bytes(
             std::path::Path::new(path),
             report.to_json().as_bytes(),
@@ -892,7 +853,7 @@ fn print_report(report: &AnalysisReport, opts: &Options, artifact_failures: &mut
             }
         }
     }
-    if opts.plot {
+    if opts.has("plot") {
         println!("{}", report.profile().ascii_plot(72, 12));
     }
 }
@@ -900,12 +861,8 @@ fn print_report(report: &AnalysisReport, opts: &Options, artifact_failures: &mut
 /// The checkpoint path for this run: `--checkpoint FILE`, or derived from
 /// the trace file name.
 fn checkpoint_path(opts: &Options) -> String {
-    opts.checkpoint.clone().unwrap_or_else(|| {
-        opts.trace
-            .as_deref()
-            .map(|t| format!("{t}.pgcp"))
-            .unwrap_or_else(|| "paragraph.pgcp".to_owned())
-    })
+    let derived = || opts.get("trace").unwrap_or("paragraph").to_owned() + ".pgcp";
+    opts.get("checkpoint").map_or_else(derived, str::to_owned)
 }
 
 /// Saves a checkpoint through the shared crash-consistent writer: unique
@@ -936,17 +893,16 @@ struct Sinks {
 
 impl Sinks {
     fn arm(opts: &Options) -> Result<Sinks, CliError> {
-        let registry =
-            opts.progress.is_some() || opts.telemetry_out.is_some() || opts.metrics_out.is_some();
+        let registry = opts.has("progress") || opts.has("telemetry-out") || opts.has("metrics-out");
         if registry {
             let global = telemetry::global();
             global.enable();
-            if let Some(path) = &opts.telemetry_out {
+            if let Some(path) = opts.get("telemetry-out") {
                 let file = File::create(path).map_err(|e| io_err(path, e))?;
                 global.set_event_sink(Box::new(BufWriter::new(file)));
             }
         }
-        if opts.timeline_out.is_some() {
+        if opts.has("timeline-out") {
             let timeline = telemetry::timeline::timeline();
             // Events per thread lane.
             if let Some(cap) = std::env::var("PARAGRAPH_TIMELINE_EVENTS")
@@ -960,9 +916,9 @@ impl Sinks {
         }
         Ok(Sinks {
             registry,
-            telemetry_out: opts.telemetry_out.clone(),
-            metrics_out: opts.metrics_out.clone(),
-            timeline_out: opts.timeline_out.clone(),
+            telemetry_out: opts.get("telemetry-out").map(str::to_owned),
+            metrics_out: opts.get("metrics-out").map(str::to_owned),
+            timeline_out: opts.get("timeline-out").map(str::to_owned),
         })
     }
 
@@ -1156,9 +1112,9 @@ struct AnalyzeInput {
 /// counted by one extra pass of the same reader, and only when
 /// checkpoints are in play. No pass keeps the records.
 fn open_input(opts: &Options, sinks: &Sinks) -> Result<AnalyzeInput, CliError> {
-    let checkpointing = opts.checkpoint_every.is_some() || opts.resume.is_some();
-    let skip = opts.skip.unwrap_or(0);
-    let Some(path) = &opts.trace else {
+    let checkpointing = opts.has("checkpoint-every") || opts.has("resume");
+    let skip = opts.num::<usize>("skip").unwrap_or(0);
+    let Some(path) = opts.get("trace") else {
         let (records, segments) = generate(opts)?;
         let rest = &records[skip.min(records.len())..];
         return Ok(AnalyzeInput {
@@ -1172,7 +1128,7 @@ fn open_input(opts: &Options, sinks: &Sinks) -> Result<AnalyzeInput, CliError> {
     let limits = Limits::from_env();
     let source = open_trace_source(path)?;
     let bytes = std::fs::metadata(path).map_or(0, |m| m.len());
-    let scanned = (!opts.recover && (checkpointing || sinks.registry))
+    let scanned = (!opts.has("recover") && (checkpointing || sinks.registry))
         .then(|| source.shared_bytes())
         .flatten()
         .and_then(|bytes| scan_chunks(&bytes))
@@ -1221,13 +1177,14 @@ fn cmd_analyze(
     artifact_failures: &mut Vec<String>,
 ) -> Result<(), CliError> {
     let input = open_input(opts, sinks)?;
-    let take = opts.take.map_or(u64::MAX, |t| t as u64);
+    let take = opts.num::<usize>("take").map_or(u64::MAX, |t| t as u64);
     let total = input.total.map(|t| t.min(take));
+    let workload = opts.build_workload().ok().map(|w| w.id().name());
     let name = opts
-        .trace
-        .clone()
-        .or_else(|| opts.workload.map(|w| w.name().to_owned()))
-        .unwrap_or_default();
+        .get("trace")
+        .or(workload)
+        .unwrap_or_default()
+        .to_owned();
     if sinks.registry {
         telemetry::global().emit(
             "run_start",
@@ -1241,7 +1198,7 @@ fn cmd_analyze(
     }
 
     let config = opts.config(input.segments);
-    let mut analyzer = match &opts.resume {
+    let mut analyzer = match opts.get("resume") {
         Some(path) => {
             let mut span = paragraph_core::span!("checkpoint.load");
             let file = File::open(path).map_err(|e| io_err(path, e))?;
@@ -1265,14 +1222,17 @@ fn cmd_analyze(
 
     let mut sink = AnalyzeSink {
         checkpoint_path: checkpoint_path(opts),
-        checkpointing: opts.checkpoint_every.is_some(),
+        checkpointing: opts.has("checkpoint-every"),
         failures: Vec::new(),
         sinks,
-        reporter: opts.progress.map(|secs| {
-            ProgressReporter::new(Duration::from_secs_f64(secs), total)
-                .with_total_bytes((input.bytes > 0).then_some(input.bytes))
-                .with_resumed(analyzer.records_processed(), 0)
-        }),
+        reporter: opts
+            .get("progress")
+            .and_then(|v| progress_secs(v).ok())
+            .map(|secs| {
+                ProgressReporter::new(Duration::from_secs_f64(secs), total)
+                    .with_total_bytes((input.bytes > 0).then_some(input.bytes))
+                    .with_resumed(analyzer.records_processed(), 0)
+            }),
     };
     if sink.checkpointing {
         // Sweep temp files a crashed predecessor left next to the
@@ -1285,11 +1245,11 @@ fn cmd_analyze(
         }
     }
     let jobs = opts
-        .jobs
+        .num("jobs")
         .map_or(1, paragraph_core::parallel::effective_jobs);
     let policy = Policy {
-        checkpoint_every: opts.checkpoint_every,
-        skip: opts.skip.map_or(0, |s| s as u64),
+        checkpoint_every: opts.num("checkpoint-every"),
+        skip: opts.num::<usize>("skip").map_or(0, |s| s as u64),
         take,
         jobs,
         ..Policy::with_sink(&mut sink)
@@ -1309,7 +1269,7 @@ fn cmd_analyze(
     if let Some(decoded) = &stats.decode {
         paragraph_core::counter!("decode.records", decoded.stats.records_read);
         paragraph_core::counter!("decode.bytes", decoded.bytes_read);
-        if opts.recover {
+        if opts.has("recover") {
             paragraph_core::counter!("decode.resyncs", decoded.stats.resyncs);
             paragraph_core::counter!("decode.records_skipped", decoded.stats.records_skipped);
             if !matches!(outcome, Err(Stop::Trace(_))) {
@@ -1318,7 +1278,7 @@ fn cmd_analyze(
         }
     }
     outcome.map_err(|stop| stop_err(&name, stop))?;
-    if let Some(reason) = stats.one_thread.filter(|_| opts.progress.is_some()) {
+    if let Some(reason) = stats.one_thread.filter(|_| opts.has("progress")) {
         eprintln!("note: --jobs {jobs}: {reason}; analyzing on one thread");
     }
 
@@ -1349,12 +1309,11 @@ fn cmd_analyze(
 fn cmd_trace(opts: &Options) -> Result<(), CliError> {
     let workload = opts.build_workload().map_err(usage_err)?;
     let path = opts
-        .out
-        .as_deref()
+        .get("out")
         .ok_or_else(|| usage_err("trace needs --out FILE"))?;
     let file = File::create(path).map_err(|e| io_err(path, e))?;
     let mut vm = workload.vm();
-    match opts.format.as_deref().unwrap_or("binary") {
+    match opts.get("format").unwrap_or("binary") {
         "binary" => {
             let mut writer = TraceWriter::new(BufWriter::new(file), vm.segment_map())
                 .map_err(|e| io_err(path, e))?;
@@ -1436,12 +1395,10 @@ fn cmd_trace(opts: &Options) -> Result<(), CliError> {
 fn cmd_ingest(opts: &Options) -> Result<(), CliError> {
     use paragraph_trace::ingest::{ingest_text, IngestError, IngestErrorKind};
     let text_path = opts
-        .text
-        .as_deref()
+        .get("text")
         .ok_or_else(|| usage_err("ingest needs --text FILE"))?;
     let out_path = opts
-        .out
-        .as_deref()
+        .get("out")
         .ok_or_else(|| usage_err("ingest needs --out FILE"))?;
     let input: Box<dyn std::io::BufRead> = if text_path == "-" {
         Box::new(BufReader::new(std::io::stdin()))
@@ -1470,8 +1427,7 @@ fn cmd_ingest(opts: &Options) -> Result<(), CliError> {
 
 fn cmd_run(opts: &Options) -> Result<(), CliError> {
     let path = opts
-        .asm
-        .as_deref()
+        .get("asm")
         .ok_or_else(|| usage_err("run needs --asm FILE"))?;
     let source = std::fs::read_to_string(path).map_err(|e| io_err(path, e))?;
     // Assembly files are front-door input too: assemble under limits so a
@@ -1498,7 +1454,7 @@ fn cmd_run(opts: &Options) -> Result<(), CliError> {
         })?
     };
     let mut vm = Vm::new(program);
-    vm.extend_input(opts.inputs.iter().copied());
+    vm.extend_input(parse_list::<i64>(opts.get("input").unwrap_or_default()).unwrap_or_default());
     let outcome = {
         let mut span = paragraph_core::span!("vm.run");
         let outcome = vm
@@ -1535,7 +1491,7 @@ fn cmd_dot(opts: &Options) -> Result<(), CliError> {
     let config = opts.config(segments);
     let ddg = paragraph_core::Ddg::from_records(&records, &config);
     let dot = ddg.to_dot();
-    match &opts.out {
+    match opts.get("out") {
         Some(path) => {
             std::fs::write(path, dot).map_err(|e| io_err(path, e))?;
             println!(
@@ -1553,13 +1509,13 @@ fn cmd_stats(opts: &Options) -> Result<(), CliError> {
     // Telemetry-artifact modes: summarize a JSONL event log, or validate a
     // Prometheus snapshot. Both exit non-zero on malformed input, so the CI
     // smoke job can use them as parsers.
-    if let Some(path) = &opts.stats_telemetry {
+    if let Some(path) = opts.get("telemetry") {
         let text = std::fs::read_to_string(path).map_err(|e| io_err(path, e))?;
         // Telemetry logs are routinely truncated mid-line by a crash or a
         // full disk; by default the readable prefix is still summarized and
         // each bad line is warned about. `--strict` restores fail-fast for
         // CI, which wants to prove a healthy run wrote a clean log.
-        let events = if opts.strict {
+        let events = if opts.has("strict") {
             telemetry::summary::parse_jsonl(&text)
                 .map_err(|e| CliError::CorruptTrace(format!("{path}: {e}")))?
         } else {
@@ -1576,7 +1532,7 @@ fn cmd_stats(opts: &Options) -> Result<(), CliError> {
         print!("{}", telemetry::summary::render_table(&summary));
         return Ok(());
     }
-    if let Some(path) = &opts.stats_metrics {
+    if let Some(path) = opts.get("metrics") {
         let text = std::fs::read_to_string(path).map_err(|e| io_err(path, e))?;
         let samples = telemetry::prom::validate(&text)
             .map_err(|e| CliError::CorruptTrace(format!("{path}: {e}")))?;
@@ -1664,14 +1620,14 @@ fn cmd_report(opts: &Options) -> Result<(), CliError> {
 /// bench-log regression checking instead.
 fn cmd_profile(opts: &Options) -> Result<(), CliError> {
     use telemetry::tracefmt;
-    if let Some(baseline) = &opts.bench_compare {
+    if let Some(baseline) = opts.get("bench-compare") {
         return cmd_profile_bench_compare(opts, baseline);
     }
     let path = opts.positional.first().ok_or_else(|| {
         usage_err("profile needs a timeline file (paragraph profile t.json; see --timeline-out)")
     })?;
     let summary = load_timeline_summary(path)?;
-    match &opts.diff {
+    match opts.get("diff") {
         Some(other) => {
             let candidate = load_timeline_summary(other)?;
             println!("A: {path}");
@@ -1682,7 +1638,7 @@ fn cmd_profile(opts: &Options) -> Result<(), CliError> {
             println!("{path}:");
             print!(
                 "{}",
-                tracefmt::render_profile(&summary, opts.top.unwrap_or(10))
+                tracefmt::render_profile(&summary, opts.num("top").unwrap_or(10))
             );
         }
     }
@@ -1710,7 +1666,10 @@ fn cmd_profile_bench_compare(opts: &Options, baseline_path: &str) -> Result<(), 
     let current_path = opts.positional.first().ok_or_else(|| {
         usage_err("profile --bench-compare needs the current bench log as an argument")
     })?;
-    let threshold_pct = opts.bench_threshold.unwrap_or(20.0);
+    let threshold_pct = opts
+        .get("bench-threshold")
+        .and_then(|v| non_negative(v).ok())
+        .unwrap_or(20.0);
     let baseline = read_bench_rows(baseline_path)?;
     let current = read_bench_rows(current_path)?;
     if baseline.is_empty() {
@@ -1857,17 +1816,10 @@ fn cmd_compare(opts: &Options) -> Result<(), CliError> {
 }
 
 fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
-    if !opts.workloads.is_empty() {
-        return cmd_sweep_grid(opts);
-    }
     let LoadedTrace {
         records, segments, ..
     } = load_records(opts)?;
-    let windows = if opts.windows.is_empty() {
-        vec![1, 10, 100, 1000, 10_000, 100_000]
-    } else {
-        opts.windows.clone()
-    };
+    let windows = opts.windows();
     let full = {
         let _span = paragraph_core::span!("sweep.window");
         analyze_refs(&records, &opts.config(segments))
@@ -1908,29 +1860,16 @@ fn cmd_sweep(opts: &Options) -> Result<(), CliError> {
 fn cmd_sweep_grid(opts: &Options) -> Result<(), CliError> {
     use paragraph_bench::scheduler::sweep_manifest_json;
     use paragraph_bench::{run_sweep, Study, SweepCell, SweepOptions};
-    use std::path::PathBuf;
-
-    if opts.trace.is_some() {
-        return Err(usage_err(
-            "--trace cannot be combined with --workloads (the grid sweep \
-             regenerates each workload's trace into the arena)",
-        ));
-    }
-    if opts.window.is_some() {
-        return Err(usage_err(
-            "use --windows (the ladder) instead of --window with --workloads",
-        ));
-    }
-    let windows = if opts.windows.is_empty() {
-        vec![1, 10, 100, 1000, 10_000, 100_000]
-    } else {
-        opts.windows.clone()
-    };
+    let windows = opts.windows();
     // The scheduler applies each workload's own segment map; the base
     // config carries only the command-line machine model.
     let base = opts.config(SegmentMap::default());
-    let mut cells = Vec::with_capacity(opts.workloads.len() * (windows.len() + 1));
-    for &id in &opts.workloads {
+    let workloads = opts
+        .get("workloads")
+        .and_then(|v| workload_list(v).ok())
+        .unwrap_or_default();
+    let mut cells = Vec::with_capacity(workloads.len() * (windows.len() + 1));
+    for &id in &workloads {
         for &w in &windows {
             cells.push(SweepCell::new(
                 id,
@@ -1941,25 +1880,29 @@ fn cmd_sweep_grid(opts: &Options) -> Result<(), CliError> {
         cells.push(SweepCell::new(id, "full", base.clone()));
     }
 
-    let out_dir = opts.out.as_deref().map(PathBuf::from);
+    let out_dir = opts.get("out").map(PathBuf::from);
     let study = Study::new(
         opts.fuel(),
         100,
         out_dir.clone().unwrap_or_else(|| PathBuf::from("results")),
     )
-    .with_size_override(opts.size)
-    .with_seed_override(opts.seed);
+    .with_size_override(opts.num("size"))
+    .with_seed_override(opts.num("seed"));
     let sweep_opts = SweepOptions {
-        jobs: opts.jobs.unwrap_or_else(paragraph_bench::jobs_from_env),
+        jobs: opts
+            .num("jobs")
+            .unwrap_or_else(paragraph_bench::jobs_from_env),
         arena_budget_bytes: 0,
         // Stage markers key on (workload, label) only — safe for the fixed
         // fig7/fig8 grids, but an interrupted CLI sweep rerun with
         // different machine flags would alias. Each CLI sweep is
         // self-contained instead.
         reuse_stages: false,
-        retries: opts.retries.unwrap_or(SweepOptions::default().retries),
+        retries: opts
+            .num("retries")
+            .unwrap_or(SweepOptions::default().retries),
         retry_backoff_ms: opts
-            .retry_backoff_ms
+            .num("retry-backoff-ms")
             .unwrap_or(SweepOptions::default().retry_backoff_ms),
         // Each worker writes its cell's report and profile as soon as the
         // cell succeeds: atomically, and byte-identically to a fault-free
@@ -1982,7 +1925,7 @@ fn cmd_sweep_grid(opts: &Options) -> Result<(), CliError> {
         "{:<11} {:>10}  {:>14}  {:>12}  {:>8}",
         "workload", "window", "critical path", "parallelism", "% of max"
     );
-    for (w_idx, &id) in opts.workloads.iter().enumerate() {
+    for (w_idx, &id) in workloads.iter().enumerate() {
         let row = &outcome.cells[w_idx * ladder..(w_idx + 1) * ladder];
         let total = row[ladder - 1]
             .outcome()
@@ -2105,31 +2048,28 @@ fn cmd_serve(opts: &Options) -> Result<(), CliError> {
     };
     let fault = paragraph_serve::RequestFault::from_env()
         .map_err(|e| usage_err(format!("refusing to start: {e}")))?;
-    let mut serve_opts = paragraph_serve::ServeOptions {
+    let defaults = paragraph_serve::ServeOptions::default();
+    let serve_opts = paragraph_serve::ServeOptions {
+        addr: opts.get("addr").unwrap_or("127.0.0.1:7307").to_owned(),
+        uds: opts.get("uds").map(PathBuf::from),
+        workers: opts.num("workers").unwrap_or(defaults.workers),
+        queue_capacity: opts.num("queue").unwrap_or(defaults.queue_capacity),
+        max_live_sessions: opts
+            .num("max-live-sessions")
+            .unwrap_or(defaults.max_live_sessions),
+        spool: opts
+            .get("spool")
+            .map_or(defaults.spool.clone(), PathBuf::from),
+        deadline: opts.num("deadline-ms").map(Duration::from_millis),
+        max_body_bytes: opts
+            .num::<u64>("max-body-mb")
+            .map_or(defaults.max_body_bytes, |mb| mb.saturating_mul(1024 * 1024)),
+        ready_file: opts.get("ready-file").map(PathBuf::from),
         limits,
         fault,
         external_shutdown: Some(Box::new(signal_lite::shutdown_requested)),
-        ..paragraph_serve::ServeOptions::default()
+        ..defaults
     };
-    serve_opts.addr = opts.addr.clone().unwrap_or_else(|| "127.0.0.1:7307".into());
-    serve_opts.uds = opts.uds.clone().map(std::path::PathBuf::from);
-    if let Some(n) = opts.workers {
-        serve_opts.workers = n;
-    }
-    if let Some(n) = opts.queue {
-        serve_opts.queue_capacity = n;
-    }
-    if let Some(n) = opts.max_live_sessions {
-        serve_opts.max_live_sessions = n;
-    }
-    if let Some(dir) = &opts.spool {
-        serve_opts.spool = std::path::PathBuf::from(dir);
-    }
-    serve_opts.deadline = opts.deadline_ms.map(Duration::from_millis);
-    if let Some(mb) = opts.max_body_mb {
-        serve_opts.max_body_bytes = mb.saturating_mul(1024 * 1024);
-    }
-    serve_opts.ready_file = opts.ready_file.clone().map(std::path::PathBuf::from);
     if !signal_lite::install_shutdown_handlers() {
         eprintln!("warning: signal handlers unavailable; use POST /shutdown to drain");
     }
@@ -2178,7 +2118,7 @@ fn cmd_client(opts: &Options) -> Result<(), CliError> {
         ));
     };
     let endpoint = paragraph_serve::Endpoint::parse(endpoint).map_err(usage_err)?;
-    let body = match opts.body.as_deref() {
+    let body = match opts.get("body") {
         None => Vec::new(),
         Some("-") => {
             use std::io::Read;
@@ -2222,15 +2162,22 @@ fn cmd_client(opts: &Options) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paragraph_core::branch::{BranchPolicy, PredictorKind};
+    use paragraph_core::{MemoryModel, RenameSet, SWITCHES};
 
     fn parse(args: &[&str]) -> Result<Options, String> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         Options::parse(&owned)
     }
 
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
     #[test]
     fn parses_workload_and_switches() {
         let opts = parse(&[
+            "analyze",
             "--workload",
             "cc1",
             "--size",
@@ -2246,94 +2193,118 @@ mod tests {
             "--value-stats",
         ])
         .unwrap();
-        assert_eq!(opts.workload, Some(WorkloadId::Cc1));
-        assert_eq!(opts.size, Some(12));
-        assert_eq!(opts.rename, Some(RenameSet::registers_only()));
-        assert_eq!(opts.window, Some(1024));
-        assert!(opts.optimistic);
-        assert_eq!(opts.units, Some(4));
-        assert!(opts.no_disambiguation);
-        assert!(opts.value_stats);
+        assert_eq!(opts.mode, Mode::Analyze);
+        assert_eq!(opts.build_workload().unwrap().id(), WorkloadId::Cc1);
+        assert_eq!(opts.num::<u32>("size"), Some(12));
+        let config = opts.config(SegmentMap::all_data());
+        assert_eq!(config.renames(), RenameSet::registers_only());
+        assert_eq!(config.window(), WindowSize::bounded(1024));
+        assert_eq!(
+            config.syscall_policy(),
+            paragraph_core::SyscallPolicy::Optimistic
+        );
+        assert_eq!(config.issue_limit(), Some(4));
+        assert_eq!(config.memory_model(), MemoryModel::NoDisambiguation);
+        assert!(config.value_stats());
     }
 
     #[test]
     fn config_reflects_options() {
-        let opts = parse(&["--rename", "none", "--window", "64", "--units", "2"]).unwrap();
+        let opts = parse(&[
+            "analyze", "--rename", "none", "--window", "64", "--units", "2",
+        ])
+        .unwrap();
         let config = opts.config(SegmentMap::all_data());
         assert_eq!(config.renames(), RenameSet::none());
         assert_eq!(config.window(), WindowSize::bounded(64));
         assert_eq!(config.issue_limit(), Some(2));
     }
 
+    /// The switches the daemon's query test spells as
+    /// `branch=gshare:10&window=1_000&rename=regs-stack&units=4&no-disambiguation`
+    /// build the same configuration as CLI flags.
     #[test]
-    fn branch_policies_parse() {
-        assert_eq!(
-            parse_branch_policy("perfect").unwrap(),
-            BranchPolicy::Perfect
-        );
-        assert_eq!(
-            parse_branch_policy("stall").unwrap(),
-            BranchPolicy::StallAlways
-        );
-        assert_eq!(
-            parse_branch_policy("btfn").unwrap(),
-            BranchPolicy::Predict(PredictorKind::Btfn)
-        );
-        assert_eq!(
-            parse_branch_policy("bimodal:12").unwrap(),
-            BranchPolicy::Predict(PredictorKind::Bimodal { index_bits: 12 })
-        );
-        assert_eq!(
-            parse_branch_policy("gshare:8").unwrap(),
-            BranchPolicy::Predict(PredictorKind::Gshare { index_bits: 8 })
-        );
-        assert!(parse_branch_policy("oracle").is_err());
-        assert!(parse_branch_policy("bimodal:x").is_err());
+    fn cli_switches_build_the_query_config() {
+        let opts = parse(&[
+            "analyze",
+            "--branch",
+            "gshare:10",
+            "--window",
+            "1_000",
+            "--rename",
+            "regs-stack",
+            "--units",
+            "4",
+            "--no-disambiguation",
+        ])
+        .unwrap();
+        let expected = AnalysisConfig::dataflow_limit()
+            .with_branch_policy(BranchPolicy::Predict(PredictorKind::Gshare {
+                index_bits: 10,
+            }))
+            .with_window(WindowSize::bounded(1000))
+            .with_renames(RenameSet::registers_and_stack())
+            .with_issue_limit(4)
+            .with_memory_model(MemoryModel::NoDisambiguation);
+        assert_eq!(opts.config(SegmentMap::all_data()), expected);
     }
 
     #[test]
     fn unknown_flags_and_values_error() {
-        assert!(parse(&["--frobnicate"]).is_err());
-        assert!(parse(&["--workload", "gcc"]).is_err());
-        assert!(parse(&["--size"]).is_err());
-        assert!(parse(&["--rename", "everything"]).is_err());
+        assert!(parse(&["analyze", "--frobnicate"]).is_err());
+        assert!(parse(&["analyze", "--workload", "gcc"]).is_err());
+        assert!(parse(&["analyze", "--size"]).is_err());
+        assert!(parse(&["analyze", "--rename", "everything"]).is_err());
+        assert!(parse(&["analyze", "--branch", "gshare:29"]).is_err());
+        assert!(parse(&["analyze", "--plot=1"]).is_err());
+        assert!(parse(&["analyze", "-x"]).is_err());
+        assert!(parse(&["frobnicate"]).is_err());
     }
 
     #[test]
     fn numbers_accept_underscores() {
-        let opts = parse(&["--fuel", "1_000_000"]).unwrap();
-        assert_eq!(opts.fuel, Some(1_000_000));
+        let opts = parse(&["analyze", "--fuel", "1_000_000"]).unwrap();
+        assert_eq!(opts.fuel(), 1_000_000);
     }
 
     #[test]
     fn skip_and_take_parse() {
-        let opts = parse(&["--skip", "100", "--take", "50"]).unwrap();
-        assert_eq!(opts.skip, Some(100));
-        assert_eq!(opts.take, Some(50));
+        let opts = parse(&["analyze", "--skip", "100", "--take", "50"]).unwrap();
+        assert_eq!(opts.num::<usize>("skip"), Some(100));
+        assert_eq!(opts.num::<usize>("take"), Some(50));
     }
 
     #[test]
     fn lists_parse() {
-        let opts = parse(&["--input", "1, 2,3", "--windows", "10,100"]).unwrap();
-        assert_eq!(opts.inputs, vec![1, 2, 3]);
-        assert_eq!(opts.windows, vec![10, 100]);
+        let opts = parse(&["run", "--input", "1, 2,3"]).unwrap();
+        assert_eq!(
+            parse_list::<i64>(opts.get("input").unwrap()),
+            Ok(vec![1, 2, 3])
+        );
+        let opts = parse(&["sweep", "--windows", "10,100"]).unwrap();
+        assert_eq!(opts.windows(), vec![10, 100]);
+        assert_eq!(parse(&["sweep"]).unwrap().windows().len(), 6);
+        assert!(parse(&["sweep", "--windows", "10,0"]).is_err());
     }
 
     #[test]
     fn fuel_defaults_to_the_paper_cap() {
-        let opts = parse(&[]).unwrap();
+        let opts = parse(&["analyze"]).unwrap();
         assert_eq!(opts.fuel(), paragraph_vm::DEFAULT_FUEL);
     }
 
     #[test]
     fn workload_requires_flag() {
-        let opts = parse(&[]).unwrap();
+        let opts = parse(&["analyze"]).unwrap();
         assert!(opts.build_workload().is_err());
     }
 
     #[test]
     fn fault_tolerance_flags_parse() {
         let opts = parse(&[
+            "analyze",
+            "--trace",
+            "missing.pgtr",
             "--recover",
             "--checkpoint-every",
             "10_000",
@@ -2345,28 +2316,30 @@ mod tests {
             "4096",
         ])
         .unwrap();
-        assert!(opts.recover);
-        assert_eq!(opts.checkpoint_every, Some(10_000));
-        assert_eq!(opts.checkpoint.as_deref(), Some("state.pgcp"));
-        assert_eq!(opts.resume.as_deref(), Some("old.pgcp"));
-        assert_eq!(opts.live_well_cap, Some(4096));
+        assert!(opts.has("recover"));
+        assert_eq!(opts.num::<u64>("checkpoint-every"), Some(10_000));
+        assert_eq!(opts.get("checkpoint"), Some("state.pgcp"));
+        assert_eq!(opts.get("resume"), Some("old.pgcp"));
         let config = opts.config(SegmentMap::all_data());
         assert_eq!(config.live_well_cap(), Some(4096));
     }
 
     #[test]
     fn zero_counts_are_rejected() {
-        assert!(parse(&["--checkpoint-every", "0"]).is_err());
-        assert!(parse(&["--live-well-cap", "0"]).is_err());
+        assert!(parse(&["analyze", "--checkpoint-every", "0"]).is_err());
+        assert!(parse(&["analyze", "--live-well-cap", "0"]).is_err());
+        assert!(parse(&["analyze", "--window", "0"]).is_err());
+        assert!(parse(&["analyze", "--units", "0"]).is_err());
+        assert!(parse(&["serve", "--workers", "0"]).is_err());
     }
 
     #[test]
     fn checkpoint_path_derives_from_the_trace() {
-        let opts = parse(&["--trace", "run.pgtr"]).unwrap();
+        let opts = parse(&["analyze", "--trace", "run.pgtr"]).unwrap();
         assert_eq!(checkpoint_path(&opts), "run.pgtr.pgcp");
-        let opts = parse(&["--checkpoint", "x.pgcp"]).unwrap();
+        let opts = parse(&["analyze", "--checkpoint", "x.pgcp"]).unwrap();
         assert_eq!(checkpoint_path(&opts), "x.pgcp");
-        let opts = parse(&[]).unwrap();
+        let opts = parse(&["analyze"]).unwrap();
         assert_eq!(checkpoint_path(&opts), "paragraph.pgcp");
     }
 
@@ -2402,20 +2375,22 @@ mod tests {
     #[test]
     fn ingest_and_rejection_flags_parse() {
         let opts = parse(&[
+            "ingest",
             "--text",
             "in.pgtxt",
             "--out",
             "out.pgtr",
             "--reject-report",
             "why.json",
-            "--strict",
         ])
         .unwrap();
-        assert_eq!(opts.text.as_deref(), Some("in.pgtxt"));
-        assert_eq!(opts.out.as_deref(), Some("out.pgtr"));
-        assert_eq!(opts.reject_report.as_deref(), Some("why.json"));
-        assert!(opts.strict);
-        assert!(parse(&["--text"]).is_err());
+        assert_eq!(opts.get("text"), Some("in.pgtxt"));
+        assert_eq!(opts.get("out"), Some("out.pgtr"));
+        assert_eq!(opts.get("reject-report"), Some("why.json"));
+        assert!(parse(&["ingest", "--text"]).is_err());
+        let opts = parse(&["stats", "--telemetry", "run.jsonl", "--strict"]).unwrap();
+        assert_eq!(opts.mode, Mode::StatsLog);
+        assert!(opts.has("strict"));
     }
 
     #[test]
@@ -2441,10 +2416,186 @@ mod tests {
 
     #[test]
     fn supervision_flags_parse() {
-        let opts = parse(&["--retries", "5", "--retry-backoff-ms", "100"]).unwrap();
-        assert_eq!(opts.retries, Some(5));
-        assert_eq!(opts.retry_backoff_ms, Some(100));
-        assert!(parse(&["--retries"]).is_err());
-        assert!(parse(&["--retry-backoff-ms", "fast"]).is_err());
+        let grid = ["sweep", "--workloads", "xlisp"];
+        let opts =
+            parse(&[&grid[..], &["--retries", "5", "--retry-backoff-ms", "100"]].concat()).unwrap();
+        assert_eq!(opts.num::<u32>("retries"), Some(5));
+        assert_eq!(opts.num::<u64>("retry-backoff-ms"), Some(100));
+        assert!(parse(&[&grid[..], &["--retries"]].concat()).is_err());
+        assert!(parse(&[&grid[..], &["--retry-backoff-ms", "fast"]].concat()).is_err());
+    }
+
+    /// A value each flag accepts.
+    fn sample(flag: &Flag) -> Vec<String> {
+        let value = match flag.name {
+            "workload" | "workloads" => "xlisp",
+            "rename" => "regs",
+            "branch" => "gshare:4",
+            "format" => "csv",
+            "input" | "windows" => "4,8",
+            "addr" => "127.0.0.1:0",
+            "trace" => "missing.pgtr",
+            _ => "3",
+        };
+        match flag.arg {
+            Arg::Off => vec![format!("--{}", flag.name)],
+            Arg::Attached(_) => vec![format!("--{}={value}", flag.name)],
+            Arg::Value(_) => vec![format!("--{}", flag.name), value.to_owned()],
+        }
+    }
+
+    /// The command line that selects `row`'s mode, before any other flag.
+    fn invoke(ModeRow(_, command, by, ..): &ModeRow) -> Vec<String> {
+        let mut args = vec![command.to_string()];
+        if let Some(by) = by {
+            let selector = flags().into_iter().find(|f| f.name == *by).unwrap();
+            args.extend(sample(&selector));
+        }
+        args
+    }
+
+    #[test]
+    fn every_flag_outside_its_row_is_a_usage_error() {
+        let mut refused = 0;
+        for row @ ModeRow(mode, command, by, ..) in &MODES {
+            for flag in flags() {
+                if flag.reads & (1 << *mode as u32) != 0 {
+                    continue;
+                }
+                let args = [invoke(row), sample(&flag)].concat();
+                // A flag that selects a sibling mode of the command is
+                // read there.
+                let sibling =
+                    |ModeRow(_, c, b, ..): &ModeRow| c == command && *b == Some(flag.name);
+                if by.is_none() && MODES.iter().any(sibling) {
+                    assert_ne!(Options::parse(&args).unwrap().mode, *mode, "{args:?}");
+                    continue;
+                }
+                let err = Options::parse(&args).map(|o| o.mode).unwrap_err();
+                assert!(err.contains("is not read by"), "{args:?}: {err}");
+                refused += 1;
+            }
+        }
+        assert!(refused > 500, "{refused} pairs walked");
+    }
+
+    #[test]
+    fn every_flag_in_its_row_parses() {
+        for row @ ModeRow(mode, ..) in &MODES {
+            for flag in flags() {
+                if flag.reads & (1 << *mode as u32) == 0 {
+                    continue;
+                }
+                let mut args = invoke(row);
+                if matches!(flag.needs, Need::TraceInput | Need::RegularTrace) {
+                    args.extend(words("--trace missing.pgtr"));
+                }
+                args.extend(sample(&flag));
+                let opts = Options::parse(&args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+                assert_eq!(opts.mode, *mode, "{args:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_analysis_switch_has_one_row() {
+        let rows: Vec<Flag> = flags().into_iter().filter(|f| f.parse.is_none()).collect();
+        assert_eq!(rows.len(), SWITCHES.len());
+        for name in SWITCHES {
+            let row = rows.iter().find(|f| f.name == name).unwrap();
+            // Only an on/off switch takes the empty value.
+            let bare = AnalysisConfig::default().with_switch(name, "");
+            assert_eq!(row.arg == Arg::Off, bare.is_ok(), "{name}");
+        }
+    }
+
+    #[test]
+    fn input_needs_are_usage_errors() {
+        for line in [
+            "analyze --trace t.pgtr --size 9",
+            "sweep --trace t.pgtr --seed 1",
+            "analyze --workload xlisp --recover",
+            "stats --recover",
+            "analyze --trace /dev/null --checkpoint-every 300",
+            "analyze --trace /dev/null --resume ck.pgcp",
+            "profile a.json b.json",
+            "client http://127.0.0.1:1 GET /healthz extra",
+            "list extra",
+        ] {
+            assert!(Options::parse(&words(line)).is_err(), "{line}");
+        }
+        // A workload needs no regular file, and a missing trace is an I/O
+        // error for the command to report.
+        for line in [
+            "analyze --workload xlisp --checkpoint-every 300",
+            "analyze --trace missing.pgtr --checkpoint-every 300",
+        ] {
+            assert!(Options::parse(&words(line)).is_ok(), "{line}");
+        }
+    }
+
+    /// Lines that each ran to exit 0 while ignoring a flag.
+    #[test]
+    fn probed_lines_are_usage_errors() {
+        for line in [
+            "compare --workload matrix300 --size 4 --rename none --checkpoint-every 10 --checkpoint F",
+            "stats --workload matrix300 --resume missing.pgcp --window 3",
+            "trace --workload matrix300 --out t --window 64 --skip 5",
+            "sweep --workloads matrix300 --windows 64 --skip 100 --recover",
+            "analyze --trace t.pgtr --size 9 --fuel 1",
+        ] {
+            let result = run(&words(line));
+            assert!(matches!(result, Err(CliError::Usage(_))), "{line}: {result:?}");
+        }
+    }
+
+    /// The command lines the benchmark driver issues.
+    #[test]
+    fn benchmark_command_lines_parse() {
+        for line in [
+            "analyze --trace T --rename all --json J",
+            "analyze --trace T --rename none --window 64 --json J",
+            "analyze --trace T --rename all --jobs 2 --json J",
+            "analyze --trace T --rename none --jobs 1 --json J",
+            "sweep --workloads all --windows 1,10,100 --jobs 2 --seed 7 --out D",
+            "serve --addr 127.0.0.1:0 --max-live-sessions 1 --workers 2 --spool D --ready-file F",
+        ] {
+            if let Err(e) = Options::parse(&words(line)) {
+                panic!("{line}: {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn readme_cli_lines_parse() {
+        let readme = include_str!("../../../README.md");
+        let block = readme
+            .split("## The CLI\n\n```text\n")
+            .nth(1)
+            .and_then(|rest| rest.split("```").next())
+            .unwrap();
+        let mut lines = 0;
+        for line in block.lines() {
+            let line = line.split('#').next().unwrap();
+            let args = words(line.trim().strip_prefix("paragraph").unwrap());
+            if let Err(e) = Options::parse(&args) {
+                panic!("{line}: {e}");
+            }
+            lines += 1;
+        }
+        assert!(lines >= 10);
+    }
+
+    #[test]
+    fn usage_names_every_flag_once() {
+        let text = usage();
+        let mut named: Vec<&str> = text
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .filter_map(|w| w.strip_prefix("--"))
+            .collect();
+        named.sort_unstable();
+        let mut table: Vec<&str> = flags().iter().map(|f| f.name).collect();
+        table.sort_unstable();
+        assert_eq!(named, table);
     }
 }

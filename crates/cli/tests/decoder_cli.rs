@@ -142,7 +142,10 @@ fn recover_mode_matches_through_a_pipe() {
         String::from_utf8_lossy(&out.stderr)
             .lines()
             .find(|line| line.contains("trace damage"))
-            .map(|line| line.replace(trace_str, "TRACE").replace("/dev/stdin", "TRACE"))
+            .map(|line| {
+                line.replace(trace_str, "TRACE")
+                    .replace("/dev/stdin", "TRACE")
+            })
     };
     let line = recovery_line(&mapped).expect("a damage warning");
     assert_eq!(Some(line), recovery_line(&piped), "recovery line diverged");
@@ -167,6 +170,46 @@ fn corrupt_trace_fails_identically_through_a_pipe() {
         "corruption error diverged (mapped vs buffered)"
     );
     let _ = std::fs::remove_file(&trace);
+}
+
+/// A checkpointed run reads its trace twice, once to count it for the
+/// checkpoint's identity and once to analyze it, and a pipe gives its bytes
+/// only once. So `--checkpoint-every` and `--resume` over a piped trace are
+/// usage errors that name the flag (exit 2), not a bogus "not a Paragraph
+/// trace" (exit 4), and no checkpoint is written. The same bytes from a
+/// file still checkpoint and resume.
+#[test]
+fn checkpoints_refuse_a_piped_trace() {
+    let trace = write_random_trace("checkpoint-pipe", 2_000, 47);
+    let trace_str = trace.to_str().expect("utf-8 path");
+    let ck = scratch("pipe.pgcp");
+    let ck_str = ck.to_str().expect("utf-8 path");
+    let analyze = ["analyze", "--trace", trace_str];
+    for flags in [
+        &["--checkpoint-every", "300", "--checkpoint", ck_str][..],
+        &["--resume", ck_str][..],
+    ] {
+        let (piped, bytes) = through_pipe(&[&analyze[..], flags].concat());
+        let out = paragraph_piped(&piped, bytes);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.contains(flags[0]), "{flags:?}: {stderr}");
+        assert!(!ck.exists(), "{flags:?} wrote a checkpoint");
+    }
+
+    let saved = paragraph(
+        &[
+            &analyze[..],
+            &["--checkpoint-every", "300", "--checkpoint", ck_str],
+        ]
+        .concat(),
+    );
+    assert_ok(&saved, "analyze --checkpoint-every from a file");
+    let resumed = paragraph(&[&analyze[..], &["--resume", ck_str]].concat());
+    assert_ok(&resumed, "analyze --resume from a file");
+    assert_eq!(saved.stdout, resumed.stdout, "resumed report diverged");
+    let _ = std::fs::remove_file(&trace);
+    let _ = std::fs::remove_file(&ck);
 }
 
 #[test]
@@ -206,7 +249,10 @@ fn ingested_traces_analyze_identically_through_a_pipe() {
     let (mapped, piped) = mapped_and_piped(&["analyze", "--trace", bin_str]);
     assert_ok(&mapped, "analyze");
     assert_ok(&piped, "analyze from a pipe");
-    assert_eq!(mapped.stdout, piped.stdout, "ingested trace analysis diverged");
+    assert_eq!(
+        mapped.stdout, piped.stdout,
+        "ingested trace analysis diverged"
+    );
     let _ = std::fs::remove_file(&text_path);
     let _ = std::fs::remove_file(&bin_path);
 }
@@ -260,8 +306,14 @@ fn crc_valid_inconsistent_record_exits_4_identically_on_every_path() {
     let args = ["analyze", "--trace", trace_str];
     let (piped, piped_bytes) = through_pipe(&args);
     let runs = [
-        ("--jobs 1", paragraph(&[&args[..], &["--jobs", "1"]].concat())),
-        ("--jobs 2", paragraph(&[&args[..], &["--jobs", "2"]].concat())),
+        (
+            "--jobs 1",
+            paragraph(&[&args[..], &["--jobs", "1"]].concat()),
+        ),
+        (
+            "--jobs 2",
+            paragraph(&[&args[..], &["--jobs", "2"]].concat()),
+        ),
         ("pipe", paragraph_piped(&piped, piped_bytes)),
     ];
     let mut outputs = Vec::new();

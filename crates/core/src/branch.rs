@@ -60,6 +60,40 @@ impl fmt::Display for BranchPolicy {
     }
 }
 
+/// The `branch` switch's grammar: `perfect | stall | always-taken |
+/// never-taken | btfn | bimodal:N | gshare:N`, where `N` (at most 28) is
+/// the log2 of the counter-table size.
+impl std::str::FromStr for BranchPolicy {
+    type Err = String;
+
+    fn from_str(mode: &str) -> Result<BranchPolicy, String> {
+        use PredictorKind::*;
+        let predict = |kind| Ok(BranchPolicy::Predict(kind));
+        let bits = |bits: &str| match bits.parse() {
+            Ok(index_bits) if index_bits <= MAX_INDEX_BITS => Ok(index_bits),
+            _ => Err(format!("invalid predictor size `{bits}` (0..=28)")),
+        };
+        match (mode, mode.split_once(':')) {
+            ("perfect", _) => Ok(BranchPolicy::Perfect),
+            ("stall", _) => Ok(BranchPolicy::StallAlways),
+            ("always-taken", _) => predict(AlwaysTaken),
+            ("never-taken", _) => predict(NeverTaken),
+            ("btfn", _) => predict(Btfn),
+            (_, Some(("bimodal", b))) => predict(Bimodal {
+                index_bits: bits(b)?,
+            }),
+            (_, Some(("gshare", b))) => predict(Gshare {
+                index_bits: bits(b)?,
+            }),
+            _ => Err(format!("unknown branch policy `{mode}`")),
+        }
+    }
+}
+
+/// The largest predictor table [`Predictor::new`] accepts, as log2 of its
+/// counter count.
+const MAX_INDEX_BITS: u8 = 28;
+
 /// The predictor families available to [`BranchPolicy::Predict`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PredictorKind {
@@ -115,7 +149,7 @@ impl Predictor {
     pub fn new(kind: PredictorKind) -> Predictor {
         let table_bits = match kind {
             PredictorKind::Bimodal { index_bits } | PredictorKind::Gshare { index_bits } => {
-                assert!(index_bits <= 28, "predictor table too large");
+                assert!(index_bits <= MAX_INDEX_BITS, "predictor table too large");
                 index_bits
             }
             _ => 0,
@@ -307,5 +341,32 @@ mod tests {
     #[should_panic(expected = "predictor table too large")]
     fn oversized_table_panics() {
         Predictor::new(PredictorKind::Bimodal { index_bits: 40 });
+    }
+
+    #[test]
+    fn branch_policies_parse() {
+        let parse = |s: &str| s.parse::<BranchPolicy>();
+        assert_eq!(parse("perfect"), Ok(BranchPolicy::Perfect));
+        assert_eq!(parse("stall"), Ok(BranchPolicy::StallAlways));
+        assert_eq!(
+            parse("btfn"),
+            Ok(BranchPolicy::Predict(PredictorKind::Btfn))
+        );
+        assert_eq!(
+            parse("bimodal:12"),
+            Ok(BranchPolicy::Predict(PredictorKind::Bimodal {
+                index_bits: 12
+            }))
+        );
+        assert_eq!(
+            parse("gshare:8"),
+            Ok(BranchPolicy::Predict(PredictorKind::Gshare {
+                index_bits: 8
+            }))
+        );
+        assert!(parse("oracle").is_err());
+        assert!(parse("bimodal:x").is_err());
+        // A table `Predictor::new` would refuse is a grammar error instead.
+        assert!(parse("gshare:29").is_err());
     }
 }

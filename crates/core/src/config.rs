@@ -432,6 +432,63 @@ impl AnalysisConfig {
         self.live_well_cap = Some(cap);
         self
     }
+
+    /// Sets one of the [`SWITCHES`] from its textual value: the one grammar
+    /// behind both the CLI's `--NAME VALUE` and the daemon's `NAME=VALUE`.
+    /// An on/off switch takes `""`, `true` or `1`; counts take `_`
+    /// separators and must be positive.
+    ///
+    /// ```
+    /// use paragraph_core::{AnalysisConfig, WindowSize};
+    ///
+    /// let config = AnalysisConfig::dataflow_limit().with_switch("window", "1_000");
+    /// assert_eq!(config.map(|c| c.window()), Ok(WindowSize::bounded(1000)));
+    /// ```
+    pub fn with_switch(self, name: &str, value: &str) -> Result<AnalysisConfig, String> {
+        let on = |config| match value {
+            "" | "true" | "1" => Ok(config),
+            _ => Err(format!("takes no value, `true` or `1`, not `{value}`")),
+        };
+        let count = || match parse_num::<usize>(value)? {
+            0 => Err(format!("`{value}` is not a positive number")),
+            n => Ok(n),
+        };
+        Ok(match name {
+            "rename" => self.with_renames(match value {
+                "none" => RenameSet::none(),
+                "regs" => RenameSet::registers_only(),
+                "regs-stack" => RenameSet::registers_and_stack(),
+                "all" => RenameSet::all(),
+                _ => return Err(format!("unknown rename mode `{value}`")),
+            }),
+            "optimistic" => on(self.with_syscall_policy(SyscallPolicy::Optimistic))?,
+            "window" => self.with_window(WindowSize::bounded(count()?)),
+            "branch" => self.with_branch_policy(value.parse()?),
+            "units" => self.with_issue_limit(count()?),
+            "no-disambiguation" => on(self.with_memory_model(MemoryModel::NoDisambiguation))?,
+            "value-stats" => on(self.with_value_stats(true))?,
+            "unit-latency" => on(self.with_latency(LatencyModel::unit()))?,
+            "live-well-cap" => self.with_live_well_cap(count()?),
+            _ => return Err(format!("unknown analysis switch `{name}`")),
+        })
+    }
+}
+
+/// Every analysis switch by name, as both front ends spell it: the CLI
+/// flag `--NAME` and the daemon's query parameter `NAME`. Their grammar is
+/// [`AnalysisConfig::with_switch`].
+#[rustfmt::skip]
+pub const SWITCHES: [&str; 9] = [
+    "rename", "optimistic", "window", "branch", "units", "no-disambiguation", "value-stats",
+    "unit-latency", "live-well-cap",
+];
+
+/// Parses a decimal number that may carry `_` separators (`1_000_000`),
+/// the number grammar of every CLI flag and daemon query parameter.
+pub fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
+    s.replace('_', "")
+        .parse()
+        .map_err(|_| format!("invalid number `{s}`"))
 }
 
 impl Default for AnalysisConfig {
@@ -519,6 +576,35 @@ mod tests {
         assert!(text.contains("renamed"));
         assert!(text.contains("conservative"));
         assert!(text.contains("infinite"));
+    }
+
+    #[test]
+    fn every_switch_has_a_grammar_that_changes_the_config() {
+        let base = AnalysisConfig::dataflow_limit();
+        for name in SWITCHES {
+            let value = match name {
+                "rename" => "regs-stack",
+                "branch" => "gshare:10",
+                "window" | "units" | "live-well-cap" => "1_000",
+                _ => "",
+            };
+            let config = base.clone().with_switch(name, value);
+            assert_ne!(config, Ok(base.clone()), "{name}");
+            assert!(config.is_ok(), "{name}: {config:?}");
+        }
+        for (name, value) in [
+            ("windw", "4"),
+            ("window", "0"),
+            ("units", "x"),
+            ("live-well-cap", "0"),
+            ("optimistic", "yes"),
+            ("rename", "everything"),
+        ] {
+            assert!(
+                base.clone().with_switch(name, value).is_err(),
+                "{name}={value}"
+            );
+        }
     }
 
     #[test]

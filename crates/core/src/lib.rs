@@ -109,7 +109,7 @@ mod window;
 
 pub use analyze::{analyze, analyze_refs, analyze_slice, analyze_with_stats};
 pub use checkpoint::{CheckpointError, TraceIdentity};
-pub use config::{AnalysisConfig, RenameSet, SyscallPolicy, WindowSize};
+pub use config::{parse_num, AnalysisConfig, RenameSet, SyscallPolicy, WindowSize, SWITCHES};
 pub use ddg::{Ddg, DdgBuilder, DdgNode, DepKind, Edge, NodeId};
 pub use dist::Distribution;
 pub use error::AnalysisError;

@@ -23,6 +23,7 @@
 
 use crate::error::ServeError;
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 
 /// What an armed fault does to the matched request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,7 +49,7 @@ pub struct RequestFault {
     path_prefix: String,
     fails: u32,
     kind: RequestFaultKind,
-    injected: AtomicU32,
+    injected: Arc<AtomicU32>,
 }
 
 impl RequestFault {
@@ -91,7 +92,7 @@ impl RequestFault {
             path_prefix: path_prefix.to_owned(),
             fails,
             kind,
-            injected: AtomicU32::new(0),
+            injected: Arc::default(),
         }))
     }
 
@@ -125,9 +126,12 @@ impl RequestFault {
         }
     }
 
-    /// How many faults have been injected so far.
-    pub fn injected(&self) -> u32 {
-        self.injected.load(Ordering::Relaxed)
+    /// How many faults have been injected so far, as a shared handle that
+    /// outlives moving the fault into a server: a test waits on it to know
+    /// that a matched request reached its worker (a `stall` is counted
+    /// before it sleeps).
+    pub fn injections(&self) -> Arc<AtomicU32> {
+        Arc::clone(&self.injected)
     }
 }
 
@@ -204,7 +208,7 @@ mod tests {
             Some(RequestFaultKind::Corrupt)
         );
         assert!(f.arm("POST", "/analyze").is_none(), "budget exhausted");
-        assert_eq!(f.injected(), 2);
+        assert_eq!(f.injections().load(Ordering::Relaxed), 2);
     }
 
     #[test]

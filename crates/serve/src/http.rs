@@ -47,13 +47,6 @@ impl Request {
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
     }
-
-    /// Whether flag-style parameter `name` is present (bare or `=true`/`=1`).
-    pub fn flag(&self, name: &str) -> bool {
-        self.query
-            .iter()
-            .any(|(k, v)| k == name && (v.is_empty() || v == "true" || v == "1"))
-    }
 }
 
 /// A connection failure while reading the request. I/O errors mean the
@@ -373,8 +366,8 @@ mod tests {
         assert_eq!(req.path, "/analyze");
         assert_eq!(req.param("trace"), Some("t1"));
         assert_eq!(req.param("window"), Some("64"));
-        assert!(req.flag("optimistic"));
-        assert!(!req.flag("value-stats"));
+        assert_eq!(req.param("optimistic"), Some(""));
+        assert_eq!(req.param("value-stats"), None);
     }
 
     #[test]

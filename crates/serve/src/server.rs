@@ -27,13 +27,11 @@ use crate::http::{
 use crate::pool::Pool;
 use crate::session::{SessionStatus, SessionStore};
 use crate::store::TraceStore;
-use paragraph_core::branch::{BranchPolicy, PredictorKind};
 use paragraph_core::telemetry;
 use paragraph_core::{
-    AnalysisConfig, AnalysisReport, LatencyModel, LiveWell, MemoryModel, Policy, RenameSet, Run,
-    Stop, SyscallPolicy, WindowSize,
+    parse_num, AnalysisConfig, AnalysisReport, LiveWell, Policy, Run, Stop, SWITCHES,
 };
-use paragraph_trace::{Limits, SegmentMap};
+use paragraph_trace::Limits;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -542,7 +540,16 @@ fn handle_request(
 
     match (method, path) {
         ("POST", "/traces") => {
-            let text = req.param("format") == Some("text");
+            read_query(req, &["format"], false)?;
+            let text = match req.param("format") {
+                None | Some("binary") => false,
+                Some("text") => true,
+                Some(other) => {
+                    return Err(ServeError::BadRequest(format!(
+                        "unknown upload format `{other}` (binary|text)"
+                    )))
+                }
+            };
             let summary = state.store.upload(req.body.clone(), text)?;
             paragraph_core::counter!("serve.uploads", 1);
             Ok(Response::json(format!(
@@ -552,11 +559,12 @@ fn handle_request(
         }
         ("POST", "/analyze") => analyze(state, req),
         ("POST", "/sessions") => {
+            let config = read_query(req, &["trace"], true)?;
             let trace_id = req
                 .param("trace")
                 .ok_or_else(|| ServeError::BadRequest("`trace` parameter is required".into()))?;
             let trace = state.store.resolve(trace_id)?;
-            let config = config_from_query(req, trace.segments)?;
+            let config = config.with_segments(trace.segments);
             let id = state.sessions.open_session(&trace, config)?;
             Ok(Response::json(format!(
                 "{{\"id\":\"{id}\",\"trace\":\"{trace_id}\"}}"
@@ -567,15 +575,15 @@ fn handle_request(
             if id.is_empty() || id.contains('/') {
                 return Err(ServeError::NotFound(format!("no route `{p}`")));
             }
+            read_query(req, &[], false)?;
             let status = state.sessions.status(id, &state.store)?;
             Ok(Response::json(session_status_json(&status)))
         }
         ("POST", p) if p.starts_with("/sessions/") && p.ends_with("/advance") => {
             let id = &p["/sessions/".len()..p.len() - "/advance".len()];
-            let count: u64 = match req.param("records") {
-                Some(n) => n
-                    .parse()
-                    .map_err(|_| ServeError::BadRequest(format!("bad record count `{n}`")))?,
+            read_query(req, &["records", "deadline-ms"], false)?;
+            let count = match req.param("records") {
+                Some(n) => number("records", n)?,
                 None => 4096,
             };
             let deadline = request_deadline(state, req)?;
@@ -584,12 +592,14 @@ fn handle_request(
         }
         ("POST", p) if p.starts_with("/sessions/") && p.ends_with("/finish") => {
             let id = &p["/sessions/".len()..p.len() - "/finish".len()];
+            read_query(req, &["deadline-ms", "format"], false)?;
             let deadline = request_deadline(state, req)?;
             let report = state.sessions.finish(id, &state.store, deadline)?;
             report_response(&report, req)
         }
         ("DELETE", p) if p.starts_with("/sessions/") => {
             let id = &p["/sessions/".len()..];
+            read_query(req, &[], false)?;
             state.sessions.delete(id)?;
             Ok(Response::json("{\"status\":\"deleted\"}"))
         }
@@ -611,15 +621,14 @@ fn handle_request(
 /// `analyze`'s stdout; `jobs` never changes the bytes, by the parallel
 /// engine's determinism contract).
 fn analyze(state: &ServerState, req: &Request) -> Result<Response, ServeError> {
+    let config = read_query(req, &["trace", "jobs", "deadline-ms", "format"], true)?;
     let trace_id = req
         .param("trace")
         .ok_or_else(|| ServeError::BadRequest("`trace` parameter is required".into()))?;
     let trace = state.store.resolve(trace_id)?;
-    let config = config_from_query(req, trace.segments)?;
+    let config = config.with_segments(trace.segments);
     let jobs = match req.param("jobs") {
-        Some(n) => n
-            .parse()
-            .map_err(|_| ServeError::BadRequest(format!("bad job count `{n}`")))?,
+        Some(n) => number("jobs", n)?,
         None => 1,
     };
     // The deadline is checked between batches, on the primary and on
@@ -652,10 +661,7 @@ fn request_deadline(state: &ServerState, req: &Request) -> Result<Option<Duratio
     let Some(raw) = req.param("deadline-ms") else {
         return Ok(state.deadline);
     };
-    let ms: u64 = raw
-        .parse()
-        .map_err(|_| ServeError::BadRequest(format!("bad deadline `{raw}`")))?;
-    let requested = Duration::from_millis(ms);
+    let requested = Duration::from_millis(number("deadline-ms", raw)?);
     Ok(Some(match state.deadline {
         Some(server) => server.min(requested),
         None => requested,
@@ -716,81 +722,75 @@ fn healthz(state: &ServerState, draining: bool) -> Response {
     ))
 }
 
-/// Builds the analysis configuration from query parameters, mirroring the
-/// CLI's flags one-for-one (same names, same value grammars) so a request
-/// and a command line describe the same analysis:
-/// `window`, `rename`, `optimistic`, `branch`, `units`,
-/// `no-disambiguation`, `value-stats`, `unit-latency`, `live-well-cap`.
-fn config_from_query(req: &Request, segments: SegmentMap) -> Result<AnalysisConfig, ServeError> {
-    let bad = |msg: String| ServeError::BadRequest(msg);
-    let mut config = AnalysisConfig::dataflow_limit().with_segments(segments);
-    if let Some(mode) = req.param("rename") {
-        config = config.with_renames(match mode {
-            "none" => RenameSet::none(),
-            "regs" => RenameSet::registers_only(),
-            "regs-stack" => RenameSet::registers_and_stack(),
-            "all" => RenameSet::all(),
-            _ => return Err(bad(format!("unknown rename mode `{mode}`"))),
-        });
-    }
-    if req.flag("optimistic") {
-        config = config.with_syscall_policy(SyscallPolicy::Optimistic);
-    }
-    if let Some(w) = req.param("window") {
-        let w: usize = w.parse().map_err(|_| bad(format!("bad window `{w}`")))?;
-        config = config.with_window(WindowSize::bounded(w));
-    }
-    if let Some(mode) = req.param("branch") {
-        config = config.with_branch_policy(parse_branch_policy(mode).map_err(bad)?);
-    }
-    if let Some(units) = req.param("units") {
-        let units: usize = units
-            .parse()
-            .map_err(|_| bad(format!("bad unit count `{units}`")))?;
-        config = config.with_issue_limit(units);
-    }
-    if req.flag("no-disambiguation") {
-        config = config.with_memory_model(MemoryModel::NoDisambiguation);
-    }
-    if req.flag("value-stats") {
-        config = config.with_value_stats(true);
-    }
-    if req.flag("unit-latency") {
-        config = config.with_latency(LatencyModel::unit());
-    }
-    if let Some(cap) = req.param("live-well-cap") {
-        let cap: usize = cap
-            .parse()
-            .map_err(|_| bad(format!("bad live well cap `{cap}`")))?;
-        if cap == 0 {
-            return Err(bad("live-well-cap requires a positive size".into()));
+/// Reads a route's query: each parameter must be one of `params` or,
+/// where the route takes them (`switches`), an analysis switch; anything
+/// else answers 400. Returns the configuration the switches describe, set
+/// in order through the CLI's grammar ([`AnalysisConfig::with_switch`]), so
+/// a request and a command line describe the same analysis.
+fn read_query(
+    req: &Request,
+    params: &[&str],
+    switches: bool,
+) -> Result<AnalysisConfig, ServeError> {
+    let bad = ServeError::BadRequest;
+    let mut config = AnalysisConfig::dataflow_limit();
+    for (name, value) in &req.query {
+        let name = name.as_str();
+        if params.contains(&name) {
+            continue;
         }
-        config = config.with_live_well_cap(cap);
+        if !switches || !SWITCHES.contains(&name) {
+            return Err(bad(format!(
+                "`{}` does not read the parameter `{name}`",
+                req.path
+            )));
+        }
+        config = config
+            .with_switch(name, value)
+            .map_err(|e| bad(format!("`{name}`: {e}")))?;
     }
     Ok(config)
 }
 
-/// The CLI's `--branch` grammar, accepted verbatim as the `branch` query
-/// parameter.
-fn parse_branch_policy(mode: &str) -> Result<BranchPolicy, String> {
-    Ok(match mode {
-        "perfect" => BranchPolicy::Perfect,
-        "stall" => BranchPolicy::StallAlways,
-        "always-taken" => BranchPolicy::Predict(PredictorKind::AlwaysTaken),
-        "never-taken" => BranchPolicy::Predict(PredictorKind::NeverTaken),
-        "btfn" => BranchPolicy::Predict(PredictorKind::Btfn),
-        other => {
-            let (kind, bits) = other
-                .split_once(':')
-                .ok_or_else(|| format!("unknown branch policy `{other}`"))?;
-            let index_bits: u8 = bits
-                .parse()
-                .map_err(|_| format!("invalid predictor size `{bits}`"))?;
-            match kind {
-                "bimodal" => BranchPolicy::Predict(PredictorKind::Bimodal { index_bits }),
-                "gshare" => BranchPolicy::Predict(PredictorKind::Gshare { index_bits }),
-                _ => return Err(format!("unknown branch policy `{other}`")),
-            }
+/// A numeric query parameter, in the CLI's number grammar.
+fn number<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, ServeError> {
+    parse_num(value).map_err(|e| ServeError::BadRequest(format!("`{name}`: {e}")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::parse_request_head;
+    use paragraph_core::branch::{BranchPolicy, PredictorKind};
+    use paragraph_core::{MemoryModel, RenameSet, WindowSize};
+
+    #[test]
+    fn cli_flags_and_query_build_equal_configs() {
+        let head = "POST /analyze?trace=t1&branch=gshare:10&window=1_000&rename=regs-stack\
+                    &units=4&no-disambiguation HTTP/1.1\r\n\r\n";
+        let req = parse_request_head(&mut head.as_bytes()).expect("well-formed request");
+        let served = read_query(&req, &["trace"], true).expect("valid switches");
+        // The same switches spelled as CLI flags: a value follows each one
+        // that takes a value.
+        let argv = "--branch gshare:10 --window 1_000 --rename regs-stack --units 4 \
+                    --no-disambiguation";
+        let mut argv = argv.split_whitespace().peekable();
+        let mut flagged = AnalysisConfig::dataflow_limit();
+        while let Some(flag) = argv.next() {
+            let name = flag.trim_start_matches("--");
+            assert!(SWITCHES.contains(&name), "{name}");
+            let value = argv.next_if(|v| !v.starts_with("--")).unwrap_or_default();
+            flagged = flagged.with_switch(name, value).expect("valid switch");
         }
-    })
+        let expected = AnalysisConfig::dataflow_limit()
+            .with_branch_policy(BranchPolicy::Predict(PredictorKind::Gshare {
+                index_bits: 10,
+            }))
+            .with_window(WindowSize::bounded(1000))
+            .with_renames(RenameSet::registers_and_stack())
+            .with_issue_limit(4)
+            .with_memory_model(MemoryModel::NoDisambiguation);
+        assert_eq!(served, expected);
+        assert_eq!(flagged, expected);
+    }
 }

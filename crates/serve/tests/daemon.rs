@@ -10,6 +10,7 @@ use paragraph_trace::binary::TraceWriter;
 use paragraph_trace::faultinject::{frame_spans, reseal_chunks};
 use paragraph_trace::{synthetic, Limits, SegmentMap, TraceRecord};
 use std::path::PathBuf;
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 fn scratch(tag: &str) -> PathBuf {
@@ -216,6 +217,70 @@ fn taxonomy_statuses_reach_the_wire() {
     handle.join().expect("server thread").expect("clean drain");
 }
 
+/// Each route reads a fixed set of query parameters: one outside it, an
+/// on/off switch with a value other than empty, `true` or `1`, or a switch
+/// value outside the shared grammar answers 400 naming it, and no worker
+/// is recycled. The parameters the benchmark's closed loop sends stay
+/// accepted, numbers with `_` separators included.
+#[test]
+fn routes_refuse_parameters_they_do_not_read() {
+    let (endpoint, handle) = start(ServeOptions {
+        spool: scratch("params"),
+        limits: Limits::default(),
+        ..ServeOptions::default()
+    });
+    let up = request(&endpoint, "POST", "/traces", &encoded_chain(64)).expect("upload");
+    let t = field_str(&up.body_text(), "id");
+    let post = |path: String| request(&endpoint, "POST", &path, &[]).expect("post");
+
+    for (query, names) in [
+        (format!("/analyze?trace={t}&windw=64"), "windw"),
+        (format!("/analyze?trace={t}&skip=10"), "skip"),
+        (format!("/analyze?trace={t}&optimistic=yes"), "optimistic"),
+        (format!("/analyze?trace={t}&window=0"), "window"),
+        (
+            format!("/analyze?trace={t}&rename=everything"),
+            "everything",
+        ),
+        (format!("/analyze?trace={t}&branch=gshare:29"), "29"),
+        (format!("/sessions?trace={t}&jobs=2"), "jobs"),
+        (format!("/sessions?trace={t}&value-stats=no"), "value-stats"),
+        ("/traces?format=csv".to_owned(), "csv"),
+    ] {
+        let resp = post(query.clone());
+        assert_eq!(resp.status, 400, "{query}: {}", resp.body_text());
+        assert!(
+            resp.body_text().contains(names),
+            "{query}: {}",
+            resp.body_text()
+        );
+    }
+
+    let text = post(format!(
+        "/analyze?trace={t}&rename=all&window=1_000&format=text"
+    ));
+    assert_eq!(text.status, 200, "{}", text.body_text());
+    let json = post(format!(
+        "/analyze?trace={t}&rename=none&window=64&optimistic=1&format=json&jobs=1_0"
+    ));
+    assert_eq!(json.status, 200, "{}", json.body_text());
+    let open = post(format!("/sessions?trace={t}&rename=all&no-disambiguation"));
+    assert_eq!(open.status, 200, "{}", open.body_text());
+    let s = field_str(&open.body_text(), "id");
+    let advance = post(format!("/sessions/{s}/advance?records=1_0"));
+    assert_eq!(advance.status, 200, "{}", advance.body_text());
+    assert_eq!(field_u64(&advance.body_text(), "records_processed"), 10);
+    let resp = post(format!("/sessions/{s}/advance?records=10&format=json"));
+    assert_eq!(resp.status, 400, "{}", resp.body_text());
+    let finish = post(format!("/sessions/{s}/finish?format=json"));
+    assert_eq!(finish.status, 200, "{}", finish.body_text());
+
+    let health = request(&endpoint, "GET", "/healthz", &[]).expect("healthz");
+    assert_eq!(field_u64(&health.body_text(), "workers_recycled"), 0);
+    shutdown(&endpoint);
+    handle.join().expect("server thread").expect("clean drain");
+}
+
 /// `jobs=` and a deadline compose: a generous deadline leaves the cut
 /// analysis byte-identical to the CLI's `--json` report (the library's
 /// one-shot analysis), and a zero deadline over a large upload answers
@@ -371,6 +436,7 @@ fn full_queue_sheds_with_429_and_retry_after() {
     let fault = RequestFault::parse("POST@/analyze:1:stall")
         .expect("valid spec")
         .expect("non-empty");
+    let stalls = fault.injections();
     let (endpoint, handle) = start(ServeOptions {
         spool: scratch("shed"),
         limits: Limits::default(),
@@ -382,13 +448,17 @@ fn full_queue_sheds_with_429_and_retry_after() {
     let up = request(&endpoint, "POST", "/traces", &encoded_chain(16)).expect("upload");
     let trace_id = field_str(&up.body_text(), "id");
 
-    // Fire the stalled request in the background, give it time to claim
-    // the only worker, then flood: with the worker busy and one slot,
-    // at least one of the following must be shed with 429.
+    // Fire the stalled request in the background and wait until its
+    // worker has armed the stall (the fault counts it before sleeping), so
+    // the only worker is busy; then flood: with one queue slot, at least
+    // one of the following must be shed with 429. `/healthz` would queue
+    // behind the stalled worker, so the fault's own count is the signal.
     let bg_endpoint = endpoint.clone();
     let bg_path = format!("/analyze?trace={trace_id}");
     let stalled = std::thread::spawn(move || request(&bg_endpoint, "POST", &bg_path, &[]));
-    std::thread::sleep(Duration::from_millis(300));
+    while stalls.load(Ordering::Relaxed) == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     // A sequential client can never overfill a one-slot queue (it waits on
     // each response), so the flood must be concurrent.
     let flood: Vec<_> = (0..6)

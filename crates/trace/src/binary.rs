@@ -1311,7 +1311,6 @@ impl<R: Read> TraceReader<R> {
             }
         }
     }
-
 }
 
 /// Maps low-level decode errors to trace error kinds.
@@ -1926,10 +1925,18 @@ mod tests {
         let mut frames: Vec<(usize, usize, usize, usize)> = scan
             .chunks
             .iter()
-            .map(|c| (c.offset, c.frame_len, c.first_index as usize, c.count as usize))
+            .map(|c| {
+                (
+                    c.offset,
+                    c.frame_len,
+                    c.first_index as usize,
+                    c.count as usize,
+                )
+            })
             .collect();
         frames.push((trailer, clean.len() - trailer, records.len(), 0));
-        let hit_in = |start: usize, len: usize| hits.iter().any(|&h| (start..start + len).contains(&h));
+        let hit_in =
+            |start: usize, len: usize| hits.iter().any(|&h| (start..start + len).contains(&h));
         let strict_end = frames
             .iter()
             .position(|&(start, len, _, _)| hit_in(start, len))
@@ -1944,7 +1951,9 @@ mod tests {
         let (mut landed, mut unanchored) = (true, 0);
         for &(start, len, first, count) in &frames {
             if !hit_in(start, len) {
-                damage.recovered.extend_from_slice(&records[first..first + count]);
+                damage
+                    .recovered
+                    .extend_from_slice(&records[first..first + count]);
                 damage.stats.records_skipped += unanchored;
                 (landed, unanchored) = (true, 0);
                 continue;
@@ -1976,36 +1985,70 @@ mod tests {
         }
         writer.finish().unwrap();
         let header_len = scan_chunks(&clean).unwrap().chunks[0].offset;
-        // A deterministic spread of single-byte corruptions and cuts.
-        for step in [3usize, 17, 41, 97, 211] {
+        // A deterministic spread of single-byte corruptions: one stride
+        // shorter than a frame (~420 bytes), which touches nearly every
+        // chunk, and one longer, which leaves most chunks intact.
+        for (step, stride) in [3usize, 17, 41, 97, 211]
+            .into_iter()
+            .flat_map(|step| [(step, 251), (step, 1777)])
+        {
             let mut damaged = clean.clone();
-            let hits: Vec<usize> = (step..damaged.len()).step_by(251).collect();
+            let hits: Vec<usize> = (step..damaged.len()).step_by(stride).collect();
             for &i in &hits {
                 damaged[i] ^= 0x5a;
             }
+            let case = format!("step {step}, stride {stride}");
             if step < header_len {
                 // The file header itself is hit: nothing opens.
-                assert!(TraceReader::new(damaged.as_slice()).is_err(), "step {step}");
+                assert!(TraceReader::new(damaged.as_slice()).is_err(), "{case}");
                 assert!(TraceReader::with_recovery(damaged.as_slice()).is_err());
-            } else {
-                let expected = expected_damage(&clean, &records, &hits);
-                let (got, fault) = drain(&mut TraceReader::new(damaged.as_slice()).unwrap());
-                assert_eq!(got, expected.strict, "step {step}: strict records");
-                let fault = fault.expect("a touched frame faults a strict read");
-                assert!(fault.is_corruption(), "step {step}: {fault}");
-                assert_eq!(fault.record_index(), expected.strict.len() as u64);
-                assert_eq!(fault.chunk(), Some(expected.fault_at.0), "step {step}");
-                assert_eq!(fault.byte_offset(), expected.fault_at.1, "step {step}");
-                let mut reader = TraceReader::with_recovery(damaged.as_slice()).unwrap();
-                let (got, fault) = drain(&mut reader);
-                assert!(fault.is_none(), "step {step}: {fault:?}");
-                assert_eq!(got, expected.recovered, "step {step}: recovered records");
-                assert_eq!(reader.recovery_stats(), expected.stats, "step {step}");
-                assert_eq!(reader.records_written(), expected.written, "step {step}");
+                continue;
             }
-            let cut = clean.len() * step % clean.len();
-            assert!(TraceReader::new(&clean[..cut]).is_err());
-            assert!(TraceReader::with_recovery(&clean[..cut]).is_err());
+            let expected = expected_damage(&clean, &records, &hits);
+            if stride > 1000 {
+                assert!(expected.recovered.len() * 2 > records.len(), "{case}");
+            }
+            let (got, fault) = drain(&mut TraceReader::new(damaged.as_slice()).unwrap());
+            assert_eq!(got, expected.strict, "{case}: strict records");
+            let fault = fault.expect("a touched frame faults a strict read");
+            assert!(fault.is_corruption(), "{case}: {fault}");
+            assert_eq!(fault.record_index(), expected.strict.len() as u64);
+            assert_eq!(fault.chunk(), Some(expected.fault_at.0), "{case}");
+            assert_eq!(fault.byte_offset(), expected.fault_at.1, "{case}");
+            let mut reader = TraceReader::with_recovery(damaged.as_slice()).unwrap();
+            let (got, fault) = drain(&mut reader);
+            assert!(fault.is_none(), "{case}: {fault:?}");
+            assert_eq!(got, expected.recovered, "{case}: recovered records");
+            assert_eq!(reader.recovery_stats(), expected.stats, "{case}");
+            assert_eq!(reader.records_written(), expected.written, "{case}");
+        }
+        // Cuts at fractions of the stream: a strict read delivers the
+        // records of every frame the cut left whole, then faults at the
+        // first record of the cut frame; recovery yields that same prefix.
+        for step in [3usize, 17, 41, 97, 211] {
+            let cut = clean.len() * step / 256;
+            let (strict, recover) = (
+                TraceReader::new(&clean[..cut]),
+                TraceReader::with_recovery(&clean[..cut]),
+            );
+            if cut < header_len {
+                assert!(strict.is_err() && recover.is_err(), "cut {cut}");
+                continue;
+            }
+            let lost: Vec<usize> = (cut..clean.len()).collect();
+            let expected = expected_damage(&clean, &records, &lost);
+            let (got, fault) = drain(&mut strict.unwrap());
+            assert_eq!(got, expected.strict, "cut {cut}: strict records");
+            let fault = fault.expect("a cut stream faults a strict read");
+            assert_eq!(
+                fault.record_index(),
+                expected.strict.len() as u64,
+                "cut {cut}"
+            );
+            let (got, _) = drain(&mut recover.unwrap());
+            assert_eq!(got, expected.recovered, "cut {cut}: recovered records");
+            assert_eq!(got, expected.strict, "cut {cut}: the intact prefix");
+            assert!(!got.is_empty() || step < 41, "cut {cut}");
         }
     }
 

@@ -73,7 +73,12 @@ fn decode_v1(bytes: &[u8]) -> Option<Decoded> {
     loop {
         match decode_record(&mut input, &mut last_pc) {
             Ok(Some(record)) => records.push(record),
-            Ok(None) => return Some(Decoded { records, fault: None }),
+            Ok(None) => {
+                return Some(Decoded {
+                    records,
+                    fault: None,
+                })
+            }
             Err(e) => {
                 let offset = 5 + input.position();
                 let index = records.len() as u64;
