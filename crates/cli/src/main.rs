@@ -288,6 +288,8 @@ enum Need {
     /// Under `--trace`, a regular file: a checkpointed run counts the
     /// trace in a pass of its own, which a pipe cannot give twice.
     RegularTrace,
+    /// Another flag, the only one that reads this one's value.
+    Flag(&'static str),
 }
 
 /// A flag value's parser: it accepts or explains.
@@ -450,7 +452,8 @@ fn flags() -> Vec<Flag> {
         flag("json", Value("FILE"), ANALYZE, Any, any, "write the analysis report as JSON"),
         flag("plot", Off, ANALYZE, Any, any, "print an ASCII parallelism profile"),
         flag("checkpoint-every", Value("N"), ANALYZE, RegularTrace, positive::<u64>, "save analyzer state every N records"),
-        flag("checkpoint", Value("FILE"), ANALYZE, Any, any, "checkpoint path (default: <trace>.pgcp)"),
+        flag("checkpoint", Value("FILE"), ANALYZE, Flag("checkpoint-every"), any,
+            "checkpoint path (default: <trace>.pgcp for a trace\nthat is a regular file; paragraph.pgcp for a workload)"),
         flag("resume", Value("FILE"), ANALYZE, RegularTrace, any, "resume an interrupted analysis from a checkpoint"),
         flag("telemetry-out", Value("FILE"), SINKS, Any, any, "write a JSONL structured event log (docs/telemetry.md)"),
         flag("metrics-out", Value("FILE"), SINKS, Any, any,
@@ -507,10 +510,11 @@ fn usage() -> String {
             .map(|ModeRow(_, _, _, name, ..)| *name)
             .collect();
         let needs = match flag.needs {
-            Need::Any => "",
-            Need::Workload => "; workload input",
-            Need::TraceInput => "; trace input",
-            Need::RegularTrace => "; a trace must be a regular file",
+            Need::Any => String::new(),
+            Need::Workload => "; workload input".into(),
+            Need::TraceInput => "; trace input".into(),
+            Need::RegularTrace => "; a trace must be a regular file".into(),
+            Need::Flag(other) => format!("; with {other}"),
         };
         let help = format!("{}\n[{}{needs}]", flag.help, readers.join(", "));
         column(&mut text, &format!("--{}{arg}", flag.name), &help);
@@ -632,6 +636,9 @@ impl Options {
                         "`--{name}` needs a regular trace file, read once to count it and \
                          once to analyze it; `{path}` is a pipe or device"
                     ))
+                }
+                (Need::Flag(other), _) if !opts.has(other) => {
+                    return Err(format!("`--{name}` is read only beside `--{other}`"))
                 }
                 _ => {}
             }
@@ -858,11 +865,25 @@ fn print_report(report: &AnalysisReport, opts: &Options, artifact_failures: &mut
     }
 }
 
-/// The checkpoint path for this run: `--checkpoint FILE`, or derived from
-/// the trace file name.
-fn checkpoint_path(opts: &Options) -> String {
-    let derived = || opts.get("trace").unwrap_or("paragraph").to_owned() + ".pgcp";
-    opts.get("checkpoint").map_or_else(derived, str::to_owned)
+/// The checkpoint path for this run: `--checkpoint FILE`; else the trace
+/// path plus `.pgcp` when the trace path itself names a regular file (not
+/// a symlink such as `/dev/stdin`, a pipe or a device, beside which no
+/// checkpoint belongs); else, for a workload run, `paragraph.pgcp`.
+fn checkpoint_path(opts: &Options) -> Result<String, CliError> {
+    if let Some(path) = opts.get("checkpoint") {
+        return Ok(path.to_owned());
+    }
+    match opts.get("trace") {
+        None => Ok("paragraph.pgcp".to_owned()),
+        // A missing trace fails as an I/O error when it is opened.
+        Some(trace) if std::fs::symlink_metadata(trace).is_ok_and(|m| !m.is_file()) => {
+            Err(CliError::Usage(format!(
+                "`{trace}` is not a regular file, so no checkpoint path derives from it; \
+                 name one with --checkpoint FILE"
+            )))
+        }
+        Some(trace) => Ok(format!("{trace}.pgcp")),
+    }
 }
 
 /// Saves a checkpoint through the shared crash-consistent writer: unique
@@ -1176,6 +1197,11 @@ fn cmd_analyze(
     sinks: &Sinks,
     artifact_failures: &mut Vec<String>,
 ) -> Result<(), CliError> {
+    let checkpoint_path = if opts.has("checkpoint-every") {
+        checkpoint_path(opts)?
+    } else {
+        String::new()
+    };
     let input = open_input(opts, sinks)?;
     let take = opts.num::<usize>("take").map_or(u64::MAX, |t| t as u64);
     let total = input.total.map(|t| t.min(take));
@@ -1221,7 +1247,7 @@ fn cmd_analyze(
     analyzer.set_trace_identity(input.identity);
 
     let mut sink = AnalyzeSink {
-        checkpoint_path: checkpoint_path(opts),
+        checkpoint_path,
         checkpointing: opts.has("checkpoint-every"),
         failures: Vec::new(),
         sinks,
@@ -2335,12 +2361,15 @@ mod tests {
 
     #[test]
     fn checkpoint_path_derives_from_the_trace() {
-        let opts = parse(&["analyze", "--trace", "run.pgtr"]).unwrap();
-        assert_eq!(checkpoint_path(&opts), "run.pgtr.pgcp");
-        let opts = parse(&["analyze", "--checkpoint", "x.pgcp"]).unwrap();
-        assert_eq!(checkpoint_path(&opts), "x.pgcp");
-        let opts = parse(&["analyze"]).unwrap();
-        assert_eq!(checkpoint_path(&opts), "paragraph.pgcp");
+        let path = |line: &str| checkpoint_path(&Options::parse(&words(line)).unwrap());
+        let every = "analyze --checkpoint-every 9";
+        // A missing trace fails when it is opened; a symlink to a regular
+        // file, as `/dev/stdin` is, is refused (crates/cli/tests).
+        let derived = path(&format!("{every} --trace run.pgtr"));
+        assert_eq!(derived.unwrap(), "run.pgtr.pgcp");
+        let named = path(&format!("{every} --checkpoint x.pgcp"));
+        assert_eq!(named.unwrap(), "x.pgcp");
+        assert_eq!(path(every).unwrap(), "paragraph.pgcp");
     }
 
     #[test]
@@ -2487,8 +2516,15 @@ mod tests {
                     continue;
                 }
                 let mut args = invoke(row);
-                if matches!(flag.needs, Need::TraceInput | Need::RegularTrace) {
-                    args.extend(words("--trace missing.pgtr"));
+                match flag.needs {
+                    Need::TraceInput | Need::RegularTrace => {
+                        args.extend(words("--trace missing.pgtr"))
+                    }
+                    Need::Flag(other) => {
+                        let other = flags().into_iter().find(|f| f.name == other).unwrap();
+                        args.extend(sample(&other));
+                    }
+                    Need::Any | Need::Workload => {}
                 }
                 args.extend(sample(&flag));
                 let opts = Options::parse(&args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
@@ -2518,6 +2554,8 @@ mod tests {
             "stats --recover",
             "analyze --trace /dev/null --checkpoint-every 300",
             "analyze --trace /dev/null --resume ck.pgcp",
+            "analyze --workload matrix300 --size 2 --checkpoint x.pgcp",
+            "analyze --trace t.pgtr --resume ck.pgcp --checkpoint x.pgcp",
             "profile a.json b.json",
             "client http://127.0.0.1:1 GET /healthz extra",
             "list extra",

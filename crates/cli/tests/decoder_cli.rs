@@ -212,6 +212,34 @@ fn checkpoints_refuse_a_piped_trace() {
     let _ = std::fs::remove_file(&ck);
 }
 
+/// `--trace /dev/stdin` redirected from a trace file passes the flag
+/// table (the file behind it is regular), but no checkpoint path derives
+/// from `/dev/stdin`: without `--checkpoint` the run is a usage error
+/// (exit 2) that asks for one, and with it the run checkpoints.
+#[test]
+fn a_checkpoint_path_never_derives_from_dev_stdin() {
+    let trace = write_random_trace("checkpoint-stdin", 2_000, 53);
+    let ck = scratch("stdin.pgcp");
+    let ck_str = ck.to_str().expect("utf-8 path");
+    let from_file = |extra: &[&str]| {
+        let args = "analyze --trace /dev/stdin --checkpoint-every 300".split(' ');
+        Command::new(env!("CARGO_BIN_EXE_paragraph"))
+            .args(args.chain(extra.iter().copied()))
+            .stdin(File::open(&trace).expect("open trace"))
+            .output()
+            .expect("failed to spawn the paragraph binary")
+    };
+    let refused = from_file(&[]);
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert_eq!(refused.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--checkpoint FILE"), "{stderr}");
+    let named = from_file(&["--checkpoint", ck_str]);
+    assert_ok(&named, "analyze --trace /dev/stdin --checkpoint FILE");
+    assert!(ck.exists(), "no checkpoint at the named path");
+    let _ = std::fs::remove_file(&trace);
+    let _ = std::fs::remove_file(&ck);
+}
+
 #[test]
 fn sweep_is_byte_identical_through_a_pipe() {
     let trace = write_random_trace("sweep", 12_000, 45);

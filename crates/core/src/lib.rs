@@ -92,6 +92,7 @@ pub mod branch;
 pub mod checkpoint;
 mod config;
 mod ddg;
+pub mod decimal;
 mod dist;
 mod error;
 mod livewell;

@@ -1,6 +1,7 @@
 //! The parallelism profile: operations per level of the topologically
 //! sorted DDG.
 
+use crate::decimal::{push_fixed, push_u64};
 use std::fmt;
 use std::io::{self, Write};
 
@@ -204,6 +205,14 @@ impl ParallelismProfile {
         })
     }
 
+    /// The number of bins [`ParallelismProfile::bins`] yields.
+    pub(crate) fn bin_count(&self) -> usize {
+        let covering = self.levels().div_ceil(self.bin_width);
+        self.counts
+            .len()
+            .min(usize::try_from(covering).unwrap_or(usize::MAX))
+    }
+
     /// Iterates over the populated portion of the profile.
     pub fn bins(&self) -> impl Iterator<Item = ProfileBin> + '_ {
         let levels = self.levels();
@@ -236,10 +245,19 @@ impl ParallelismProfile {
     ///
     /// Propagates I/O errors from `out`, including flush errors.
     pub fn write_csv<W: Write>(&self, mut out: W) -> io::Result<()> {
-        writeln!(out, "level,ops_per_level")?;
+        let bins = self.bin_count();
+        let mut span = crate::span!("report.render");
+        span.arg("bins", bins as u64);
+        let mut csv = String::with_capacity(20 + 20 * bins);
+        csv.push_str("level,ops_per_level\n");
         for bin in self.bins() {
-            writeln!(out, "{},{:.4}", bin.first_level, bin.avg_ops_per_level)?;
+            push_u64(&mut csv, bin.first_level);
+            csv.push(',');
+            push_fixed(&mut csv, bin.avg_ops_per_level, 4);
+            csv.push('\n');
         }
+        drop(span);
+        out.write_all(csv.as_bytes())?;
         out.flush()
     }
 

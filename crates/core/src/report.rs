@@ -2,6 +2,7 @@
 
 use crate::branch::Predictor;
 use crate::config::AnalysisConfig;
+use crate::decimal::{push_fixed, push_u64};
 use crate::dist::Distribution;
 use crate::profile::ParallelismProfile;
 use paragraph_isa::OpClass;
@@ -177,65 +178,71 @@ impl AnalysisReport {
     /// `avg_ops_per_level` pairs); value statistics appear when they were
     /// collected.
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"config\":\"{}\",",
-            esc(&self.config.to_string())
-        ));
-        out.push_str(&format!("\"total_records\":{},", self.total_records));
-        out.push_str(&format!("\"placed_ops\":{},", self.placed_ops));
-        out.push_str(&format!("\"syscalls\":{},", self.syscalls));
-        out.push_str(&format!("\"firewalls\":{},", self.firewalls));
-        out.push_str(&format!("\"branch_firewalls\":{},", self.branch_firewalls));
-        out.push_str(&format!("\"live_well_evictions\":{},", self.evictions));
+        use fmt::Write as _;
+        let bins = self.profile.bin_count();
+        let mut span = crate::span!("report.render");
+        span.arg("bins", bins as u64);
+        // A bin takes ~20 bytes (`[level,ops.dddd],`); the scalar fields
+        // fit in the rest.
+        let mut out = String::with_capacity(512 + 24 * bins);
+        let _ = write!(
+            out,
+            "{{\"config\":\"{}\",\"total_records\":{},\"placed_ops\":{},\"syscalls\":{},\
+             \"firewalls\":{},\"branch_firewalls\":{},\"live_well_evictions\":{},",
+            self.config
+                .to_string()
+                .replace('\\', "\\\\")
+                .replace('"', "\\\""),
+            self.total_records,
+            self.placed_ops,
+            self.syscalls,
+            self.firewalls,
+            self.branch_firewalls,
+            self.evictions
+        );
         match self.config.live_well_cap() {
-            Some(cap) => out.push_str(&format!("\"live_well_cap\":{cap},")),
+            Some(cap) => _ = write!(out, "\"live_well_cap\":{cap},"),
             None => out.push_str("\"live_well_cap\":null,"),
         }
         // Evictions drop true dependences, so the parallelism figures become
         // an upper bound; downstream tooling can branch on this flag instead
         // of re-deriving the caveat from the eviction count.
-        out.push_str(&format!(
-            "\"parallelism_is_upper_bound\":{},",
-            self.evictions > 0
-        ));
-        out.push_str(&format!("\"peak_live_values\":{},", self.peak_live_values));
+        let _ = write!(
+            out,
+            "\"parallelism_is_upper_bound\":{},\"peak_live_values\":{},",
+            self.evictions > 0,
+            self.peak_live_values
+        );
         if let Some(p) = &self.predictor {
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "\"branch_predictions\":{},\"branch_mispredictions\":{},",
                 p.predictions(),
                 p.mispredictions()
-            ));
+            );
         }
-        out.push_str(&format!(
-            "\"critical_path_length\":{},",
+        let _ = write!(
+            out,
+            "\"critical_path_length\":{},\"available_parallelism\":",
             self.critical_path_length()
-        ));
-        out.push_str(&format!(
-            "\"available_parallelism\":{:.6},",
-            self.available_parallelism()
-        ));
+        );
+        push_fixed(&mut out, self.available_parallelism(), 6);
         if let Some((lifetimes, sharing)) = &self.value_stats {
-            out.push_str(&format!(
-                "\"value_lifetime_mean\":{:.6},\"sharing_mean\":{:.6},",
-                lifetimes.mean(),
-                sharing.mean()
-            ));
+            out.push_str(",\"value_lifetime_mean\":");
+            push_fixed(&mut out, lifetimes.mean(), 6);
+            out.push_str(",\"sharing_mean\":");
+            push_fixed(&mut out, sharing.mean(), 6);
         }
-        out.push_str("\"profile\":[");
-        let mut first = true;
-        for bin in self.profile.bins() {
-            if !first {
+        out.push_str(",\"profile\":[");
+        for (i, bin) in self.profile.bins().enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!(
-                "[{},{:.4}]",
-                bin.first_level, bin.avg_ops_per_level
-            ));
-            first = false;
+            out.push('[');
+            push_u64(&mut out, bin.first_level);
+            out.push(',');
+            push_fixed(&mut out, bin.avg_ops_per_level, 4);
+            out.push(']');
         }
         out.push_str("]}");
         out

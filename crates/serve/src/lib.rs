@@ -64,6 +64,7 @@ use std::fmt::Write as _;
 /// "served text == CLI stdout" holds by construction rather than by
 /// parallel maintenance.
 pub fn render_report_text(report: &AnalysisReport) -> String {
+    let _span = paragraph_core::span!("report.render");
     let mut out = String::new();
     let _ = write!(out, "{report}");
     if let Some(lifetimes) = report.value_lifetimes() {

@@ -118,6 +118,28 @@ fn builtin_seeds(target: &str) -> Vec<Vec<u8>> {
             }
             vec![stream, vec![0x80; 12], vec![0xff; 16], vec![0xff, 0xff, 0x7f]]
         }
+        "fixed_decimal" => {
+            // Exact ties at 4 and 6 decimals, profile-bin ratios, zero, a
+            // subnormal, rounding that carries, the top of the exact range
+            // and the fallbacks past it, back to back.
+            let values = [
+                1.0 / 32.0,
+                3.0 / 32.0,
+                5.0 / 128.0,
+                0.0000005,
+                1234.0 / 7.0,
+                4096.0 / 3.0,
+                0.0,
+                5e-324,
+                0.99999995,
+                18_446_744_073_709_549_568.0,
+                18_446_744_073_709_551_616.0,
+                -2.5,
+                f64::NAN,
+                f64::INFINITY,
+            ];
+            vec![values.iter().flat_map(|v| v.to_le_bytes()).collect()]
+        }
         _ => Vec::new(),
     }
 }

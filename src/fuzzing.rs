@@ -128,6 +128,30 @@ pub fn check_varint_swar(data: &[u8]) {
     }
 }
 
+/// Differentially checks the report writer's fixed-point decimals against
+/// std's `{:.N}` on the f64 that every 8-byte window of `data` encodes
+/// (little-endian): at the profile's 4 decimals, the report's 6, and a
+/// count the window picks from 0 to 19 — 19 is past the exact path, so
+/// std's own rendering is checked to come back unchanged. Bit patterns
+/// reach every exponent, subnormals, exact ties, negatives and NaNs.
+pub fn check_fixed_decimal(data: &[u8]) {
+    use paragraph_core::decimal::push_fixed;
+    let mut out = String::new();
+    for window in data.windows(8) {
+        let v = f64::from_le_bytes(window.try_into().expect("an 8-byte window"));
+        for decimals in [4, 6, usize::from(window[0] % 20)] {
+            out.clear();
+            push_fixed(&mut out, v, decimals);
+            assert_eq!(
+                out,
+                format!("{v:.decimals$}"),
+                "fixed decimal diverged on {:#x} at {decimals}",
+                v.to_bits()
+            );
+        }
+    }
+}
+
 /// Differentially checks the trace reader against the per-record oracle
 /// on `data` with every chunk's CRC resealed first, so payload mutations
 /// reach the record decoders instead of stopping at the checksum. Where
@@ -186,6 +210,7 @@ pub const TARGETS: &[(&str, fn(&[u8]))] = &[
     ("asm_parser", check_asm_parser),
     ("varint_swar", check_varint_swar),
     ("resealed_chunks", check_resealed_chunks),
+    ("fixed_decimal", check_fixed_decimal),
 ];
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! The one instrumentation API end to end: each stage of a `Run` is marked
-//! by one `span!`, and the three sinks that one call feeds — the JSONL
+//! The one instrumentation API end to end: each stage of a `Run`, and the
+//! rendering of its report, is marked by one `span!`, and the three sinks that one call feeds — the JSONL
 //! event log, the registry aggregate behind Prometheus, and the timeline —
 //! must agree on what ran, without moving a byte of the report.
 //!
@@ -140,12 +140,15 @@ fn every_sink_sees_each_stage_once() {
         "checkpoint.save",
         "decode.block",
         "report",
+        "report.render",
     ] {
         assert!(logged.contains_key(stage), "no {stage} span: {logged:?}");
     }
     assert_eq!(logged["merge"], 1);
     assert_eq!(logged["checkpoint.save"], RECORDS as u64 / EVERY);
     assert_eq!(logged["report"], 2);
+    // Each run's report was rendered once, to JSON.
+    assert_eq!(logged["report.render"], 2);
     // Segment workers analyze their records under `segment`; every other
     // record passes through the driver's one `livewell` span.
     assert_eq!(

@@ -3,14 +3,18 @@
 //! format.
 
 use paragraph::core::branch::{BranchPolicy, PredictorKind};
+use paragraph::core::decimal::{push_fixed, push_u64};
 use paragraph::core::{
     analyze_refs, AnalysisConfig, AnalysisReport, Ddg, InternedWell, LatencyModel, MemoryModel,
-    RenameSet, SyscallPolicy, WindowSize,
+    ParallelismProfile, RenameSet, SyscallPolicy, WindowSize,
 };
 use paragraph::isa::OpClass;
 use paragraph::trace::binary::{TraceReader, TraceWriter};
+use paragraph::trace::faultinject::SplitMix64;
 use paragraph::trace::{InternedTrace, Loc, SegmentMap, TraceRecord};
+use paragraph::workloads::{Workload, WorkloadId};
 use proptest::prelude::*;
+use std::io::Write as _;
 
 /// Strategy: one arbitrary (valid) trace record at `pc`.
 fn arb_record(pc: u64) -> impl Strategy<Value = TraceRecord> {
@@ -310,5 +314,229 @@ proptest! {
         let unit = analyze_refs(&trace, &base.with_latency(LatencyModel::unit()))
             .critical_path_length();
         prop_assert!(unit <= table1);
+    }
+}
+
+/// `push_fixed` against std's `{:.N}`, the writer's specification.
+fn assert_fixed_is_std(v: f64, decimals: &[usize]) {
+    for &d in decimals {
+        let mut out = String::new();
+        push_fixed(&mut out, v, d);
+        assert_eq!(
+            out,
+            format!("{v:.d$}"),
+            "{v:e} (bits {:#x}) at {d}",
+            v.to_bits()
+        );
+    }
+}
+
+/// The report writer renders every float exactly as `{:.4}`/`{:.6}` would:
+/// random bit patterns and random bin ratios, every ratio over a small grid,
+/// exact ties (which round half to even), zero and subnormals, rounding
+/// that carries into the integer part, and the values std renders itself
+/// (negative, non-finite, 2^64 and past).
+#[test]
+fn fixed_decimal_writer_matches_std() {
+    let mut rng = SplitMix64::new(0x00f1_2ed0);
+    for _ in 0..100_000 {
+        assert_fixed_is_std(f64::from_bits(rng.next_u64()), &[4, 6]);
+        let ops = rng.below(10_000_000) as f64;
+        assert_fixed_is_std(ops / (1 + rng.below(1 << 20)) as f64, &[4, 6]);
+    }
+    for width in 1..=200u32 {
+        for ops in 0..2_000u32 {
+            assert_fixed_is_std(f64::from(ops) / f64::from(width), &[4, 6]);
+        }
+    }
+    let every = [0, 1, 4, 6, 17, 18, 19];
+    for n in 1..=40 {
+        for odd in (1..200u32).step_by(2) {
+            assert_fixed_is_std(f64::from(odd) / 2f64.powi(n), &every);
+        }
+    }
+    for tie in [
+        1.0 / 32.0,
+        3.0 / 32.0,
+        5.0 / 32.0,
+        0.5,
+        1.5,
+        2.5,
+        0.125,
+        0.375,
+    ] {
+        assert_fixed_is_std(tie, &every);
+    }
+    let two64 = 2f64.powi(64);
+    for v in [
+        0.0,
+        f64::MIN_POSITIVE,
+        f64::MIN_POSITIVE / 3.0,
+        f64::from_bits(1),
+        f64::from_bits((1 << 52) - 1),
+        0.99999995,
+        9.999995,
+        99.99995,
+        0.9999999999,
+        2f64.powi(53) + 2.0,
+        two64 - 2048.0,
+        two64,
+        1e20,
+        f64::MAX,
+        -0.0,
+        -1.5,
+        -1.0 / 32.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ] {
+        assert_fixed_is_std(v, &every);
+    }
+    let mut out = String::new();
+    for v in [
+        0,
+        9,
+        10,
+        99,
+        100,
+        4_096,
+        u64::from(u32::MAX),
+        u64::MAX - 1,
+        u64::MAX,
+    ] {
+        out.clear();
+        push_u64(&mut out, v);
+        assert_eq!(out, v.to_string());
+    }
+}
+
+/// `AnalysisReport::to_json` as it was rendered through `format!`: the
+/// oracle for the fixed-point writer at report level.
+fn json_by_format(report: &AnalysisReport) -> String {
+    let mut out = format!(
+        "{{\"config\":\"{}\",",
+        report
+            .config()
+            .to_string()
+            .replace('\\', "\\\\")
+            .replace('"', "\\\"")
+    );
+    out += &format!("\"total_records\":{},", report.total_records());
+    out += &format!("\"placed_ops\":{},", report.placed_ops());
+    out += &format!("\"syscalls\":{},", report.syscalls());
+    out += &format!("\"firewalls\":{},", report.firewalls());
+    out += &format!("\"branch_firewalls\":{},", report.branch_firewalls());
+    out += &format!("\"live_well_evictions\":{},", report.live_well_evictions());
+    match report.config().live_well_cap() {
+        Some(cap) => out += &format!("\"live_well_cap\":{cap},"),
+        None => out += "\"live_well_cap\":null,",
+    }
+    out += &format!(
+        "\"parallelism_is_upper_bound\":{},",
+        report.live_well_evictions() > 0
+    );
+    out += &format!("\"peak_live_values\":{},", report.peak_live_values());
+    if let Some(p) = report.predictor() {
+        out += &format!(
+            "\"branch_predictions\":{},\"branch_mispredictions\":{},",
+            p.predictions(),
+            p.mispredictions()
+        );
+    }
+    out += &format!(
+        "\"critical_path_length\":{},",
+        report.critical_path_length()
+    );
+    out += &format!(
+        "\"available_parallelism\":{:.6},",
+        report.available_parallelism()
+    );
+    if let (Some(lifetimes), Some(sharing)) = (report.value_lifetimes(), report.sharing_degrees()) {
+        out += &format!(
+            "\"value_lifetime_mean\":{:.6},\"sharing_mean\":{:.6},",
+            lifetimes.mean(),
+            sharing.mean()
+        );
+    }
+    let bins: Vec<String> = report
+        .profile()
+        .bins()
+        .map(|bin| format!("[{},{:.4}]", bin.first_level, bin.avg_ops_per_level))
+        .collect();
+    out + "\"profile\":[" + &bins.join(",") + "]}"
+}
+
+/// `ParallelismProfile::write_csv` as it was rendered through `writeln!`.
+fn csv_by_format(profile: &ParallelismProfile) -> Vec<u8> {
+    let mut out = b"level,ops_per_level\n".to_vec();
+    for bin in profile.bins() {
+        writeln!(out, "{},{:.4}", bin.first_level, bin.avg_ops_per_level).unwrap();
+    }
+    out
+}
+
+/// Real workload reports under every switch the report renders — rename
+/// all/none, a window, value statistics, a gshare predictor, a live-well
+/// cap — and a chain whose critical path outgrows the 4,096-bin budget
+/// (merged bins, exact ties, a partial last bin) render the same bytes as
+/// `format!`.
+#[test]
+fn report_renderers_match_format() {
+    let mut reports = Vec::new();
+    for (id, size) in [(WorkloadId::Xlisp, 2), (WorkloadId::Matrix300, 4)] {
+        let (records, segments) = Workload::new(id)
+            .with_size(size)
+            .collect_trace(400_000)
+            .unwrap();
+        let base = AnalysisConfig::dataflow_limit().with_segments(segments);
+        for config in [
+            base.clone(),
+            base.clone().with_renames(RenameSet::none()),
+            base.clone().with_window(WindowSize::bounded(128)),
+            base.clone().with_value_stats(true),
+            base.clone()
+                .with_branch_policy(BranchPolicy::Predict(PredictorKind::Gshare {
+                    index_bits: 8,
+                })),
+            base.clone().with_live_well_cap(64),
+        ] {
+            reports.push(analyze_refs(&records, &config));
+        }
+    }
+    // A chain of 100,001 levels merges bins 32 levels wide, and one extra
+    // op per bin makes each average 33/32 = 1.03125: an exact tie at four
+    // decimals, which rounds to even. The last bin covers one level.
+    let mut tied = Vec::new();
+    for i in 0..100_001 {
+        tied.push(TraceRecord::compute(
+            i,
+            OpClass::IntAlu,
+            &[Loc::int(1)],
+            Loc::int(1),
+        ));
+        if i % 32 == 5 {
+            tied.push(TraceRecord::compute(
+                i,
+                OpClass::IntAlu,
+                &[Loc::int(1)],
+                Loc::int(2),
+            ));
+        }
+    }
+    let report = analyze_refs(&tied, &AnalysisConfig::dataflow_limit());
+    assert_eq!(report.profile().bin_width(), 32);
+    assert!(report.to_json().contains("[32,1.0312]"));
+    reports.push(report);
+    for report in &reports {
+        assert_eq!(
+            report.to_json(),
+            json_by_format(report),
+            "{}",
+            report.config()
+        );
+        let mut csv = Vec::new();
+        report.profile().write_csv(&mut csv).unwrap();
+        assert_eq!(csv, csv_by_format(report.profile()), "{}", report.config());
     }
 }
