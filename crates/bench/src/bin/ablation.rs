@@ -11,14 +11,41 @@
 //!    achieved operations/cycle, locating the knee where resources stop
 //!    mattering. Uses reduced problem sizes (the explicit graph is
 //!    materialized in memory).
+//!
+//! Parts 1 and 2 are one grid of four cells per workload on the sweep
+//! engine; part 3 needs the explicit graph and builds it directly.
 
-use paragraph_bench::{parallelism, Study};
+use paragraph_bench::{exit_if_degraded, healthy, parallelism, run_grid, Study, SweepCell};
 use paragraph_core::schedule::{schedule, ResourceModel};
-use paragraph_core::{analyze_refs, AnalysisConfig, Ddg, LatencyModel, SyscallPolicy, WindowSize};
+use paragraph_core::{AnalysisConfig, Ddg, LatencyModel, SyscallPolicy, WindowSize};
 use paragraph_workloads::{Workload, WorkloadId};
 
 fn main() {
     let study = Study::from_env();
+    let cells: Vec<SweepCell> = WorkloadId::ALL
+        .into_iter()
+        .flat_map(|id| {
+            let base = AnalysisConfig::dataflow_limit();
+            let windowed = base.clone().with_window(WindowSize::bounded(1024));
+            [
+                SweepCell::new(id, "table1", base.clone()),
+                SweepCell::new(id, "unit", base.with_latency(LatencyModel::unit())),
+                SweepCell::new(id, "w1k-conservative", windowed.clone()),
+                SweepCell::new(
+                    id,
+                    "w1k-optimistic",
+                    windowed.with_syscall_policy(SyscallPolicy::Optimistic),
+                ),
+            ]
+        })
+        .collect();
+    let outcome = run_grid(&study, "ablation", &cells);
+    // Workloads with a quarantined cell are left out of both parts.
+    let rows: Vec<_> = WorkloadId::ALL
+        .into_iter()
+        .zip(outcome.cells.chunks(4))
+        .filter_map(|(id, row)| Some((id, healthy(row)?)))
+        .collect();
 
     println!("Ablation 1: Table 1 latencies vs unit latencies (dataflow limit)");
     println!();
@@ -27,20 +54,14 @@ fn main() {
         "Benchmark", "CP (table1)", "CP (unit)", "Par (table1)", "Par (unit)"
     );
     println!("{:-<72}", "");
-    for id in WorkloadId::ALL {
-        let (records, segments) = study
-            .collect(id)
-            .unwrap_or_else(|e| panic!("trace collection failed: {e}"));
-        let base = AnalysisConfig::dataflow_limit().with_segments(segments);
-        let table1 = analyze_refs(&records, &base);
-        let unit = analyze_refs(&records, &base.clone().with_latency(LatencyModel::unit()));
+    for (id, row) in &rows {
         println!(
             "{:<11} {:>14} {:>14} {:>14} {:>14}",
             id.name(),
-            table1.critical_path_length(),
-            unit.critical_path_length(),
-            parallelism(table1.available_parallelism()),
-            parallelism(unit.available_parallelism()),
+            row[0].metrics.critical_path,
+            row[1].metrics.critical_path,
+            parallelism(row[0].metrics.parallelism),
+            parallelism(row[1].metrics.parallelism),
         );
     }
 
@@ -52,19 +73,9 @@ fn main() {
         "Benchmark", "Par (conserv.)", "Par (optim.)", "Ratio"
     );
     println!("{:-<56}", "");
-    for id in WorkloadId::ALL {
-        let (records, segments) = study
-            .collect(id)
-            .unwrap_or_else(|e| panic!("trace collection failed: {e}"));
-        let base = AnalysisConfig::dataflow_limit()
-            .with_segments(segments)
-            .with_window(WindowSize::bounded(1024));
-        let cons = analyze_refs(&records, &base).available_parallelism();
-        let opt = analyze_refs(
-            &records,
-            &base.clone().with_syscall_policy(SyscallPolicy::Optimistic),
-        )
-        .available_parallelism();
+    for (id, row) in &rows {
+        let cons = row[2].metrics.parallelism;
+        let opt = row[3].metrics.parallelism;
         println!(
             "{:<11} {:>16} {:>16} {:>9.3}",
             id.name(),
@@ -102,4 +113,5 @@ fn main() {
     }
     println!();
     println!("(each row should rise with K and saturate at the dataflow limit)");
+    exit_if_degraded("ablation", outcome.quarantined());
 }

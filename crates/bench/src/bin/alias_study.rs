@@ -8,12 +8,28 @@
 //! perfect and conservative columns is how much of each benchmark's
 //! parallelism is carried by memory-level reordering.
 
-use paragraph_bench::{parallelism, Study};
-use paragraph_core::{analyze_refs, AnalysisConfig, MemoryModel, WindowSize};
+use paragraph_bench::{exit_if_degraded, healthy, parallelism, run_grid, Study, SweepCell};
+use paragraph_core::{AnalysisConfig, MemoryModel, WindowSize};
 use paragraph_workloads::WorkloadId;
 
 fn main() {
     let study = Study::from_env();
+    let cells: Vec<SweepCell> = WorkloadId::ALL
+        .into_iter()
+        .flat_map(|id| {
+            let base = AnalysisConfig::dataflow_limit();
+            let windowed = base.clone().with_window(WindowSize::bounded(1024));
+            let no_dis = MemoryModel::NoDisambiguation;
+            [
+                SweepCell::new(id, "perfect", base.clone()),
+                SweepCell::new(id, "no-dis", base.with_memory_model(no_dis)),
+                SweepCell::new(id, "perfect-w1k", windowed.clone()),
+                SweepCell::new(id, "no-dis-w1k", windowed.with_memory_model(no_dis)),
+            ]
+        })
+        .collect();
+    let outcome = run_grid(&study, "alias_study", &cells);
+
     println!("Memory Disambiguation Study: available parallelism");
     println!("(all renaming enabled, conservative syscalls)");
     println!();
@@ -22,26 +38,10 @@ fn main() {
         "Benchmark", "perfect", "no-disambig", "ratio", "perfect@1k", "no-dis@1k"
     );
     println!("{:-<84}", "");
-    for id in WorkloadId::ALL {
-        let (records, segments) = study
-            .collect(id)
-            .unwrap_or_else(|e| panic!("trace collection failed: {e}"));
-        let base = AnalysisConfig::dataflow_limit().with_segments(segments);
-        let perfect = analyze_refs(&records, &base).available_parallelism();
-        let conservative = analyze_refs(
-            &records,
-            &base
-                .clone()
-                .with_memory_model(MemoryModel::NoDisambiguation),
-        )
-        .available_parallelism();
-        let windowed = base.clone().with_window(WindowSize::bounded(1024));
-        let perfect_w = analyze_refs(&records, &windowed).available_parallelism();
-        let conservative_w = analyze_refs(
-            &records,
-            &windowed.with_memory_model(MemoryModel::NoDisambiguation),
-        )
-        .available_parallelism();
+    for (id, row) in WorkloadId::ALL.into_iter().zip(outcome.cells.chunks(4)) {
+        let Some(row) = healthy(row) else { continue };
+        let [perfect, conservative, perfect_w, conservative_w] =
+            [0, 1, 2, 3].map(|i| row[i].metrics.parallelism);
         println!(
             "{:<11} {:>14} {:>14} {:>8.1} | {:>14} {:>14}",
             id.name(),
@@ -59,4 +59,5 @@ fn main() {
          register-resident work keeps some of its parallelism — the reason\n\
          the paper's perfect-disambiguation numbers are an upper bound."
     );
+    exit_if_degraded("alias_study", outcome.quarantined());
 }

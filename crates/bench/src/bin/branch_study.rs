@@ -10,9 +10,11 @@
 //! and an infinite window — the bridge between this paper's limits and the
 //! branch-limited results of Wall (ASPLOS 1991) that it cites.
 
-use paragraph_bench::{parallelism, Study};
+use paragraph_bench::{
+    exit_if_degraded, healthy, parallelism, report_count, run_grid, Study, SweepCell,
+};
 use paragraph_core::branch::{BranchPolicy, PredictorKind};
-use paragraph_core::{analyze_refs, AnalysisConfig};
+use paragraph_core::AnalysisConfig;
 use paragraph_workloads::WorkloadId;
 
 fn policies() -> Vec<(&'static str, BranchPolicy)> {
@@ -41,32 +43,51 @@ fn policies() -> Vec<(&'static str, BranchPolicy)> {
 
 fn main() {
     let study = Study::from_env();
+    let policies = policies();
+    let cells: Vec<SweepCell> = WorkloadId::ALL
+        .into_iter()
+        .flat_map(|id| {
+            policies.iter().map(move |&(name, policy)| {
+                SweepCell::new(
+                    id,
+                    name,
+                    AnalysisConfig::dataflow_limit().with_branch_policy(policy),
+                )
+            })
+        })
+        .collect();
+    let outcome = run_grid(&study, "branch_study", &cells);
+
     println!("Branch Prediction Study: available parallelism under branch policies");
     println!("(all renaming enabled, infinite window, conservative syscalls)");
     println!();
     print!("{:<11}", "Benchmark");
-    for (name, _) in policies() {
+    for (name, _) in &policies {
         print!(" {:>12}", name);
     }
     println!(" {:>10}", "accuracy*");
     println!("{:-<114}", "");
-    for id in WorkloadId::ALL {
-        let (records, segments) = study
-            .collect(id)
-            .unwrap_or_else(|e| panic!("trace collection failed: {e}"));
+    let gshare = policies.iter().position(|&(name, _)| name == "gshare-12");
+    for (id, row) in WorkloadId::ALL
+        .into_iter()
+        .zip(outcome.cells.chunks(policies.len()))
+    {
+        let Some(row) = healthy(row) else { continue };
         print!("{:<11}", id.name());
-        let mut gshare_accuracy = None;
-        for (name, policy) in policies() {
-            let config = AnalysisConfig::dataflow_limit()
-                .with_segments(segments)
-                .with_branch_policy(policy);
-            let report = analyze_refs(&records, &config);
-            if name == "gshare-12" {
-                gshare_accuracy = report.predictor().map(|p| p.accuracy());
-            }
-            print!(" {:>12}", parallelism(report.available_parallelism()));
+        for cell in &row {
+            print!(" {:>12}", parallelism(cell.metrics.parallelism));
         }
-        match gshare_accuracy {
+        // The predictor's accuracy, as `Predictor::accuracy` computes it.
+        let accuracy = gshare.and_then(|i| {
+            let predictions = report_count(row[i], "branch_predictions")?;
+            let mispredictions = report_count(row[i], "branch_mispredictions")?;
+            Some(if predictions == 0 {
+                1.0
+            } else {
+                1.0 - mispredictions as f64 / predictions as f64
+            })
+        });
+        match accuracy {
             Some(acc) => println!(" {:>9.2}%", 100.0 * acc),
             None => println!(" {:>10}", "-"),
         }
@@ -82,4 +103,5 @@ fn main() {
          \"other methods of exposing independent instructions ... will be\n\
          required\"."
     );
+    exit_if_degraded("branch_study", outcome.quarantined());
 }

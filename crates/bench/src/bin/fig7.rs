@@ -18,7 +18,7 @@
 //! `$PARAGRAPH_OUT/fig7/telemetry/`.
 
 use paragraph_bench::scheduler::{cell_manifest_json, sweep_manifest_json};
-use paragraph_bench::{parallelism, run_sweep, Study, SweepCell, SweepOptions};
+use paragraph_bench::{exit_if_degraded, parallelism, run_grid, Study, SweepCell};
 use paragraph_core::AnalysisConfig;
 use paragraph_workloads::WorkloadId;
 use std::fs;
@@ -35,26 +35,13 @@ fn main() -> std::io::Result<()> {
         .into_iter()
         .map(|id| SweepCell::new(id, "dataflow", AnalysisConfig::dataflow_limit()))
         .collect();
-    let opts = SweepOptions {
-        jobs: paragraph_bench::jobs_from_env(),
-        ..SweepOptions::default()
-    };
-    let outcome = run_sweep(&study, "fig7", &cells, &opts);
+    let outcome = run_grid(&study, "fig7", &cells);
 
     println!("Figure 7: Parallelism Profiles for the SPEC Benchmarks");
-    for result in &outcome.cells {
-        let id = result.workload;
-        // Quarantined cells are reported, not rendered: every healthy
-        // workload's figure still lands, and the exit code says the run
-        // was degraded.
-        let Some(cell) = result.outcome() else {
-            eprintln!(
-                "fig7/{id}: quarantined after {} attempt(s): {}",
-                result.attempts,
-                result.error.as_deref().unwrap_or("unknown error"),
-            );
-            continue;
-        };
+    // Quarantined cells are not rendered: every healthy workload's figure
+    // still lands, and the exit code says the run was degraded.
+    for cell in outcome.ok_cells() {
+        let id = cell.workload;
         let path = dir.join(format!("{id}.csv"));
         cell.profile
             .write_csv(BufWriter::new(fs::File::create(&path)?))?;
@@ -93,13 +80,7 @@ fn main() -> std::io::Result<()> {
         outcome.arena.misses,
         outcome.arena.hits,
     );
-    if outcome.quarantined() > 0 {
-        eprintln!(
-            "fig7: {} cell(s) quarantined; the figure is incomplete",
-            outcome.quarantined()
-        );
-        std::process::exit(6);
-    }
+    exit_if_degraded("fig7", outcome.quarantined());
     Ok(())
 }
 

@@ -18,7 +18,7 @@
 //! `$PARAGRAPH_OUT/fig8/telemetry/`.
 
 use paragraph_bench::scheduler::{cell_manifest_json, sweep_manifest_json};
-use paragraph_bench::{run_sweep, Study, SweepCell, SweepOptions};
+use paragraph_bench::{exit_if_degraded, run_grid, Study, SweepCell};
 use paragraph_core::{AnalysisConfig, WindowSize};
 use paragraph_workloads::WorkloadId;
 use std::fs;
@@ -52,11 +52,7 @@ fn main() -> std::io::Result<()> {
         }
         cells.push(SweepCell::new(id, "full", AnalysisConfig::dataflow_limit()));
     }
-    let opts = SweepOptions {
-        jobs: paragraph_bench::jobs_from_env(),
-        ..SweepOptions::default()
-    };
-    let outcome = run_sweep(&study, "fig8", &cells, &opts);
+    let outcome = run_grid(&study, "fig8", &cells);
 
     let csv_path = study.out_dir().join("fig8.csv");
     let mut csv = fs::File::create(&csv_path)?;
@@ -88,12 +84,6 @@ fn main() -> std::io::Result<()> {
             let par = result.outcome().map_or(f64::NAN, |c| c.metrics.parallelism);
             absolutes[w_idx].push(par);
             percents[w_idx].push(100.0 * par / full);
-            if let Some(err) = &result.error {
-                eprintln!(
-                    "fig8/{id}@{}: quarantined after {} attempt(s): {err}",
-                    result.label, result.attempts,
-                );
-            }
         }
         // Per-workload telemetry: one manifest for the unbounded cell (the
         // workload's headline numbers) — the sweep manifest carries every
@@ -168,12 +158,6 @@ fn main() -> std::io::Result<()> {
         outcome.arena.hits,
         csv_path.display()
     );
-    if outcome.quarantined() > 0 {
-        eprintln!(
-            "fig8: {} cell(s) quarantined; the figure is incomplete",
-            outcome.quarantined()
-        );
-        std::process::exit(6);
-    }
+    exit_if_degraded("fig8", outcome.quarantined());
     Ok(())
 }

@@ -7,14 +7,22 @@
 //! up to the abstract dataflow machine, each a bundle of window size,
 //! issue width, renaming, branch prediction and memory disambiguation.
 
-use paragraph_bench::{parallelism, Study};
-use paragraph_core::analyze_refs;
+use paragraph_bench::{exit_if_degraded, healthy, parallelism, run_grid, Study, SweepCell};
 use paragraph_core::machine::Machine;
 use paragraph_workloads::WorkloadId;
 
 fn main() {
     let study = Study::from_env();
     let machines = Machine::generations();
+    let cells: Vec<SweepCell> = WorkloadId::ALL
+        .into_iter()
+        .flat_map(|id| {
+            machines
+                .iter()
+                .map(move |machine| SweepCell::new(id, machine.name(), machine.configure()))
+        })
+        .collect();
+    let outcome = run_grid(&study, "machine_study", &cells);
     println!("Machine Generation Study: sustained operations per cycle");
     println!();
     for machine in &machines {
@@ -27,15 +35,14 @@ fn main() {
     }
     println!();
     println!("{:-<78}", "");
-    for id in WorkloadId::ALL {
-        let (records, segments) = study
-            .collect(id)
-            .unwrap_or_else(|e| panic!("trace collection failed: {e}"));
+    for (id, row) in WorkloadId::ALL
+        .into_iter()
+        .zip(outcome.cells.chunks(machines.len()))
+    {
+        let Some(row) = healthy(row) else { continue };
         print!("{:<11}", id.name());
-        for machine in &machines {
-            let config = machine.configure().with_segments(segments);
-            let report = analyze_refs(&records, &config);
-            print!(" {:>10}", parallelism(report.available_parallelism()));
+        for cell in row {
+            print!(" {:>10}", parallelism(cell.metrics.parallelism));
         }
         println!();
     }
@@ -46,4 +53,5 @@ fn main() {
          dataflow column is the paper's headline: exposing the measured\n\
          parallelism needs mechanisms beyond bigger windows."
     );
+    exit_if_degraded("machine_study", outcome.quarantined());
 }

@@ -10,9 +10,12 @@
 //! whole-trace value. A flat row means the whole-trace number is
 //! representative; a bursty row (large max/min ratio) is the phase effect
 //! the paper anticipated.
+//!
+//! Each workload is a whole-trace cell plus one cell per phase on the
+//! sweep engine, all over the one trace.
 
-use paragraph_bench::{parallelism, Study};
-use paragraph_core::{analyze_refs, AnalysisConfig};
+use paragraph_bench::{exit_if_degraded, healthy, parallelism, run_grid, Study, SweepCell};
+use paragraph_core::AnalysisConfig;
 use paragraph_workloads::WorkloadId;
 
 /// Number of equal trace windows.
@@ -20,6 +23,16 @@ const PHASES: usize = 6;
 
 fn main() {
     let study = Study::from_env();
+    let config = AnalysisConfig::dataflow_limit();
+    let mut cells = Vec::new();
+    for id in WorkloadId::ALL {
+        cells.push(SweepCell::new(id, "whole", config.clone()));
+        cells.extend((0..PHASES).map(|p| {
+            SweepCell::new(id, format!("phase{}", p + 1), config.clone()).with_part(p, PHASES)
+        }));
+    }
+    let outcome = run_grid(&study, "phase_study", &cells);
+
     println!("Program Phase Study: per-phase available parallelism (dataflow limit)");
     println!();
     print!("{:<11} {:>11}", "Benchmark", "whole");
@@ -28,18 +41,23 @@ fn main() {
     }
     println!(" {:>8}", "max/min");
     println!("{:-<100}", "");
-    for id in WorkloadId::ALL {
-        let (records, segments) = study
-            .collect(id)
-            .unwrap_or_else(|e| panic!("trace collection failed: {e}"));
-        let config = AnalysisConfig::dataflow_limit().with_segments(segments);
-        let whole = analyze_refs(&records, &config).available_parallelism();
-        print!("{:<11} {:>11}", id.name(), parallelism(whole));
-        let chunk = (records.len() / PHASES).max(1);
-        let mut phase_values = Vec::new();
-        for window in records.chunks(chunk).take(PHASES) {
-            let par = analyze_refs(window, &config).available_parallelism();
-            phase_values.push(par);
+    for (id, row) in WorkloadId::ALL
+        .into_iter()
+        .zip(outcome.cells.chunks(1 + PHASES))
+    {
+        let Some(row) = healthy(row) else { continue };
+        print!(
+            "{:<11} {:>11}",
+            id.name(),
+            parallelism(row[0].metrics.parallelism)
+        );
+        // A trace shorter than PHASES records has fewer (one-record) phases.
+        let phase_values: Vec<f64> = row[1..]
+            .iter()
+            .filter(|phase| phase.metrics.records > 0)
+            .map(|phase| phase.metrics.parallelism)
+            .collect();
+        for &par in &phase_values {
             print!(" {:>10}", parallelism(par));
         }
         let max = phase_values.iter().cloned().fold(0.0f64, f64::max);
@@ -57,4 +75,5 @@ fn main() {
          breaks a long recurrence, and high-ILP benchmarks lose parallelism\n\
          per-phase because parallelism accumulates with trace length."
     );
+    exit_if_degraded("phase_study", outcome.quarantined());
 }

@@ -8,16 +8,30 @@
 //! and reports the spread of the dataflow-limit available parallelism.
 //! Tight spreads mean the dependence structure, not the data, carries the
 //! result.
+//!
+//! Each seed is one sweep of the ten workloads on the sweep engine, under
+//! its own sweep name.
 
-use paragraph_bench::{parallelism, Study};
-use paragraph_core::{analyze_refs, AnalysisConfig};
-use paragraph_workloads::{Workload, WorkloadId};
+use paragraph_bench::{exit_if_degraded, parallelism, run_grid, Study, SweepCell};
+use paragraph_core::AnalysisConfig;
+use paragraph_workloads::WorkloadId;
 
 /// Seeds per workload.
 const SEEDS: u64 = 5;
 
 fn main() {
     let study = Study::from_env();
+    let cells: Vec<SweepCell> = WorkloadId::ALL
+        .into_iter()
+        .map(|id| SweepCell::new(id, "dataflow", AnalysisConfig::dataflow_limit()))
+        .collect();
+    let sweeps: Vec<_> = (0..SEEDS)
+        .map(|seed| {
+            let seeded = study.clone().with_seed_override(Some(0xBEEF + seed));
+            run_grid(&seeded, &format!("seed_study-{seed}"), &cells)
+        })
+        .collect();
+
     println!("Seed Sensitivity Study: dataflow-limit parallelism over {SEEDS} input seeds");
     println!();
     println!(
@@ -25,17 +39,12 @@ fn main() {
         "Benchmark", "min", "mean", "max", "spread"
     );
     println!("{:-<62}", "");
-    for id in WorkloadId::ALL {
-        let size = study.workload(id).size();
-        let mut values = Vec::new();
-        for seed in 0..SEEDS {
-            let workload = Workload::new(id).with_size(size).with_seed(0xBEEF + seed);
-            let (records, segments) = workload
-                .collect_trace(study.fuel())
-                .unwrap_or_else(|e| panic!("{id}: {e}"));
-            let config = AnalysisConfig::dataflow_limit().with_segments(segments);
-            values.push(analyze_refs(&records, &config).available_parallelism());
-        }
+    for (i, id) in WorkloadId::ALL.into_iter().enumerate() {
+        let values: Option<Vec<f64>> = sweeps
+            .iter()
+            .map(|sweep| Some(sweep.cells[i].outcome()?.metrics.parallelism))
+            .collect();
+        let Some(values) = values else { continue };
         let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = values.iter().cloned().fold(0.0f64, f64::max);
         let mean = values.iter().sum::<f64>() / values.len() as f64;
@@ -51,4 +60,8 @@ fn main() {
     println!();
     println!("(spread = (max - min) / mean; small values mean the analogue's");
     println!(" parallelism is structural, not an artifact of one input)");
+    exit_if_degraded(
+        "seed_study",
+        sweeps.iter().map(|sweep| sweep.quarantined()).sum(),
+    );
 }

@@ -8,7 +8,7 @@
 //! to rename both registers and memory" — implies both constraints must be
 //! relaxed together; this table shows the interaction explicitly.
 
-use paragraph_bench::{analyze_many, parallelism, Study};
+use paragraph_bench::{exit_if_degraded, healthy, parallelism, run_grid, Study, SweepCell};
 use paragraph_core::{AnalysisConfig, RenameSet, WindowSize};
 use paragraph_workloads::WorkloadId;
 
@@ -16,6 +16,27 @@ const WINDOWS: [usize; 3] = [32, 1024, 32_768];
 
 fn main() {
     let study = Study::from_env();
+    let mut cells = Vec::new();
+    for id in WorkloadId::ALL {
+        for window in WINDOWS
+            .iter()
+            .map(|&w| WindowSize::bounded(w))
+            .chain([WindowSize::Infinite])
+        {
+            for (renaming, renames) in
+                [("r", RenameSet::registers_only()), ("rm", RenameSet::all())]
+            {
+                cells.push(SweepCell::new(
+                    id,
+                    format!("{window}-{renaming}"),
+                    AnalysisConfig::dataflow_limit()
+                        .with_window(window)
+                        .with_renames(renames),
+                ));
+            }
+        }
+    }
+    let outcome = run_grid(&study, "window_renaming_study", &cells);
     println!("Window x Renaming Interaction: available parallelism");
     println!("(conservative syscalls; r = registers renamed, rm = registers+memory)");
     println!();
@@ -25,29 +46,14 @@ fn main() {
     }
     println!(" {:>9} {:>9}", "inf r", "inf rm");
     println!("{:-<96}", "");
-    for id in WorkloadId::ALL {
-        let (records, segments) = study
-            .collect(id)
-            .unwrap_or_else(|e| panic!("trace collection failed: {e}"));
-        let mut configs = Vec::new();
-        for window in WINDOWS
-            .iter()
-            .map(|&w| WindowSize::bounded(w))
-            .chain([WindowSize::Infinite])
-        {
-            for renames in [RenameSet::registers_only(), RenameSet::all()] {
-                configs.push(
-                    AnalysisConfig::dataflow_limit()
-                        .with_segments(segments)
-                        .with_window(window)
-                        .with_renames(renames),
-                );
-            }
-        }
-        let reports = analyze_many(&records, &configs);
+    for (id, row) in WorkloadId::ALL
+        .into_iter()
+        .zip(outcome.cells.chunks(2 * (WINDOWS.len() + 1)))
+    {
+        let Some(row) = healthy(row) else { continue };
         print!("{:<11}", id.name());
-        for report in &reports {
-            print!(" {:>9}", parallelism(report.available_parallelism()));
+        for cell in row {
+            print!(" {:>9}", parallelism(cell.metrics.parallelism));
         }
         println!();
     }
@@ -58,4 +64,5 @@ fn main() {
          only opens once the window is large. Both constraints must be\n\
          relaxed together, as the paper's summary says."
     );
+    exit_if_degraded("window_renaming_study", outcome.quarantined());
 }

@@ -31,19 +31,23 @@
 //! * `PARAGRAPH_SCALE` — percentage applied to every workload's default
 //!   problem size (e.g. `50` halves them; useful for quick smoke runs).
 //! * `PARAGRAPH_OUT` — directory for CSV artifacts (default `results`).
+//! * `PARAGRAPH_JOBS` — sweep worker threads (default: all cores).
 //!
-//! The `benches/` directory holds Criterion performance benchmarks of the
-//! toolkit itself (analyzer and VM throughput), not paper experiments.
+//! Every experiment that analyzes one trace under several configurations
+//! is a grid of [`SweepCell`]s run by [`run_grid`] on the sweep engine
+//! ([`run_sweep`]: decode once, supervised cells, restartable stages),
+//! plus a renderer that reads the cells in order. `table2` and
+//! `lifetime_study` measure one configuration through [`Study::measure`];
+//! `growth_study` samples one streaming pass; `storage_study` and the
+//! scheduling part of `ablation` build the explicit `Ddg`.
 
-use paragraph_core::run::RunSink;
-use paragraph_core::{analyze_refs, AnalysisConfig, AnalysisReport, LiveWell, Policy, Run};
-use paragraph_trace::{InternedTrace, SegmentMap, TraceRecord};
+use paragraph_core::telemetry::tracefmt;
+use paragraph_core::{AnalysisConfig, AnalysisReport, LiveWell, Policy, Run};
+use paragraph_trace::InternedTrace;
 use paragraph_vm::RunOutcome;
 use paragraph_workloads::{Workload, WorkloadId};
 use std::fs;
-use std::io::BufReader;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 pub mod arena;
 pub mod scheduler;
@@ -54,9 +58,6 @@ pub use scheduler::{
     run_sweep, CellMetrics, CellOutcome, CellResult, SweepCell, SweepOptions, SweepOutcome,
 };
 pub use supervisor::{CellError, CellStatus, FaultSpec};
-
-/// Records between harness checkpoints in [`Study::measure_restartable`].
-pub const CHECKPOINT_EVERY: u64 = 1_000_000;
 
 /// Study-wide settings, read from the environment.
 #[derive(Debug, Clone)]
@@ -137,8 +138,7 @@ impl Study {
 
     /// Runs `id` once, feeding its VM trace through the [`Run`] driver into
     /// an analyzer configured by `config` (with the workload's segment map
-    /// applied). Returns the
-    /// analysis report and the run outcome.
+    /// applied). Returns the analysis report and the run outcome.
     ///
     /// # Panics
     ///
@@ -153,19 +153,6 @@ impl Study {
             .vm(|record| vm.run_traced(self.fuel, record));
         let outcome = outcome.unwrap_or_else(|e| panic!("{id}: {e}"));
         (analyzer.finish(), outcome)
-    }
-
-    /// Captures `id`'s trace in memory for multi-configuration studies, so
-    /// the VM runs once per workload instead of once per configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`CellError::Vm`] on a VM fault, as for
-    /// [`collect_interned`](Study::collect_interned).
-    pub fn collect(&self, id: WorkloadId) -> Result<(Vec<TraceRecord>, SegmentMap), CellError> {
-        self.workload(id)
-            .collect_trace(self.fuel)
-            .map_err(|e| CellError::Vm(format!("{id}: {e}")))
     }
 
     /// Captures `id`'s trace in memory, interned, for multi-configuration
@@ -184,129 +171,9 @@ impl Study {
             .map_err(|e| CellError::Vm(format!("{id}: {e}")))
     }
 
-    fn checkpoint_file(&self, study: &str, id: WorkloadId) -> PathBuf {
-        self.checkpoints_dir().join(format!("{study}-{id}.pgcp"))
-    }
-
-    /// The directory harness checkpoints and stage markers live in.
+    /// The directory sweep stage markers live in.
     pub(crate) fn checkpoints_dir(&self) -> PathBuf {
         self.out_dir.join("checkpoints")
-    }
-
-    /// Like [`Study::measure`], but restartable: analyzer state is
-    /// checkpointed every [`CHECKPOINT_EVERY`] records under
-    /// `<out_dir>/checkpoints/`, and a run that finds a matching checkpoint
-    /// resumes from it instead of re-analyzing from the start (the workload
-    /// replays deterministically; already-analyzed records are skipped).
-    /// The checkpoint is deleted on successful completion. A checkpoint that
-    /// fails to load — e.g. taken under a different configuration — is
-    /// ignored and the analysis starts over.
-    ///
-    /// # Panics
-    ///
-    /// Panics on VM faults, as for [`Study::measure`].
-    pub fn measure_restartable(
-        &self,
-        study: &str,
-        id: WorkloadId,
-        config: &AnalysisConfig,
-    ) -> (AnalysisReport, RunOutcome) {
-        let (report, outcome, _) = self.measure_restartable_instrumented(study, id, config);
-        (report, outcome)
-    }
-
-    /// [`Study::measure_restartable`] plus a [`RunTelemetry`] record of how
-    /// the run itself went — wall time, throughput, checkpoint activity —
-    /// for the sweeps' per-workload telemetry manifests.
-    ///
-    /// # Panics
-    ///
-    /// Panics on VM faults, as for [`Study::measure`].
-    pub fn measure_restartable_instrumented(
-        &self,
-        study: &str,
-        id: WorkloadId,
-        config: &AnalysisConfig,
-    ) -> (AnalysisReport, RunOutcome, RunTelemetry) {
-        let workload = self.workload(id);
-        let mut vm = workload.vm();
-        let config = config.clone().with_segments(vm.segment_map());
-        let path = self.checkpoint_file(study, id);
-
-        let mut analyzer = None;
-        if let Ok(file) = fs::File::open(&path) {
-            match LiveWell::resume_from(BufReader::new(file), config.clone()) {
-                Ok(resumed) => {
-                    eprintln!(
-                        "{study}/{id}: resuming from {} at record {}",
-                        path.display(),
-                        resumed.records_processed()
-                    );
-                    analyzer = Some(resumed);
-                }
-                Err(e) => {
-                    eprintln!("{study}/{id}: ignoring checkpoint {}: {e}", path.display());
-                }
-            }
-        }
-        let mut analyzer = analyzer.unwrap_or_else(|| LiveWell::new(config));
-        let skip = analyzer.records_processed();
-
-        let started = Instant::now();
-        let mut checkpoints = CheckpointFile {
-            path: &path,
-            scope: format!("{study}/{id}"),
-            written: 0,
-            failed: false,
-        };
-        let policy = Policy {
-            checkpoint_every: Some(CHECKPOINT_EVERY),
-            ..Policy::with_sink(&mut checkpoints)
-        };
-        // The workload replays deterministically: the driver drops the
-        // records a resumed analyzer has already seen.
-        let (outcome, _) =
-            Run::new(&mut analyzer, policy).vm(|record| vm.run_traced(self.fuel, record));
-        let outcome = outcome.unwrap_or_else(|e| panic!("{id}: {e}"));
-        let checkpoints_written = checkpoints.written;
-        let _ = fs::remove_file(&path);
-        let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let analyzed = analyzer.records_processed().saturating_sub(skip);
-        let telemetry = RunTelemetry {
-            records_analyzed: analyzed,
-            wall_ns,
-            records_per_sec: if wall_ns == 0 {
-                0.0
-            } else {
-                analyzed as f64 / (wall_ns as f64 / 1e9)
-            },
-            checkpoints_written,
-            resumed_at: (skip > 0).then_some(skip),
-            window_stalls: analyzer.window_stalls(),
-        };
-        (analyzer.finish(), outcome, telemetry)
-    }
-
-    /// Writes a per-workload telemetry manifest under
-    /// `<out_dir>/<study>/telemetry/<id>.json` and returns its path. The
-    /// manifest joins the run's [`RunTelemetry`] with the report's headline
-    /// figures, so sweep throughput can be compared run over run.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_run_manifest(
-        &self,
-        study: &str,
-        id: WorkloadId,
-        report: &AnalysisReport,
-        telemetry: &RunTelemetry,
-    ) -> std::io::Result<PathBuf> {
-        let dir = self.out_dir.join(study).join("telemetry");
-        fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{id}.json"));
-        fs::write(&path, run_manifest_json(id, report, telemetry))?;
-        Ok(path)
     }
 
     /// Path of a completed-stage marker for `study`/`key` (used to make
@@ -348,124 +215,10 @@ impl Study {
     }
 }
 
-/// How one instrumented harness run went: wall time, throughput, and
-/// checkpoint/resume activity. Produced by
-/// [`Study::measure_restartable_instrumented`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunTelemetry {
-    /// Records analyzed by *this* process (excludes records skipped after a
-    /// resume).
-    pub records_analyzed: u64,
-    /// Wall-clock nanoseconds of the trace-and-analyze loop.
-    pub wall_ns: u64,
-    /// Analysis throughput in records per second.
-    pub records_per_sec: f64,
-    /// Checkpoints successfully written during the run.
-    pub checkpoints_written: u64,
-    /// Record index a prior checkpoint resumed from, if any.
-    pub resumed_at: Option<u64>,
-    /// Times the instruction window constrained placement (since start or
-    /// resume; see [`LiveWell::window_stalls`]).
-    pub window_stalls: u64,
-}
-
-/// Renders a per-workload telemetry manifest as a single JSON object.
-pub fn run_manifest_json(
-    id: WorkloadId,
-    report: &AnalysisReport,
-    telemetry: &RunTelemetry,
-) -> String {
-    format!(
-        concat!(
-            "{{\"workload\":\"{}\",\"records\":{},\"placed\":{},",
-            "\"critical_path\":{},\"parallelism\":{:.6},",
-            "\"live_well_evictions\":{},\"records_analyzed\":{},",
-            "\"wall_ns\":{},\"records_per_sec\":{:.2},",
-            "\"checkpoints_written\":{},\"resumed_at\":{},",
-            "\"window_stalls\":{}}}\n"
-        ),
-        id.name(),
-        report.total_records(),
-        report.placed_ops(),
-        report.critical_path_length(),
-        report.available_parallelism(),
-        report.live_well_evictions(),
-        telemetry.records_analyzed,
-        telemetry.wall_ns,
-        telemetry.records_per_sec,
-        telemetry.checkpoints_written,
-        telemetry
-            .resumed_at
-            .map_or("null".to_owned(), |v| v.to_string()),
-        telemetry.window_stalls,
-    )
-}
-
-/// The harness's checkpoint sink. Checkpointing is best-effort: after the
-/// first failed save the analysis continues without.
-struct CheckpointFile<'a> {
-    path: &'a Path,
-    scope: String,
-    written: u64,
-    failed: bool,
-}
-
-impl RunSink for CheckpointFile<'_> {
-    fn checkpoint(&mut self, well: &LiveWell) {
-        if self.failed {
-            return;
-        }
-        match write_checkpoint_atomic(well, self.path) {
-            Ok(()) => self.written += 1,
-            Err(e) => {
-                eprintln!("{}: checkpoint failed, continuing without: {e}", self.scope);
-                self.failed = true;
-            }
-        }
-    }
-}
-
-/// Writes a checkpoint to `path` through the shared crash-consistent
-/// helper: unique temp name, `sync_all`, rename, parent-directory fsync.
-/// One implementation serves the harness and the CLI — see
-/// [`paragraph_core::artifact::write_atomic`].
-fn write_checkpoint_atomic(analyzer: &LiveWell, path: &Path) -> std::io::Result<()> {
-    paragraph_core::artifact::write_atomic(path, |out| {
-        analyzer
-            .save_checkpoint(out)
-            .map_err(|e| std::io::Error::other(e.to_string()))
-    })
-}
-
 impl Default for Study {
     fn default() -> Study {
         Study::from_env()
     }
-}
-
-/// Analyzes one captured trace under many configurations concurrently,
-/// one OS thread per configuration (the trace is shared read-only). Order
-/// of the results matches `configs`.
-///
-/// Multi-configuration studies (Table 4's four renaming conditions, Figure
-/// 8's window ladder) are embarrassingly parallel across configurations;
-/// this keeps the harness wall-clock close to the slowest single analysis.
-pub fn analyze_many(records: &[TraceRecord], configs: &[AnalysisConfig]) -> Vec<AnalysisReport> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = configs
-            .iter()
-            .map(|config| scope.spawn(move || analyze_refs(records, config)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(report) => report,
-                // Surface the analysis panic on the caller's thread with
-                // its original payload instead of a generic message.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    })
 }
 
 /// Worker-thread count for the sweep drivers: `PARAGRAPH_JOBS`, or `0`
@@ -475,6 +228,43 @@ pub fn jobs_from_env() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(0)
+}
+
+/// Runs one experiment's grid as the sweep `name` on [`jobs_from_env`]
+/// workers, with the engine's default supervision and stage markers; the
+/// engine names each quarantined cell on stderr. The results are in cell
+/// order; the renderer reads them a row at a time through [`healthy`],
+/// and the binary ends with [`exit_if_degraded`].
+pub fn run_grid(study: &Study, name: &str, cells: &[SweepCell]) -> SweepOutcome {
+    let opts = SweepOptions {
+        jobs: jobs_from_env(),
+        ..SweepOptions::default()
+    };
+    run_sweep(study, name, cells, &opts)
+}
+
+/// The outcomes of one row of a grid, or `None` when a cell of it was
+/// quarantined: a degraded table leaves that row out.
+pub fn healthy(row: &[CellResult]) -> Option<Vec<&CellOutcome>> {
+    row.iter().map(CellResult::outcome).collect()
+}
+
+/// Exits with status 6, the degraded-sweep code, when `quarantined` cells
+/// of `name`'s grids were left out of its output (`docs/supervision.md`).
+pub fn exit_if_degraded(name: &str, quarantined: usize) {
+    if quarantined > 0 {
+        eprintln!("{name}: {quarantined} cell(s) quarantined; the output is incomplete");
+        std::process::exit(6);
+    }
+}
+
+/// A count from a cell's report JSON (`syscalls`, `branch_predictions`,
+/// ...); `None` when the report lacks it.
+pub fn report_count(cell: &CellOutcome, key: &str) -> Option<u64> {
+    tracefmt::parse_json(&cell.report_json)
+        .ok()?
+        .get(key)?
+        .as_u64()
 }
 
 /// The core count visible to this process, as recorded in bench rows.
@@ -538,27 +328,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn analyze_many_matches_sequential() {
-        use paragraph_core::{RenameSet, WindowSize};
-        use paragraph_trace::synthetic;
-        let trace = synthetic::random_trace(2000, 5);
-        let configs = vec![
-            AnalysisConfig::dataflow_limit(),
-            AnalysisConfig::dataflow_limit().with_renames(RenameSet::none()),
-            AnalysisConfig::dataflow_limit().with_window(WindowSize::bounded(64)),
-        ];
-        let parallel = analyze_many(&trace, &configs);
-        for (config, report) in configs.iter().zip(&parallel) {
-            let sequential = analyze_refs(&trace, config);
-            assert_eq!(
-                report.critical_path_length(),
-                sequential.critical_path_length()
-            );
-            assert_eq!(report.placed_ops(), sequential.placed_ops());
-        }
-    }
-
-    #[test]
     fn thousands_grouping() {
         assert_eq!(thousands(0), "0");
         assert_eq!(thousands(999), "999");
@@ -579,48 +348,6 @@ mod tests {
         let out =
             std::env::temp_dir().join(format!("paragraph-bench-test-{tag}-{}", std::process::id()));
         Study::new(200_000, 5, out)
-    }
-
-    #[test]
-    fn restartable_measure_matches_plain_measure() {
-        let study = temp_study("match");
-        let config = AnalysisConfig::dataflow_limit();
-        let (plain, _) = study.measure(WorkloadId::Xlisp, &config);
-        let (restartable, _) = study.measure_restartable("t", WorkloadId::Xlisp, &config);
-        assert_eq!(plain.to_json(), restartable.to_json());
-        // The checkpoint is cleaned up after completion.
-        assert!(!study.checkpoint_file("t", WorkloadId::Xlisp).exists());
-        let _ = fs::remove_dir_all(study.out_dir());
-    }
-
-    #[test]
-    fn restartable_measure_resumes_from_a_mid_run_checkpoint() {
-        let study = temp_study("resume");
-        let config = AnalysisConfig::dataflow_limit();
-        let (full, _) = study.measure(WorkloadId::Eqntott, &config);
-
-        // Simulate an interrupted run: analyze the first half, checkpoint,
-        // then let measure_restartable pick it up.
-        let workload = study.workload(WorkloadId::Eqntott);
-        let mut vm = workload.vm();
-        let segmented = config.clone().with_segments(vm.segment_map());
-        let mut half = LiveWell::new(segmented);
-        let mut seen = 0u64;
-        let target = full.total_records() / 2;
-        vm.run_traced(study.fuel(), |record| {
-            if seen < target {
-                half.process(record);
-                seen += 1;
-            }
-        })
-        .unwrap();
-        let path = study.checkpoint_file("t", WorkloadId::Eqntott);
-        write_checkpoint_atomic(&half, &path).unwrap();
-
-        let (resumed, _) = study.measure_restartable("t", WorkloadId::Eqntott, &config);
-        assert_eq!(full.to_json(), resumed.to_json());
-        assert!(!path.exists());
-        let _ = fs::remove_dir_all(study.out_dir());
     }
 
     #[test]

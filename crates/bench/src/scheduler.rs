@@ -11,6 +11,8 @@
 //! encoding of the cell's artifacts) via the study's checkpoint directory,
 //! so an interrupted sweep resumes at cell granularity: restored cells are
 //! not recomputed, and their artifacts are byte-identical to a fresh run's.
+//! A marker records the cell's inputs and restores only into a cell with
+//! the same ones.
 //!
 //! Cells are **supervised** (see `docs/supervision.md`): every cell runs
 //! inside a `catch_unwind` boundary, failures become typed
@@ -27,6 +29,7 @@ use paragraph_core::{AnalysisConfig, InternedWell, ParallelismProfile};
 use paragraph_workloads::WorkloadId;
 use std::collections::VecDeque;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -42,10 +45,13 @@ pub struct SweepCell {
     /// Analysis configuration; the workload's segment map is applied by
     /// the scheduler, so build it segment-free.
     pub config: AnalysisConfig,
+    /// The records analyzed: `Some((p, n))` is the `p`-th of `n` equal
+    /// parts of the trace, `None` the whole trace.
+    part: Option<(usize, usize)>,
 }
 
 impl SweepCell {
-    /// Creates a cell.
+    /// Creates a cell over the whole trace.
     pub fn new(
         workload: WorkloadId,
         label: impl Into<String>,
@@ -55,6 +61,30 @@ impl SweepCell {
             workload,
             label: label.into(),
             config,
+            part: None,
+        }
+    }
+
+    /// Restricts the cell to part `index` of `parts` of the trace: with
+    /// `chunk = max(len / parts, 1)`, records `index * chunk` up to
+    /// `(index + 1) * chunk`, cut at the trace's end. The analysis starts
+    /// fresh at the cut, as if that slice were the whole trace; the
+    /// `len % parts` records past the last full part belong to no part.
+    #[must_use]
+    pub fn with_part(mut self, index: usize, parts: usize) -> SweepCell {
+        self.part = Some((index, parts.max(1)));
+        self
+    }
+
+    /// The record range this cell analyzes in a trace of `len` records.
+    fn records(&self, len: usize) -> Range<usize> {
+        match self.part {
+            None => 0..len,
+            Some((index, parts)) => {
+                let chunk = (len / parts).max(1);
+                let start = index.saturating_mul(chunk).min(len);
+                start..start.saturating_add(chunk).min(len)
+            }
         }
     }
 
@@ -63,6 +93,22 @@ impl SweepCell {
         let mut key = format!("{}@{}", self.workload.name(), self.label);
         key.retain(|c| c.is_ascii_alphanumeric() || matches!(c, '@' | '-' | '_' | '.'));
         key
+    }
+
+    /// Everything the cell's result depends on: the workload instance,
+    /// the fuel, the record range and the configuration. A stage marker
+    /// restores only into a cell with the same identity.
+    fn identity(&self, study: &Study) -> String {
+        let workload = study.workload(self.workload);
+        format!(
+            "{} size {} seed {} fuel {} part {:?}: {}",
+            self.workload.name(),
+            workload.size(),
+            workload.seed(),
+            study.fuel(),
+            self.part,
+            self.config,
+        )
     }
 }
 
@@ -201,12 +247,14 @@ impl SweepOutcome {
 
 /// Version tag of the stage-marker format; markers with any other first
 /// line are ignored and the cell is recomputed.
-const MARKER_MAGIC: &str = "PGSWEEP1";
+const MARKER_MAGIC: &str = "PGSWEEP2";
 
-fn encode_marker(outcome: &CellOutcome) -> String {
+/// A marker is the magic line, the cell's [identity](SweepCell::identity),
+/// the metrics, the encoded profile and the report JSON.
+fn encode_marker(identity: &str, outcome: &CellOutcome) -> String {
     let m = &outcome.metrics;
     format!(
-        "{MARKER_MAGIC}\n{} {} {} {} {} {} {}\n{}\n{}",
+        "{MARKER_MAGIC}\n{identity}\n{} {} {} {} {} {} {}\n{}\n{}",
         m.records,
         m.placed,
         m.critical_path,
@@ -219,9 +267,11 @@ fn encode_marker(outcome: &CellOutcome) -> String {
     )
 }
 
-fn decode_marker(cell: &SweepCell, text: &str) -> Option<CellOutcome> {
-    let mut lines = text.splitn(4, '\n');
-    if lines.next()? != MARKER_MAGIC {
+/// Decodes a marker written for a cell of identity `identity`; `None`
+/// when it is damaged, of another format, or written for another cell.
+fn decode_marker(cell: &SweepCell, identity: &str, text: &str) -> Option<CellOutcome> {
+    let mut lines = text.splitn(5, '\n');
+    if lines.next()? != MARKER_MAGIC || lines.next()? != identity {
         return None;
     }
     let mut fields = lines.next()?.split_ascii_whitespace();
@@ -265,13 +315,14 @@ fn analyze_cell(
 ) -> Result<CellOutcome, CellError> {
     let trace = arena.get(study, cell.workload)?;
     let config = cell.config.clone().with_segments(trace.segments());
+    let records = cell.records(trace.len());
     let started = Instant::now();
     // The span covers the analysis only (not the arena fetch, which may
     // block on another worker's decode — attributing that wait to the cell
     // would make identical cells look slower under contention).
     let mut span = paragraph_core::span!("sweep.cell", "{}@{}", cell.workload.name(), cell.label);
-    let mut analyzer = InternedWell::new(&trace, config);
-    analyzer.process_next(trace.len());
+    let mut analyzer = InternedWell::starting_at(&trace, config, records.start);
+    analyzer.process_next(records.len());
     let window_stalls = analyzer.window_stalls();
     let report = analyzer.finish();
     let wall_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -404,14 +455,16 @@ fn run_sweep_supervised(
     }
 
     // Restore stage-cached cells up front; only the rest are scheduled.
+    let identities: Vec<String> = cells.iter().map(|cell| cell.identity(study)).collect();
     let results: Vec<Mutex<CellSlot>> = cells
         .iter()
-        .map(|cell| {
+        .zip(&identities)
+        .map(|(cell, identity)| {
             let restored = opts
                 .reuse_stages
                 .then(|| study.load_stage(name, &cell.stage_key()))
                 .flatten()
-                .and_then(|marker| decode_marker(cell, &marker));
+                .and_then(|marker| decode_marker(cell, identity, &marker));
             Mutex::new(CellSlot {
                 attempts: 0,
                 result: restored.map(Ok),
@@ -456,6 +509,7 @@ fn run_sweep_supervised(
         for me in 0..jobs {
             let queues = &queues;
             let results = &results;
+            let identities = &identities;
             let arena = &arena;
             let write_artifacts = &write_artifacts;
             scope.spawn(move || {
@@ -493,7 +547,7 @@ fn run_sweep_supervised(
                                 if let Err(e) = study.store_stage(
                                     name,
                                     &cell.stage_key(),
-                                    &encode_marker(&outcome),
+                                    &encode_marker(&identities[index], &outcome),
                                 ) {
                                     // Stage persistence is best-effort, like
                                     // harness checkpoints: the sweep itself
@@ -837,7 +891,10 @@ mod tests {
             ..SweepOptions::default()
         };
         let outcome = run_sweep(&study, "t-direct", &cells, &opts);
-        let (records, segments) = study.collect(WorkloadId::Xlisp).unwrap();
+        let (records, segments) = study
+            .workload(WorkloadId::Xlisp)
+            .collect_trace(study.fuel())
+            .unwrap();
         for (cell, result) in cells.iter().zip(&outcome.cells) {
             let config = cell.config.clone().with_segments(segments);
             let direct = analyze_slice(&records, &config);
@@ -864,7 +921,7 @@ mod tests {
             .store_stage(
                 "t-stage",
                 &cells[0].stage_key(),
-                &encode_marker(ok(&fresh.cells[0])),
+                &encode_marker(&cells[0].identity(&study), ok(&fresh.cells[0])),
             )
             .unwrap();
         let resumed = run_sweep(&study, "t-stage", &cells, &opts);
@@ -893,8 +950,9 @@ mod tests {
         };
         let outcome = run_sweep(&study, "t-marker", &cells[..1], &opts);
         let first = ok(&outcome.cells[0]);
-        let marker = encode_marker(first);
-        let decoded = decode_marker(&cells[0], &marker).unwrap();
+        let identity = cells[0].identity(&study);
+        let marker = encode_marker(&identity, first);
+        let decoded = decode_marker(&cells[0], &identity, &marker).unwrap();
         assert_eq!(decoded.report_json, first.report_json);
         assert_eq!(decoded.profile, first.profile);
         assert_eq!(decoded.metrics, {
@@ -904,12 +962,20 @@ mod tests {
         });
         assert!(decoded.from_stage);
 
-        assert!(decode_marker(&cells[0], "JUNK\n1 2 3").is_none());
-        assert!(decode_marker(&cells[0], &marker.replace(MARKER_MAGIC, "PGSWEEP9")).is_none());
+        assert!(decode_marker(&cells[0], &identity, "JUNK\n1 2 3").is_none());
+        assert!(decode_marker(
+            &cells[0],
+            &identity,
+            &marker.replace(MARKER_MAGIC, "PGSWEEP9")
+        )
+        .is_none());
+        // A marker written for another cell (here: another fuel) is refused.
+        let other = Study::new(study.fuel() + 1, 2, study.out_dir().clone());
+        assert!(decode_marker(&cells[0], &cells[0].identity(&other), &marker).is_none());
         let truncated = &marker[..marker.len() / 2];
         // Truncation lands either in the profile or the json; both reject
         // or round-trip to a prefix that fails validation.
-        if let Some(bad) = decode_marker(&cells[0], truncated) {
+        if let Some(bad) = decode_marker(&cells[0], &identity, truncated) {
             assert_ne!(bad.report_json, first.report_json);
         }
         let _ = fs::remove_dir_all(study.out_dir());
@@ -1134,7 +1200,10 @@ mod tests {
             let start = Instant::now();
             let mut before_reports = Vec::new();
             for cell in cells {
-                let (records, segments) = study.collect(cell.workload).unwrap();
+                let (records, segments) = study
+                    .workload(cell.workload)
+                    .collect_trace(study.fuel())
+                    .unwrap();
                 let config = cell.config.clone().with_segments(segments);
                 before_reports.push(analyze_slice(&records, &config).to_json());
             }

@@ -1919,10 +1919,8 @@ fn cmd_sweep_grid(opts: &Options) -> Result<(), CliError> {
             .num("jobs")
             .unwrap_or_else(paragraph_bench::jobs_from_env),
         arena_budget_bytes: 0,
-        // Stage markers key on (workload, label) only — safe for the fixed
-        // fig7/fig8 grids, but an interrupted CLI sweep rerun with
-        // different machine flags would alias. Each CLI sweep is
-        // self-contained instead.
+        // Each CLI sweep is self-contained: it writes no stage markers
+        // into the output directory, and a rerun recomputes every cell.
         reuse_stages: false,
         retries: opts
             .num("retries")

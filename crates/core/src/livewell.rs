@@ -1390,6 +1390,8 @@ impl<S: SlotSpace> LiveWellImpl<S> {
 #[derive(Debug)]
 pub struct InternedWell<'t> {
     trace: &'t InternedTrace,
+    /// Index of the first trace record this pass reads.
+    start: usize,
     pass: InternedPass<'t>,
 }
 
@@ -1411,20 +1413,31 @@ impl<'t> InternedWell<'t> {
     /// with [`LiveWell::new`], `config` carries the segment map; the
     /// trace's own is [`InternedTrace::segments`].
     pub fn new(trace: &'t InternedTrace, config: AnalysisConfig) -> InternedWell<'t> {
+        InternedWell::starting_at(trace, config, 0)
+    }
+
+    /// Like [`InternedWell::new`], but the pass begins at record `start`,
+    /// as a fresh analyzer over `records[start..]` would: what the earlier
+    /// records wrote is preexisting to it.
+    pub fn starting_at(
+        trace: &'t InternedTrace,
+        config: AnalysisConfig,
+        start: usize,
+    ) -> InternedWell<'t> {
         let pass = if config.live_well_cap().is_some() {
             InternedPass::Capped(LiveWell::new(config))
         } else {
             let space = FlatSlots::new(trace, &config);
             InternedPass::Flat(LiveWellImpl::with_space(config, space))
         };
-        InternedWell { trace, pass }
+        InternedWell { trace, start, pass }
     }
 
     /// Processes the next `n` records of the trace (fewer at its end);
     /// returns how many were processed.
     pub fn process_next(&mut self, n: usize) -> usize {
         let trace = self.trace;
-        let start = self.records_processed() as usize;
+        let start = (self.start + self.records_processed() as usize).min(trace.len());
         let end = start.saturating_add(n).min(trace.len());
         match &mut self.pass {
             InternedPass::Flat(well) => {

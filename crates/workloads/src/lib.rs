@@ -265,6 +265,11 @@ impl Workload {
         self.size
     }
 
+    /// The input seed.
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
     /// Generates the workload's assembly source.
     pub fn source(&self) -> String {
         match self.id {

@@ -131,6 +131,28 @@ proptest! {
     ) {
         assert_identical(&trace, &config, split);
     }
+
+    /// A pass started at record `start` is a fresh analyzer over the
+    /// records from there on: what the earlier records wrote is
+    /// preexisting to it (the sweep's phase cells).
+    #[test]
+    fn a_pass_started_mid_trace_analyzes_the_rest_as_a_trace_of_its_own(
+        trace in arb_trace(),
+        config in arb_config(),
+        start in 0usize..80,
+    ) {
+        let start = start.min(trace.len());
+        let interned = InternedTrace::from_records(&trace, segments());
+        let mut flat = InternedWell::starting_at(&interned, config.clone(), start);
+        let mut streaming = LiveWell::new(config);
+        streaming.process_slice(&trace[start..]);
+        prop_assert_eq!(flat.process_next(usize::MAX), trace.len() - start);
+        prop_assert_eq!(
+            save(|w| streaming.save_checkpoint(w).unwrap()),
+            save(|w| flat.save_checkpoint(w).unwrap())
+        );
+        prop_assert_eq!(streaming.finish().to_json(), flat.finish().to_json());
+    }
 }
 
 /// Words first read by a mispredicted branch after the last placement are
