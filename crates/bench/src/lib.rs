@@ -47,7 +47,7 @@ use paragraph_trace::InternedTrace;
 use paragraph_vm::RunOutcome;
 use paragraph_workloads::{Workload, WorkloadId};
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 pub mod arena;
 pub mod scheduler;
@@ -265,42 +265,6 @@ pub fn report_count(cell: &CellOutcome, key: &str) -> Option<u64> {
         .ok()?
         .get(key)?
         .as_u64()
-}
-
-/// The core count visible to this process, as recorded in bench rows.
-/// Wall-clock numbers from differently-sized boxes are not comparable —
-/// `paragraph profile --bench-compare` only gates rows whose core counts
-/// match — so every row carries where it came from.
-pub fn nproc() -> u64 {
-    std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
-}
-
-/// Appends one JSONL row to a bench history file (`BENCH.hotpath.json`,
-/// `BENCH.sweep.json`). Each harness run adds a row; the files are the
-/// repo's perf trajectory and feed `paragraph profile --bench-compare`.
-/// A trailing newline is added when the row lacks one, and an `"nproc"`
-/// field recording [`nproc`] is injected when the row does not already
-/// carry one, so the compare gate can refuse cross-machine comparisons.
-///
-/// # Errors
-///
-/// Propagates any I/O error from opening or appending to the file.
-pub fn append_bench_row(path: &Path, row: &str) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let mut line = row.trim_end().to_owned();
-    if !line.contains("\"nproc\"") {
-        if let Some(stripped) = line.strip_suffix('}') {
-            let sep = if stripped.ends_with('{') { "" } else { "," };
-            line = format!("{stripped}{sep}\"nproc\":{}}}", nproc());
-        }
-    }
-    line.push('\n');
-    let mut file = fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    file.write_all(line.as_bytes())?;
-    Ok(())
 }
 
 /// Formats `n` with thousands separators, as the paper's tables do.

@@ -1139,176 +1139,4 @@ mod tests {
         assert_eq!(effective_jobs(3, 100), 3);
         assert_eq!(effective_jobs(0, 0), 1);
     }
-
-    /// Best-of-`reps` wall-clock of the pre-engine path (every cell
-    /// re-generating its workload's trace, strictly sequential) against
-    /// `run_sweep` over the same cells, asserting report equality on every
-    /// repetition. The two paths alternate and each keeps its minimum:
-    /// single-shot timings on a shared box swing by 2x.
-    struct SweepBench {
-        before_ns: u64,
-        after_ns: u64,
-        jobs: usize,
-        misses: u64,
-        hits: u64,
-    }
-
-    impl SweepBench {
-        fn speedup(&self) -> f64 {
-            self.before_ns as f64 / self.after_ns.max(1) as f64
-        }
-
-        fn json(&self, grid: &str, cpus: usize) -> String {
-            format!(
-                concat!(
-                    "{{\"bench\":\"sweep-decode-once\",\"grid\":\"{}\",\"cpus\":{},",
-                    "\"before_ns\":{},\"after_ns\":{},\"speedup\":{:.2},",
-                    "\"jobs\":{},\"arena_misses\":{},\"arena_hits\":{}}}"
-                ),
-                grid,
-                cpus,
-                self.before_ns,
-                self.after_ns,
-                self.speedup(),
-                self.jobs,
-                self.misses,
-                self.hits,
-            )
-        }
-    }
-
-    fn measure_sweep(study: &Study, name: &str, cells: &[SweepCell], reps: usize) -> SweepBench {
-        // The arena gets an unbounded budget: this measures decode-once
-        // against re-decode, so the whole grid must stay resident (the
-        // budget's eviction behavior is exercised by the arena tests).
-        let opts = SweepOptions {
-            jobs: crate::jobs_from_env(),
-            arena_budget_bytes: usize::MAX,
-            reuse_stages: false,
-            ..SweepOptions::default()
-        };
-        let mut bench = SweepBench {
-            before_ns: u64::MAX,
-            after_ns: u64::MAX,
-            jobs: 0,
-            misses: 0,
-            hits: 0,
-        };
-        for rep in 0..reps {
-            // Before: the old drivers' shape — one trace generation per
-            // cell, one cell at a time.
-            let start = Instant::now();
-            let mut before_reports = Vec::new();
-            for cell in cells {
-                let (records, segments) = study
-                    .workload(cell.workload)
-                    .collect_trace(study.fuel())
-                    .unwrap();
-                let config = cell.config.clone().with_segments(segments);
-                before_reports.push(analyze_slice(&records, &config).to_json());
-            }
-            let b = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-
-            // After: decode-once arena + scheduler.
-            let outcome = run_sweep(study, name, cells, &opts);
-            for (old, new) in before_reports.iter().zip(&outcome.cells) {
-                assert_eq!(old, &ok(new).report_json, "engine changed a report");
-            }
-            println!(
-                "{name} rep {rep}: before {:.2}s, after {:.2}s",
-                b as f64 / 1e9,
-                outcome.wall_ns as f64 / 1e9,
-            );
-            bench.before_ns = bench.before_ns.min(b);
-            bench.after_ns = bench.after_ns.min(outcome.wall_ns);
-            bench.jobs = outcome.jobs;
-            bench.misses = outcome.arena.misses;
-            bench.hits = outcome.arena.hits;
-        }
-        bench
-    }
-
-    /// Measures the sweep engine against the pre-engine path on two grids:
-    /// the acceptance grid (ten workloads × two configurations) and fig8's
-    /// real shape (ten workloads × the 13-window ladder + unbounded).
-    /// Ignored by default — it is a benchmark, not a correctness test; run
-    /// with `cargo test --release -p paragraph-bench -- --ignored
-    /// decode_once --nocapture` (PARAGRAPH_FUEL/SCALE/JOBS apply) and the
-    /// JSON lines it prints are what `BENCH.sweep.json` records.
-    #[test]
-    #[ignore = "benchmark: run explicitly with --ignored --nocapture"]
-    fn decode_once_speedup_on_ten_workload_grid() {
-        use paragraph_core::WindowSize;
-        let study = Study::from_env();
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-        let mut pair_cells = Vec::new();
-        for id in WorkloadId::ALL {
-            pair_cells.push(SweepCell::new(
-                id,
-                "dataflow",
-                AnalysisConfig::dataflow_limit(),
-            ));
-            pair_cells.push(SweepCell::new(
-                id,
-                "w1024",
-                AnalysisConfig::dataflow_limit().with_window(WindowSize::bounded(1024)),
-            ));
-        }
-        let pair = measure_sweep(&study, "t-bench2", &pair_cells, 3);
-
-        let mut ladder_cells = Vec::new();
-        for id in WorkloadId::ALL {
-            for w in [
-                1usize, 2, 4, 8, 16, 32, 64, 128, 256, 1_024, 4_096, 16_384, 65_536,
-            ] {
-                ladder_cells.push(SweepCell::new(
-                    id,
-                    format!("w{w}"),
-                    AnalysisConfig::dataflow_limit().with_window(WindowSize::bounded(w)),
-                ));
-            }
-            ladder_cells.push(SweepCell::new(id, "full", AnalysisConfig::dataflow_limit()));
-        }
-        let ladder = measure_sweep(&study, "t-bench14", &ladder_cells, 2);
-
-        // Print the rows and append them to the workspace perf trajectory;
-        // `paragraph profile --bench-compare` diffs two such files. Append
-        // is best-effort: a read-only checkout must not fail the benchmark.
-        let bench_log = std::path::Path::new(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH.sweep.json"
-        ));
-        for row in [pair.json("10x2", cpus), ladder.json("10x14", cpus)] {
-            println!("{row}");
-            if let Err(e) = crate::append_bench_row(bench_log, &row) {
-                eprintln!("bench log append failed: {e}");
-            }
-        }
-
-        assert_eq!(pair.misses, 10, "each workload must decode exactly once");
-        let pair_speedup = pair.speedup();
-        let ladder_speedup = ladder.speedup();
-        // With only two configurations per workload, decode-once alone is
-        // bounded below 2x on one core — (2D + 2A) / (D + 2A) < 2 for any
-        // analysis cost A > 0 — so the 2x acceptance bound on this grid is
-        // a parallel-speedup claim; hold it wherever parallelism exists.
-        assert!(
-            pair_speedup > 1.0,
-            "decode-once must beat the re-decode path, got {pair_speedup:.2}x"
-        );
-        if cpus >= 4 {
-            assert!(
-                pair_speedup >= 2.0,
-                "expected >= 2x on the 10x2 grid with {cpus} cores, got {pair_speedup:.2}x"
-            );
-        }
-        // fig8's own grid re-decodes 14x per workload without the arena;
-        // decode-once must reclaim at least half that wall-clock even on a
-        // single core.
-        assert!(
-            ladder_speedup >= 2.0,
-            "expected >= 2x on the fig8-shaped grid, got {ladder_speedup:.2}x"
-        );
-    }
 }

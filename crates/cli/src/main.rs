@@ -190,7 +190,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         Mode::Compare => cmd_compare(&opts),
         Mode::Stats | Mode::StatsLog | Mode::StatsSnapshot => cmd_stats(&opts),
         Mode::Report => cmd_report(&opts),
-        Mode::Profile | Mode::ProfileDiff | Mode::ProfileBench => cmd_profile(&opts),
+        Mode::Profile | Mode::ProfileDiff => cmd_profile(&opts),
         Mode::Serve => cmd_serve(&opts),
         Mode::Client => cmd_client(&opts),
         Mode::Help => {
@@ -214,7 +214,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
 #[rustfmt::skip]
 enum Mode {
     List, Analyze, Trace, Ingest, Run, Disasm, Dot, SweepGrid, Sweep, Compare,
-    StatsLog, StatsSnapshot, Stats, Report, ProfileBench, ProfileDiff, Profile, Serve, Client,
+    StatsLog, StatsSnapshot, Stats, Report, ProfileDiff, Profile, Serve, Client,
     #[default]
     Help,
 }
@@ -240,7 +240,7 @@ struct ModeRow(Mode, &'static str, Option<&'static str>, &'static str, &'static 
 
 /// The mode table: a command's selected modes come before its plain one.
 #[rustfmt::skip]
-const MODES: [ModeRow; 20] = {
+const MODES: [ModeRow; 19] = {
     use Mode::*;
     [
         ModeRow(List, "list", None, "list", "", "show the available workloads (the paper's Table 2 inventory)"),
@@ -257,7 +257,6 @@ const MODES: [ModeRow; 20] = {
         ModeRow(StatsSnapshot, "stats", Some("metrics"), "stats snapshot", "", "stats of a Prometheus snapshot: validate it"),
         ModeRow(Stats, "stats", None, "stats", "", "first-order operation frequencies of a workload or trace file"),
         ModeRow(Report, "report", None, "report", "", "full Section-2.3 analysis: lifetimes, sharing, slack, storage"),
-        ModeRow(ProfileBench, "profile", Some("bench-compare"), "profile bench", "CURRENT", "compare a bench log's rows with a baseline log; exit 5\nwhen any row slows down past the threshold"),
         ModeRow(ProfileDiff, "profile", Some("diff"), "profile diff", "TIMELINE", "compare a recorded timeline with a second one, stage by stage"),
         ModeRow(Profile, "profile", None, "profile", "TIMELINE", "summarize a recorded timeline: per-stage self-time, lane\nutilization, slowest slices"),
         ModeRow(Serve, "serve", None, "serve", "", "run the multi-tenant analysis daemon (docs/serve.md): uploads\nand analyses over HTTP, a bounded worker pool with panic\nisolation, load shedding, graceful drain on SIGTERM/SIGINT"),
@@ -467,9 +466,6 @@ fn flags() -> Vec<Flag> {
         flag("metrics", Value("FILE"), modes(&[StatsSnapshot]), Any, any, "the Prometheus snapshot to validate"),
         flag("diff", Value("FILE"), modes(&[ProfileDiff]), Any, any, "the second timeline"),
         flag("top", Value("N"), modes(&[Profile]), Any, num::<usize>, "how many slowest slices to list (default 10)"),
-        flag("bench-compare", Value("BASELINE"), modes(&[ProfileBench]), Any, any, "the baseline bench log (BENCH.*.json rows)"),
-        flag("bench-threshold", Value("PCT"), modes(&[ProfileBench]), Any, |v| non_negative(v).map(drop),
-            "allowed slowdown per row in percent (default 20)"),
         flag("addr", Value("HOST:PORT"), SERVE, Any, any, "TCP bind address (default 127.0.0.1:7307)"),
         flag("uds", Value("PATH"), SERVE, Any, any, "bind a unix-domain socket instead of TCP"),
         flag("workers", Value("N"), SERVE, Any, positive::<usize>, "worker threads (default 4)"),
@@ -1642,13 +1638,9 @@ fn cmd_report(opts: &Options) -> Result<(), CliError> {
 
 /// `paragraph profile T.json`: summarize a flight-recorder timeline —
 /// per-stage self-time, lane utilization, slowest slices. With `--diff B`
-/// compares two timelines; with `--bench-compare BASELINE` switches to
-/// bench-log regression checking instead.
+/// compares two timelines.
 fn cmd_profile(opts: &Options) -> Result<(), CliError> {
     use telemetry::tracefmt;
-    if let Some(baseline) = opts.get("bench-compare") {
-        return cmd_profile_bench_compare(opts, baseline);
-    }
     let path = opts.positional.first().ok_or_else(|| {
         usage_err("profile needs a timeline file (paragraph profile t.json; see --timeline-out)")
     })?;
@@ -1681,135 +1673,6 @@ fn load_timeline_summary(path: &str) -> Result<telemetry::tracefmt::ProfileSumma
     let events = tracefmt::parse_chrome_trace(&text)
         .map_err(|e| CliError::CorruptTrace(format!("{path}: {e}")))?;
     Ok(tracefmt::summarize(&events))
-}
-
-/// `paragraph profile CURRENT --bench-compare BASELINE`: compares bench-log
-/// rows (`BENCH.hotpath.json` / `BENCH.sweep.json` JSONL) keyed by
-/// bench name + mode/grid, last row per key. Any key whose `after_ns`
-/// slows down by more than `--bench-threshold` percent (default 20) fails
-/// the check with exit 5 — the perf-regression gate.
-fn cmd_profile_bench_compare(opts: &Options, baseline_path: &str) -> Result<(), CliError> {
-    let current_path = opts.positional.first().ok_or_else(|| {
-        usage_err("profile --bench-compare needs the current bench log as an argument")
-    })?;
-    let threshold_pct = opts
-        .get("bench-threshold")
-        .and_then(|v| non_negative(v).ok())
-        .unwrap_or(20.0);
-    let baseline = read_bench_rows(baseline_path)?;
-    let current = read_bench_rows(current_path)?;
-    if baseline.is_empty() {
-        return Err(CliError::CorruptTrace(format!(
-            "{baseline_path}: no bench rows (expected JSONL with \"bench\" and \"after_ns\")"
-        )));
-    }
-    println!("bench-compare: {current_path} vs {baseline_path} (threshold +{threshold_pct:.0}%)");
-    let mut regressions: Vec<String> = Vec::new();
-    let mut compared = 0usize;
-    let mut skipped = 0usize;
-    for (key, base) in &baseline {
-        let Some(cur) = current.get(key) else {
-            println!("  {key:<34} missing from current log");
-            continue;
-        };
-        // Wall clocks from differently-sized boxes are not comparable:
-        // a 0.71x parallel-analyze row from a single-core runner would
-        // "regress" every multi-core run. Rows that recorded their core
-        // count only gate against rows from a same-sized box; rows
-        // predating the field still compare (nothing better exists).
-        if let (Some(base_np), Some(cur_np)) = (base.nproc, cur.nproc) {
-            if base_np != cur_np {
-                skipped += 1;
-                println!("  {key:<34} skipped (nproc {base_np} vs {cur_np}: different machines)");
-                continue;
-            }
-        }
-        compared += 1;
-        let (base_ns, cur_ns) = (base.after_ns, cur.after_ns);
-        let delta_pct = if base_ns > 0.0 {
-            100.0 * (cur_ns - base_ns) / base_ns
-        } else {
-            0.0
-        };
-        let verdict = if delta_pct > threshold_pct {
-            regressions.push(format!("{key} ({delta_pct:+.1}%)"));
-            "REGRESSED"
-        } else {
-            "ok"
-        };
-        println!(
-            "  {key:<34} base {base_ns:>12.0}ns  cur {cur_ns:>12.0}ns  {delta_pct:>+7.1}%  {verdict}"
-        );
-    }
-    for key in current.keys() {
-        if !baseline.contains_key(key) {
-            println!("  {key:<34} new (no baseline)");
-        }
-    }
-    if compared == 0 {
-        if skipped > 0 {
-            // Every common key came from a differently-sized box; there is
-            // nothing comparable, which is not a regression.
-            println!("note: all {skipped} common key(s) skipped (core-count mismatch)");
-            return Ok(());
-        }
-        return Err(CliError::Analysis(format!(
-            "no common bench keys between {current_path} and {baseline_path}"
-        )));
-    }
-    if !regressions.is_empty() {
-        return Err(CliError::Analysis(format!(
-            "bench regression above +{threshold_pct:.0}%: {}",
-            regressions.join(", ")
-        )));
-    }
-    Ok(())
-}
-
-/// One bench-log row as the compare gate sees it.
-#[derive(Debug, Clone, Copy)]
-struct BenchRow {
-    /// The measured time being gated.
-    after_ns: f64,
-    /// Core count of the box the row was recorded on, when the row
-    /// carries one (rows predate the field).
-    nproc: Option<f64>,
-}
-
-/// Parses a bench log (JSONL, one row per run) into key → [`BenchRow`],
-/// last row per key winning. Key = `bench/mode` or `bench/grid`.
-fn read_bench_rows(path: &str) -> Result<std::collections::BTreeMap<String, BenchRow>, CliError> {
-    use telemetry::tracefmt::{parse_json, JsonValue};
-    let text = std::fs::read_to_string(path).map_err(|e| io_err(path, e))?;
-    let mut rows = std::collections::BTreeMap::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let row = parse_json(line)
-            .map_err(|e| CliError::CorruptTrace(format!("{path}: line {}: {e}", lineno + 1)))?;
-        let Some(bench) = row.get("bench").and_then(JsonValue::as_str) else {
-            return Err(CliError::CorruptTrace(format!(
-                "{path}: line {}: missing \"bench\"",
-                lineno + 1
-            )));
-        };
-        let Some(after_ns) = row.get("after_ns").and_then(JsonValue::as_f64) else {
-            return Err(CliError::CorruptTrace(format!(
-                "{path}: line {}: missing \"after_ns\"",
-                lineno + 1
-            )));
-        };
-        let variant = row
-            .get("mode")
-            .or_else(|| row.get("grid"))
-            .and_then(JsonValue::as_str)
-            .unwrap_or("");
-        let nproc = row.get("nproc").and_then(JsonValue::as_f64);
-        rows.insert(format!("{bench}/{variant}"), BenchRow { after_ns, nproc });
-    }
-    Ok(rows)
 }
 
 fn cmd_compare(opts: &Options) -> Result<(), CliError> {
@@ -2570,7 +2433,8 @@ mod tests {
         }
     }
 
-    /// Lines that each ran to exit 0 while ignoring a flag.
+    /// Lines that each ran to exit 0 while ignoring a flag, or that name
+    /// a flag no mode reads.
     #[test]
     fn probed_lines_are_usage_errors() {
         for line in [
@@ -2579,6 +2443,7 @@ mod tests {
             "trace --workload matrix300 --out t --window 64 --skip 5",
             "sweep --workloads matrix300 --windows 64 --skip 100 --recover",
             "analyze --trace t.pgtr --size 9 --fuel 1",
+            "profile x --bench-compare y",
         ] {
             let result = run(&words(line));
             assert!(matches!(result, Err(CliError::Usage(_))), "{line}: {result:?}");

@@ -177,78 +177,3 @@ fn profile_rejects_malformed_timelines() {
     assert_eq!(out.status.code(), Some(4), "malformed timeline must exit 4");
     let _ = std::fs::remove_file(&bad);
 }
-
-#[test]
-fn bench_compare_gates_on_regression() {
-    let baseline = scratch("bench-base.json");
-    let current = scratch("bench-cur.json");
-    std::fs::write(
-        &baseline,
-        "{\"bench\":\"hotpath-block-decode\",\"mode\":\"quick\",\"after_ns\":100}\n\
-         {\"bench\":\"sweep-decode-once\",\"grid\":\"10x2\",\"after_ns\":1000}\n",
-    )
-    .expect("write baseline");
-
-    // Within threshold: +10% on one key, faster on the other.
-    std::fs::write(
-        &current,
-        "{\"bench\":\"hotpath-block-decode\",\"mode\":\"quick\",\"after_ns\":110}\n\
-         {\"bench\":\"sweep-decode-once\",\"grid\":\"10x2\",\"after_ns\":900}\n",
-    )
-    .expect("write current");
-    let ok = paragraph(&[
-        "profile",
-        current.to_str().expect("utf-8 temp path"),
-        "--bench-compare",
-        baseline.to_str().expect("utf-8 temp path"),
-    ]);
-    assert!(
-        ok.status.success(),
-        "within-threshold compare failed: {}\n{}",
-        String::from_utf8_lossy(&ok.stdout),
-        String::from_utf8_lossy(&ok.stderr)
-    );
-    let table = String::from_utf8_lossy(&ok.stdout);
-    assert!(table.contains("ok"), "missing verdicts: {table}");
-
-    // A 3x slowdown must fail with the analysis exit code...
-    std::fs::write(
-        &current,
-        "{\"bench\":\"hotpath-block-decode\",\"mode\":\"quick\",\"after_ns\":300}\n",
-    )
-    .expect("write current");
-    let slow = paragraph(&[
-        "profile",
-        current.to_str().expect("utf-8 temp path"),
-        "--bench-compare",
-        baseline.to_str().expect("utf-8 temp path"),
-    ]);
-    assert_eq!(
-        slow.status.code(),
-        Some(5),
-        "regression must exit 5: {}",
-        String::from_utf8_lossy(&slow.stderr)
-    );
-    assert!(
-        String::from_utf8_lossy(&slow.stdout).contains("REGRESSED"),
-        "missing REGRESSED marker"
-    );
-
-    // ...unless the caller raises the threshold above the slowdown.
-    let waved = paragraph(&[
-        "profile",
-        current.to_str().expect("utf-8 temp path"),
-        "--bench-compare",
-        baseline.to_str().expect("utf-8 temp path"),
-        "--bench-threshold",
-        "250",
-    ]);
-    assert!(
-        waved.status.success(),
-        "raised threshold must pass: {}",
-        String::from_utf8_lossy(&waved.stderr)
-    );
-
-    let _ = std::fs::remove_file(&baseline);
-    let _ = std::fs::remove_file(&current);
-}

@@ -3,7 +3,7 @@
 use crate::config::AnalysisConfig;
 use crate::livewell::LiveWell;
 use crate::report::AnalysisReport;
-use paragraph_trace::{TraceRecord, TraceStats};
+use paragraph_trace::TraceRecord;
 
 /// Analyzes an owned iterator of trace records under `config`.
 ///
@@ -46,24 +46,6 @@ pub fn analyze_slice(records: &[TraceRecord], config: &AnalysisConfig) -> Analys
     analyzer.finish()
 }
 
-/// Analyzes a trace while also collecting first-order statistics, in one
-/// pass.
-pub fn analyze_with_stats<'a, I>(
-    records: I,
-    config: &AnalysisConfig,
-) -> (AnalysisReport, TraceStats)
-where
-    I: IntoIterator<Item = &'a TraceRecord>,
-{
-    let mut analyzer = LiveWell::new(config.clone());
-    let mut stats = TraceStats::new();
-    for record in records {
-        stats.observe(record);
-        analyzer.process(record);
-    }
-    (analyzer.finish(), stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,7 +64,9 @@ mod tests {
     #[test]
     fn stats_and_report_agree_on_counts() {
         let trace = synthetic::random_trace(500, 10);
-        let (report, stats) = analyze_with_stats(&trace, &AnalysisConfig::dataflow_limit());
+        let report = analyze_refs(&trace, &AnalysisConfig::dataflow_limit());
+        let mut stats = paragraph_trace::TraceStats::new();
+        trace.iter().for_each(|record| stats.observe(record));
         assert_eq!(report.total_records(), stats.total());
         assert_eq!(report.placed_ops(), stats.placed());
         assert_eq!(report.syscalls(), stats.syscalls());

@@ -126,6 +126,9 @@ fn digits(buf: &mut [u8], mut v: u64) -> usize {
     }
 }
 
+/// `bytes` as text. They are ASCII digits and points, so the UTF-8 check
+/// always passes; were it ever to fail, the empty string shows up as a
+/// byte difference in the renderer tests rather than a panic.
 fn ascii(bytes: &[u8]) -> &str {
-    std::str::from_utf8(bytes).expect("decimal digits are ASCII")
+    std::str::from_utf8(bytes).unwrap_or_default()
 }

@@ -108,7 +108,7 @@ pub mod telemetry;
 mod well;
 mod window;
 
-pub use analyze::{analyze, analyze_refs, analyze_slice, analyze_with_stats};
+pub use analyze::{analyze, analyze_refs, analyze_slice};
 pub use checkpoint::{CheckpointError, TraceIdentity};
 pub use config::{parse_num, AnalysisConfig, RenameSet, SyscallPolicy, WindowSize, SWITCHES};
 pub use ddg::{Ddg, DdgBuilder, DdgNode, DepKind, Edge, NodeId};
@@ -116,7 +116,6 @@ pub use dist::Distribution;
 pub use error::AnalysisError;
 pub use livewell::{InternedWell, LiveWell, LiveWellImpl, SegmentOutcome};
 pub use memmodel::MemoryModel;
-pub use parallel::analyze_parallel;
 pub use profile::{ParallelismProfile, ProfileBin};
 pub use report::AnalysisReport;
 pub use run::{Policy, Run, RunStats, Stop};

@@ -57,8 +57,7 @@
 use crate::branch::BranchPolicy;
 use crate::config::{AnalysisConfig, SyscallPolicy};
 use crate::livewell::{LiveWell, SegmentOutcome};
-use crate::report::AnalysisReport;
-use crate::run::{Policy, Run, Stop};
+use crate::run::Stop;
 use paragraph_isa::OpClass;
 use paragraph_trace::{Loc, TraceRecord};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -183,34 +182,12 @@ pub(crate) fn run_segment_until(
     Ok(analyzer.into_segment_outcome())
 }
 
-/// Analyzes `records` across up to `jobs` threads (0 = all cores) and
-/// returns a report byte-identical to the sequential
-/// [`analyze_refs`](crate::analyze_refs): a [`Run`] over the slice.
-/// Ineligible configurations, traces without interior syscalls, and
-/// `jobs < 2` all run sequentially on the calling thread; segment `0`
-/// always runs on the calling thread so the caller's thread-local
-/// instrumentation attributes it naturally.
-pub fn analyze_parallel(
-    records: &[TraceRecord],
-    config: &AnalysisConfig,
-    jobs: usize,
-) -> AnalysisReport {
-    let mut analyzer = LiveWell::new(config.clone());
-    let policy = Policy {
-        jobs,
-        ..Policy::default()
-    };
-    // No deadline, no skip or take, and a fresh analyzer: nothing can
-    // stop this run.
-    let _ = Run::new(&mut analyzer, policy).slice(records);
-    analyzer.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analyze_refs;
     use crate::config::{RenameSet, WindowSize};
+    use crate::run::{Policy, Run};
     use crate::MemoryModel;
     use paragraph_trace::synthetic;
 
@@ -218,7 +195,15 @@ mod tests {
     /// or nothing.
     fn assert_identical(records: &[TraceRecord], config: &AnalysisConfig, jobs: usize) {
         let sequential = analyze_refs(records, config);
-        let parallel = analyze_parallel(records, config, jobs);
+        let mut well = LiveWell::new(config.clone());
+        let policy = Policy {
+            jobs,
+            ..Policy::default()
+        };
+        Run::new(&mut well, policy)
+            .slice(records)
+            .expect("an unbounded run over a fresh analyzer stops only at the end");
+        let parallel = well.finish();
         assert_eq!(
             sequential.to_json(),
             parallel.to_json(),

@@ -290,8 +290,8 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parses one complete JSON document (used for trace files and for the
-/// bench-log rows in `profile --bench-compare`).
+/// Parses one complete JSON document (timeline files, telemetry log
+/// lines, reports).
 ///
 /// # Errors
 ///

@@ -8,9 +8,10 @@
 //! frames located by [`scan_chunks`] rather than by the reader's resync
 //! state machine. The two share only the record contract
 //! (`TraceRecord::check`) and the mapping of decode errors to
-//! [`TraceErrorKind`]s. Differential tests, the `resealed_chunks`
-//! fuzz target and the `hotpath` bench's "before" leg compare the reader
-//! against [`decode`]; nothing in production calls it.
+//! [`TraceErrorKind`]s. Differential tests (among them the golden
+//! report test in `tests/decoder_backends.rs`) and the `resealed_chunks`
+//! fuzz target compare the reader against [`decode`]; nothing in
+//! production calls it.
 
 use crate::binary::{
     invalid_operands, io_to_kind, scan_chunks, MAGIC, SYNC_MARKER, TAG_FP, TAG_INT, TAG_MEM,

@@ -7,8 +7,11 @@
 //! recovery accounting over clean, truncated, bit-flipped, and
 //! governor-rejected streams. The decode-ahead pipeline and the parallel
 //! whole-file decode must in turn match whatever the sequential reader
-//! produces, record for record.
+//! produces, record for record. End to end, a 400,000-record synthetic
+//! trace analyzed through the CLI's stream and through the per-record
+//! oracle must both reproduce a committed golden report byte for byte.
 
+use paragraph_core::{AnalysisConfig, LiveWell, Policy, RenameSet, Run};
 use paragraph_isa::OpClass;
 use paragraph_trace::binary::{RecoveryStats, TraceReader, TraceWriter};
 use paragraph_trace::faultinject::{frame_spans, reseal_chunks, FaultPlan};
@@ -389,4 +392,140 @@ fn every_decoder_rejects_crc_valid_inconsistent_records_alike() {
         );
         let _ = std::fs::remove_file(&path);
     }
+}
+
+/// Records in the golden trace: enough to cross many chunk and page
+/// boundaries.
+const GOLDEN_RECORDS: u64 = 400_000;
+
+/// Segment boundaries of the golden trace, in word addresses like the
+/// VM's: data below `HEAP_BASE`, heap above it, stack above
+/// `STACK_FLOOR`.
+const HEAP_BASE: u64 = 1 << 22;
+const STACK_FLOOR: u64 = 1 << 26;
+
+/// SplitMix64, the golden trace's PRNG.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+/// Writes the golden trace to `path`, shaped like the word-addressed
+/// traces the VM emits: a stack frame whose base moves on call/return but
+/// whose spills land on a handful of nearby words, sequential heap array
+/// walks with loads biased to recent words, and a sprinkle of sparse far
+/// pointers, interleaved with register compute and branches. It has no
+/// system calls. Returns the records written.
+fn write_golden_trace(path: &Path, records: u64, seed: u64) -> std::io::Result<u64> {
+    let file = std::fs::File::create(path)?;
+    let mut writer = TraceWriter::new(
+        std::io::BufWriter::new(file),
+        SegmentMap::new(HEAP_BASE, STACK_FLOOR),
+    )?;
+    let mut rng = SplitMix64(seed);
+    let mut heap_cursor = HEAP_BASE;
+    let mut sp = STACK_FLOOR + (1 << 12);
+    let reg = |rng: &mut SplitMix64| Loc::int(1 + (rng.next() % 8) as u8);
+    for i in 0..records {
+        let pc = 0x400_000 + i * 4;
+        // Spills cluster on the first couple dozen words of the frame.
+        let stack_addr = sp + rng.next() % 24;
+        let record = match rng.next() % 100 {
+            0..=34 => {
+                let a = reg(&mut rng);
+                let b = reg(&mut rng);
+                TraceRecord::compute(pc, OpClass::IntAlu, &[a, b], reg(&mut rng))
+            }
+            35..=49 => TraceRecord::load(pc, stack_addr, Some(reg(&mut rng)), reg(&mut rng)),
+            50..=62 => TraceRecord::store(pc, stack_addr, reg(&mut rng), Some(reg(&mut rng))),
+            63..=72 => {
+                // Sequential array walk: one word at a time, densely
+                // filling pages as the table grows.
+                heap_cursor += 1;
+                TraceRecord::store(pc, heap_cursor, reg(&mut rng), None)
+            }
+            73..=80 => {
+                let back = 1 + rng.next() % 512;
+                TraceRecord::load(
+                    pc,
+                    heap_cursor.saturating_sub(back).max(HEAP_BASE),
+                    None,
+                    reg(&mut rng),
+                )
+            }
+            81..=82 => {
+                // Sparse far pointers: single-occupant pages.
+                let far = HEAP_BASE + rng.next() % (1 << 22);
+                TraceRecord::load(pc, far, None, reg(&mut rng))
+            }
+            83..=92 => {
+                // Branches double as call/return sites: every few of them
+                // push or pop a frame, moving the hot window.
+                match rng.next() % 8 {
+                    0 => sp = (sp - (16 + rng.next() % 16)).max(STACK_FLOOR + 64),
+                    1 => sp = (sp + 16 + rng.next() % 16).min(STACK_FLOOR + (1 << 14)),
+                    _ => {}
+                }
+                TraceRecord::branch(pc, &[reg(&mut rng)])
+            }
+            _ => {
+                let a = Loc::fp((rng.next() % 8) as u8);
+                let b = Loc::fp((rng.next() % 8) as u8);
+                TraceRecord::compute(pc, OpClass::FpMul, &[a, b], Loc::fp((rng.next() % 8) as u8))
+            }
+        };
+        writer.write_record(&record)?;
+    }
+    writer.finish()
+}
+
+#[test]
+fn stream_and_oracle_reproduce_the_golden_report() {
+    let golden = include_str!("../crates/bench/golden/hotpath.quick.report.json");
+    let path =
+        std::env::temp_dir().join(format!("paragraph-backends-{}-golden", std::process::id()));
+    let written = write_golden_trace(&path, GOLDEN_RECORDS, 0x9e37_79b9).expect("trace write");
+    assert_eq!(written, GOLDEN_RECORDS);
+    // No renaming: every store's Ddest term forces a live-well lookup, the
+    // worst realistic case for the memory table.
+    let config = AnalysisConfig::dataflow_limit()
+        .with_renames(RenameSet::none())
+        .with_segments(SegmentMap::new(HEAP_BASE, STACK_FLOOR));
+
+    // The CLI's path: the source `analyze --trace` opens, streamed through
+    // decode-ahead into one analyzer.
+    let source = TraceSource::auto_file(&path).expect("trace open");
+    let reader = TraceReader::from_source(source).expect("trace header");
+    let mut well = LiveWell::new(config.clone());
+    Run::new(&mut well, Policy::default())
+        .stream(reader)
+        .expect("clean trace");
+    let streamed = format!("{}\n", well.finish().to_json());
+
+    // The oracle's path: per-record decode, one record at a time.
+    let bytes = std::fs::read(&path).expect("trace read");
+    let decoded = paragraph_trace::oracle::decode(&bytes).expect("intact framing");
+    assert!(decoded.fault.is_none(), "golden trace must decode");
+    let mut well = LiveWell::new(config);
+    for record in &decoded.records {
+        well.process(record);
+    }
+    let oracle = format!("{}\n", well.finish().to_json());
+    let _ = std::fs::remove_file(&path);
+
+    assert!(
+        streamed == golden,
+        "Run::stream diverged from the golden report"
+    );
+    assert!(
+        oracle == golden,
+        "the oracle path diverged from the golden report"
+    );
 }

@@ -6,8 +6,8 @@
 //! resident trace is cut: here the chunks decode in parallel straight into
 //! one record vector ([`decode_all_parallel`], which the benchmark's
 //! ledger still measures), which is then cut at conservative-syscall
-//! firewalls and analyzed segment by segment ([`analyze_parallel`], the
-//! driver's slice source). Both must match the sequential oracle byte for
+//! firewalls and analyzed segment by segment (`Run::slice`, the driver's
+//! slice source). Both must match the sequential oracle byte for
 //! byte on the JSON report, for every job count, chunk size, syscall
 //! placement and configuration. The parallel decode must decline (`None`)
 //! whenever it could not reproduce the sequential reader exactly, so the
@@ -15,8 +15,7 @@
 
 use paragraph_core::branch::BranchPolicy;
 use paragraph_core::{
-    analyze_parallel, analyze_refs, AnalysisConfig, LiveWell, MemoryModel, Policy, RenameSet, Run,
-    WindowSize,
+    analyze_refs, AnalysisConfig, LiveWell, MemoryModel, Policy, RenameSet, Run, WindowSize,
 };
 use paragraph_isa::OpClass;
 use paragraph_trace::binary::{TraceReader, TraceWriter};
@@ -86,7 +85,15 @@ fn decoded(bytes: &[u8], jobs: usize, limits: &Limits) -> Option<(Vec<TraceRecor
 fn loaded(bytes: &[u8], config: &AnalysisConfig, jobs: usize) -> String {
     let (records, segments) =
         decoded(bytes, jobs, &Limits::default()).expect("pristine stream decodes in parallel");
-    analyze_parallel(&records, &config.clone().with_segments(segments), jobs).to_json()
+    let mut analyzer = LiveWell::new(config.clone().with_segments(segments));
+    let policy = Policy {
+        jobs,
+        ..Policy::default()
+    };
+    Run::new(&mut analyzer, policy)
+        .slice(&records)
+        .expect("an unbounded run over a fresh analyzer stops only at the end");
+    analyzer.finish().to_json()
 }
 
 fn assert_paths_identical(records: &[TraceRecord], config: &AnalysisConfig, what: &str) {
