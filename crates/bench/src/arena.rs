@@ -10,13 +10,13 @@
 //! immutable allocation, and any number of concurrent analyzer passes walk
 //! that one allocation.
 //!
-//! Residency is bounded by an LRU byte budget so a ten-workload sweep does
-//! not need every trace in RAM at once. Eviction only drops the arena's own
-//! reference — passes still holding an [`ArenaTrace`] keep the allocation
-//! alive until they finish, so the budget is a steady-state target, not a
-//! hard cap. An evicted workload that is requested again is re-generated;
-//! the workloads are deterministic, so the recomputed trace is identical
-//! and results never depend on eviction timing.
+//! Residency is structural. The arena is built from the sweep's pending
+//! cells, so it knows how many cells will ask for each workload. It holds
+//! a workload's trace exactly while one of those cells is not final, and
+//! drops its reference when [`TraceArena::cell_done`] reports the last
+//! one. A retried cell is not final, so its trace stays resident and no
+//! trace is ever generated twice. Passes still holding an [`ArenaTrace`]
+//! keep the allocation alive until they finish.
 
 use crate::supervisor::CellError;
 use crate::Study;
@@ -24,13 +24,6 @@ use paragraph_trace::InternedTrace;
 use paragraph_workloads::WorkloadId;
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-
-/// Default LRU byte budget: 2 GiB comfortably holds the full-scale paper
-/// workload set while still exercising eviction on constrained boxes. An
-/// interned record costs 24 bytes (plus 8 per distinct memory word), so
-/// that is about 89M records; the ten Figure 8 traces at full scale take
-/// about 10.4M (about 250 MB).
-pub const DEFAULT_BUDGET_BYTES: usize = 2 << 30;
 
 /// One workload's resident trace, with the segment map it was generated
 /// under. Cloning is cheap: clones share the same allocation.
@@ -44,8 +37,6 @@ pub struct ArenaStats {
     pub hits: u64,
     /// Requests that had to generate the trace.
     pub misses: u64,
-    /// Resident traces dropped to respect the byte budget.
-    pub evictions: u64,
     /// High-water mark of resident bytes.
     pub peak_resident_bytes: u64,
 }
@@ -53,15 +44,13 @@ pub struct ArenaStats {
 enum Slot {
     /// A thread is generating this trace; waiters sleep on the condvar.
     Loading,
-    Ready {
-        trace: ArenaTrace,
-        last_use: u64,
-    },
+    Ready(ArenaTrace),
 }
 
 struct ArenaState {
     slots: HashMap<WorkloadId, Slot>,
-    clock: u64,
+    /// Cells per workload whose result is not final yet.
+    pending: HashMap<WorkloadId, usize>,
     resident_bytes: usize,
     stats: ArenaStats,
     /// Threads asleep on a loading slot, waiting for another thread's load.
@@ -69,41 +58,34 @@ struct ArenaState {
 }
 
 /// Shared, thread-safe trace store keyed by workload. One arena serves one
-/// [`Study`] (its fuel/scale settings determine the traces), which callers
-/// pass to [`TraceArena::get`].
+/// sweep of one [`Study`] (its fuel/scale settings determine the traces),
+/// which callers pass to [`TraceArena::get`].
 pub struct TraceArena {
-    budget_bytes: usize,
     state: Mutex<ArenaState>,
     ready: Condvar,
 }
 
 impl TraceArena {
-    /// Creates an arena with an explicit LRU byte budget. A budget smaller
-    /// than a single trace still admits that trace (the budget bounds
-    /// *additional* residency, never forward progress).
-    pub fn new(budget_bytes: usize) -> TraceArena {
+    /// Creates an arena for a sweep whose pending cells analyze `cells`:
+    /// one entry per cell, so a workload listed `n` times keeps its trace
+    /// until [`TraceArena::cell_done`] has reported it `n` times. A
+    /// workload that is not listed is still served, and its trace stays
+    /// until the arena drops.
+    pub fn new(cells: impl IntoIterator<Item = WorkloadId>) -> TraceArena {
+        let mut pending = HashMap::new();
+        for id in cells {
+            *pending.entry(id).or_insert(0) += 1;
+        }
         TraceArena {
-            budget_bytes: budget_bytes.max(1),
             state: Mutex::new(ArenaState {
                 slots: HashMap::new(),
-                clock: 0,
+                pending,
                 resident_bytes: 0,
                 stats: ArenaStats::default(),
                 parked: 0,
             }),
             ready: Condvar::new(),
         }
-    }
-
-    /// Creates an arena with the budget from `PARAGRAPH_ARENA_BYTES`
-    /// (underscore separators allowed), defaulting to
-    /// [`DEFAULT_BUDGET_BYTES`].
-    pub fn from_env() -> TraceArena {
-        let budget = std::env::var("PARAGRAPH_ARENA_BYTES")
-            .ok()
-            .and_then(|v| v.replace('_', "").parse().ok())
-            .unwrap_or(DEFAULT_BUDGET_BYTES);
-        TraceArena::new(budget)
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, ArenaState> {
@@ -143,22 +125,14 @@ impl TraceArena {
     ) -> Result<ArenaTrace, CellError> {
         let mut state = self.lock();
         loop {
-            let ArenaState {
-                slots,
-                clock,
-                stats,
-                parked,
-                ..
-            } = &mut *state;
-            match slots.get_mut(&id) {
-                Some(Slot::Ready { trace, last_use }) => {
-                    *clock += 1;
-                    *last_use = *clock;
-                    stats.hits += 1;
-                    return Ok(trace.clone());
+            match state.slots.get(&id) {
+                Some(Slot::Ready(trace)) => {
+                    let trace = trace.clone();
+                    state.stats.hits += 1;
+                    return Ok(trace);
                 }
                 Some(Slot::Loading) => {
-                    *parked += 1;
+                    state.parked += 1;
                     state = self
                         .ready
                         .wait(state)
@@ -166,8 +140,8 @@ impl TraceArena {
                     state.parked -= 1;
                 }
                 None => {
-                    slots.insert(id, Slot::Loading);
-                    stats.misses += 1;
+                    state.slots.insert(id, Slot::Loading);
+                    state.stats.misses += 1;
                     break;
                 }
             }
@@ -191,44 +165,31 @@ impl TraceArena {
     fn install(&self, id: WorkloadId, trace: ArenaTrace) {
         let bytes = trace.resident_bytes();
         let mut state = self.lock();
-        state.clock += 1;
-        let now = state.clock;
-        state.slots.insert(
-            id,
-            Slot::Ready {
-                trace,
-                last_use: now,
-            },
-        );
+        state.slots.insert(id, Slot::Ready(trace));
         state.resident_bytes = state.resident_bytes.saturating_add(bytes);
         let peak = state.resident_bytes as u64;
         state.stats.peak_resident_bytes = state.stats.peak_resident_bytes.max(peak);
-        self.evict_to_budget(&mut state, id);
         drop(state);
         self.ready.notify_all();
     }
 
-    /// Drops least-recently-used resident traces until the budget holds.
-    /// The just-installed `keep` entry is never evicted, so one oversized
-    /// trace still makes progress.
-    fn evict_to_budget(&self, state: &mut ArenaState, keep: WorkloadId) {
-        while state.resident_bytes > self.budget_bytes {
-            let victim = state
-                .slots
-                .iter()
-                .filter_map(|(&id, slot)| match slot {
-                    Slot::Ready { trace, last_use } if id != keep => {
-                        Some((*last_use, id, trace.resident_bytes()))
-                    }
-                    _ => None,
-                })
-                .min();
-            let Some((_, id, bytes)) = victim else {
-                break;
-            };
+    /// Reports one of `id`'s cells final: it succeeded or was quarantined,
+    /// and will not ask for the trace again. After the last of them the
+    /// arena drops its reference to the trace.
+    pub fn cell_done(&self, id: WorkloadId) {
+        let mut state = self.lock();
+        let Some(left) = state.pending.get_mut(&id) else {
+            return;
+        };
+        *left -= 1;
+        if *left > 0 {
+            return;
+        }
+        state.pending.remove(&id);
+        if let Some(Slot::Ready(trace)) = state.slots.get(&id) {
+            let bytes = trace.resident_bytes();
             state.slots.remove(&id);
             state.resident_bytes = state.resident_bytes.saturating_sub(bytes);
-            state.stats.evictions += 1;
         }
     }
 
@@ -280,20 +241,19 @@ mod tests {
     #[test]
     fn decodes_each_workload_exactly_once() {
         let study = tiny_study();
-        let arena = TraceArena::new(usize::MAX);
+        let arena = TraceArena::new([WorkloadId::Xlisp; 2]);
         let a = arena.get(&study, WorkloadId::Xlisp).unwrap();
         let b = arena.get(&study, WorkloadId::Xlisp).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "must share one decode");
         let stats = arena.stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
-        assert_eq!(stats.evictions, 0);
     }
 
     #[test]
     fn concurrent_requests_share_one_decode() {
         let study = tiny_study();
-        let arena = TraceArena::new(usize::MAX);
+        let arena = TraceArena::new([WorkloadId::Eqntott; 4]);
         let traces: Vec<ArenaTrace> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..4)
                 .map(|_| scope.spawn(|| arena.get(&study, WorkloadId::Eqntott)))
@@ -313,29 +273,64 @@ mod tests {
     }
 
     #[test]
-    fn lru_budget_evicts_cold_traces_but_keeps_results_correct() {
+    fn a_trace_stays_resident_until_its_last_pending_cell_is_done() {
         let study = tiny_study();
-        // Budget of one byte: every new trace evicts the previous one.
-        let arena = TraceArena::new(1);
+        let arena = TraceArena::new([WorkloadId::Xlisp, WorkloadId::Eqntott, WorkloadId::Xlisp]);
         let first = arena.get(&study, WorkloadId::Xlisp).unwrap();
-        let _second = arena.get(&study, WorkloadId::Eqntott).unwrap();
-        assert!(arena.stats().evictions >= 1);
-        // The evicted handle stays valid (Arc keeps the data alive)...
-        assert!(!first.is_empty());
-        // ...and a re-request regenerates identical records.
+        let bytes = first.resident_bytes();
+        drop(first);
+        arena.cell_done(WorkloadId::Xlisp);
+        // One xlisp cell is still pending: its trace stays, and a retry of
+        // that cell (any number of attempts) is a hit, not a regeneration.
+        assert_eq!(arena.resident_bytes(), bytes);
         let again = arena.get(&study, WorkloadId::Xlisp).unwrap();
-        assert_eq!(*again, *first);
-        assert!(!Arc::ptr_eq(&again, &first));
+        let retried = arena.get(&study, WorkloadId::Xlisp).unwrap();
+        assert!(Arc::ptr_eq(&again, &retried));
+        assert_eq!((arena.stats().misses, arena.stats().hits), (1, 2));
+        // Another workload's cell does not release xlisp.
+        arena.cell_done(WorkloadId::Eqntott);
+        assert_eq!(arena.resident_bytes(), bytes);
+        arena.cell_done(WorkloadId::Xlisp);
+        assert_eq!(arena.resident_bytes(), 0, "the last cell releases it");
     }
 
     #[test]
-    fn resident_bytes_track_the_store() {
+    fn a_held_trace_stays_valid_after_the_release() {
         let study = tiny_study();
-        let arena = TraceArena::new(usize::MAX);
+        let arena = TraceArena::new([WorkloadId::Xlisp]);
+        let held = arena.get(&study, WorkloadId::Xlisp).unwrap();
+        arena.cell_done(WorkloadId::Xlisp);
         assert_eq!(arena.resident_bytes(), 0);
-        let t = arena.get(&study, WorkloadId::Xlisp).unwrap();
-        assert_eq!(arena.resident_bytes(), t.resident_bytes());
-        assert_eq!(arena.stats().peak_resident_bytes, t.resident_bytes() as u64);
+        // The arena dropped its reference; the caller's handle keeps the
+        // allocation alive and whole.
+        assert_eq!(Arc::strong_count(&held), 1);
+        assert_eq!(*held, study.collect_interned(WorkloadId::Xlisp).unwrap());
+    }
+
+    #[test]
+    fn resident_bytes_return_to_zero_once_every_cell_is_done() {
+        let study = tiny_study();
+        let cells = [
+            WorkloadId::Xlisp,
+            WorkloadId::Eqntott,
+            WorkloadId::Xlisp,
+            WorkloadId::Eqntott,
+        ];
+        let arena = TraceArena::new(cells);
+        let both: usize = cells[..2]
+            .iter()
+            .map(|&id| arena.get(&study, id).unwrap().resident_bytes())
+            .sum();
+        assert_eq!(arena.resident_bytes(), both);
+        assert_eq!(arena.stats().peak_resident_bytes, both as u64);
+        for id in cells {
+            arena.cell_done(id);
+        }
+        assert_eq!(arena.resident_bytes(), 0);
+        assert_eq!(arena.stats().peak_resident_bytes, both as u64);
+        // Reports past the last cell change nothing.
+        arena.cell_done(WorkloadId::Xlisp);
+        assert_eq!(arena.resident_bytes(), 0);
     }
 
     fn tiny_trace() -> InternedTrace {
@@ -347,7 +342,7 @@ mod tests {
 
     #[test]
     fn failing_loader_releases_the_claim_for_the_next_caller() {
-        let arena = TraceArena::new(usize::MAX);
+        let arena = TraceArena::new([]);
         let err = arena.get_with(WorkloadId::Xlisp, || {
             Err(CellError::Vm("injected".to_owned()))
         });
@@ -365,7 +360,7 @@ mod tests {
     #[test]
     fn panicking_loader_wakes_waiters_who_retry_and_succeed() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let arena = TraceArena::new(usize::MAX);
+        let arena = TraceArena::new([]);
         let attempts = AtomicUsize::new(0);
 
         // Four threads race for the same workload. Whichever claims the
@@ -447,7 +442,7 @@ mod tests {
             rx.recv_timeout(deadline.saturating_duration_since(Instant::now()))
                 .unwrap_or_else(|_| panic!("{what} still blocked after 10 s: lost wake-up"))
         }
-        let arena = Arc::new(TraceArena::new(usize::MAX));
+        let arena = Arc::new(TraceArena::new([]));
         let reloads = Arc::new(AtomicUsize::new(0));
         let (claimed_tx, claimed_rx) = mpsc::channel();
         let (loader_tx, loader_rx) = mpsc::channel();

@@ -2,7 +2,8 @@
 //!
 //! A sweep is a grid of independent **cells**: one analysis pass of one
 //! workload's trace under one configuration. Cells sharing a workload share
-//! a single decode through the [`TraceArena`]; the scheduler fans the cells
+//! a single decode through the [`TraceArena`], which holds the trace only
+//! while one of those cells is not final; the scheduler fans the cells
 //! out across `jobs` worker threads and collects results **by cell index**,
 //! so the output is byte-identical no matter how many workers ran or how
 //! work was stolen.
@@ -155,9 +156,6 @@ pub struct CellOutcome {
 pub struct SweepOptions {
     /// Worker threads; `0` means [`std::thread::available_parallelism`].
     pub jobs: usize,
-    /// Arena LRU budget in bytes; `0` means the environment default
-    /// ([`TraceArena::from_env`]).
-    pub arena_budget_bytes: usize,
     /// Load completed cells from stage markers and store new ones, making
     /// interrupted sweeps restartable at cell granularity.
     pub reuse_stages: bool,
@@ -177,7 +175,6 @@ impl Default for SweepOptions {
     fn default() -> SweepOptions {
         SweepOptions {
             jobs: 0,
-            arena_budget_bytes: 0,
             reuse_stages: true,
             retries: 2,
             retry_backoff_ms: 25,
@@ -443,11 +440,6 @@ fn run_sweep_supervised(
 ) -> SweepOutcome {
     let started = Instant::now();
     let jobs = effective_jobs(opts.jobs, cells.len());
-    let arena = if opts.arena_budget_bytes == 0 {
-        TraceArena::from_env()
-    } else {
-        TraceArena::new(opts.arena_budget_bytes)
-    };
     if opts.reuse_stages {
         // Sweep temp files orphaned by a previous crash; completed markers
         // (already renamed into place) are untouched.
@@ -474,6 +466,9 @@ fn run_sweep_supervised(
     let pending: Vec<usize> = (0..cells.len())
         .filter(|&i| lock_poison_ok(&results[i]).result.is_none())
         .collect();
+    // The arena holds a workload's trace while one of its pending cells is
+    // not final; restored cells never ask for it.
+    let arena = TraceArena::new(pending.iter().map(|&i| cells[i].workload));
     let artifact_error: Mutex<Option<(PathBuf, io::Error)>> = Mutex::new(None);
     let write_artifacts = |outcome: &CellOutcome| {
         if !opts.write_artifacts {
@@ -494,8 +489,8 @@ fn run_sweep_supervised(
     paragraph_core::counter!("sweep.cells_restored", (cells.len() - pending.len()) as u64);
 
     // Deal contiguous chunks: cells are workload-major, so each worker
-    // starts on its own workload and arena traffic stays low; stealing
-    // rebalances from the back of a victim's chunk.
+    // starts on its own workload and few traces are resident at once;
+    // stealing rebalances from the back of a victim's chunk.
     let queues: Vec<Mutex<VecDeque<usize>>> = {
         let chunk = pending.len().div_ceil(jobs.max(1)).max(1);
         let mut queues: Vec<VecDeque<usize>> = (0..jobs).map(|_| VecDeque::new()).collect();
@@ -560,6 +555,7 @@ fn run_sweep_supervised(
                             }
                             write_artifacts(&outcome);
                             lock_poison_ok(&results[index]).result = Some(Ok(outcome));
+                            arena.cell_done(cell.workload);
                             if let Some(tl) = timeline::timeline_active() {
                                 // Arena counters sampled at cell boundaries:
                                 // Perfetto renders them as a stepped
@@ -567,7 +563,6 @@ fn run_sweep_supervised(
                                 let stats = arena.stats();
                                 tl.counter("arena.hits", stats.hits);
                                 tl.counter("arena.misses", stats.misses);
-                                tl.counter("arena.evictions", stats.evictions);
                             }
                         }
                         Err(err) if attempt <= opts.retries => {
@@ -608,6 +603,7 @@ fn run_sweep_supervised(
                                 );
                             }
                             lock_poison_ok(&results[index]).result = Some(Err(err));
+                            arena.cell_done(cell.workload);
                         }
                     }
                 }
@@ -735,11 +731,8 @@ pub fn sweep_manifest_json(name: &str, outcome: &SweepOutcome) -> String {
         outcome.wall_ns,
     ));
     out.push_str(&format!(
-        "\"arena\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"peak_resident_bytes\":{}}},",
-        outcome.arena.hits,
-        outcome.arena.misses,
-        outcome.arena.evictions,
-        outcome.arena.peak_resident_bytes,
+        "\"arena\":{{\"hits\":{},\"misses\":{},\"peak_resident_bytes\":{}}},",
+        outcome.arena.hits, outcome.arena.misses, outcome.arena.peak_resident_bytes,
     ));
     out.push_str("\"cell_results\":[");
     for (i, cell) in outcome.cells.iter().enumerate() {
@@ -1107,7 +1100,7 @@ mod tests {
             workload: "xlisp".to_owned(),
             label: "renone".to_owned(),
             fails: u32::MAX,
-            kind: FaultKind::Decode,
+            kind: FaultKind::Vm,
         };
         let degraded = run_sweep_supervised(&study, "t-degraded", &cells, &opts, Some(&fault));
         assert_eq!(degraded.quarantined(), 1);

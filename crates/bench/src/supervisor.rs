@@ -12,21 +12,13 @@ use std::fmt;
 use std::time::Duration;
 
 /// Why one sweep cell failed. The taxonomy follows the failure domains a
-/// cell can actually die in: generating the trace (VM), decoding a stored
-/// trace, checkpoint/stage I/O, arena admission, or an uncategorized panic
-/// captured at the `catch_unwind` boundary.
+/// cell can actually die in: generating the trace (VM), or an
+/// uncategorized panic captured at the `catch_unwind` boundary.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum CellError {
     /// The workload's VM faulted while generating the trace.
     Vm(String),
-    /// A stored trace failed to decode.
-    TraceDecode(String),
-    /// Checkpoint or stage-marker I/O failed in a way the cell could not
-    /// degrade around.
-    Checkpoint(String),
-    /// The trace arena could not admit the workload's trace.
-    ArenaBudget(String),
     /// The cell panicked; the payload was captured at the worker's
     /// `catch_unwind` boundary.
     Panic(String),
@@ -36,9 +28,6 @@ impl fmt::Display for CellError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CellError::Vm(msg) => write!(f, "VM fault: {msg}"),
-            CellError::TraceDecode(msg) => write!(f, "trace decode failed: {msg}"),
-            CellError::Checkpoint(msg) => write!(f, "checkpoint failed: {msg}"),
-            CellError::ArenaBudget(msg) => write!(f, "arena admission failed: {msg}"),
             CellError::Panic(msg) => write!(f, "cell panicked: {msg}"),
         }
     }
@@ -113,12 +102,6 @@ pub enum FaultKind {
     Panic,
     /// A typed VM fault.
     Vm,
-    /// A typed trace-decode failure.
-    Decode,
-    /// A typed checkpoint failure.
-    Checkpoint,
-    /// A typed arena-admission failure.
-    Arena,
 }
 
 /// A deliberate per-cell fault, parsed from `PARAGRAPH_FAULT_CELL`:
@@ -129,7 +112,7 @@ pub enum FaultKind {
 ///
 /// The matching cell fails its first `fails` attempts (default: all of
 /// them, i.e. guaranteed quarantine) with a fault of `kind`
-/// (`panic` | `vm` | `decode` | `checkpoint` | `arena`, default `panic`).
+/// (`panic` | `vm`, default `panic`).
 /// This is the sweep-level companion of
 /// [`FaultPlan`](paragraph_trace::faultinject::FaultPlan): it exists so
 /// tests and the CI smoke job can force one cell down any failure path
@@ -175,9 +158,6 @@ impl FaultSpec {
             None => FaultKind::Panic,
             Some("panic") => FaultKind::Panic,
             Some("vm") => FaultKind::Vm,
-            Some("decode") => FaultKind::Decode,
-            Some("checkpoint") => FaultKind::Checkpoint,
-            Some("arena") => FaultKind::Arena,
             Some(_) => return None,
         };
         if parts.next().is_some() {
@@ -216,9 +196,6 @@ impl FaultSpec {
         match self.kind {
             FaultKind::Panic => panic!("{at}"),
             FaultKind::Vm => Err(CellError::Vm(at)),
-            FaultKind::Decode => Err(CellError::TraceDecode(at)),
-            FaultKind::Checkpoint => Err(CellError::Checkpoint(at)),
-            FaultKind::Arena => Err(CellError::ArenaBudget(at)),
         }
     }
 }
@@ -271,17 +248,18 @@ mod tests {
         assert!(FaultSpec::parse("x@").is_none());
         assert!(FaultSpec::parse("x@y:notanumber").is_none());
         assert!(FaultSpec::parse("x@y:1:plasma").is_none());
+        assert!(FaultSpec::parse("x@y:1:decode").is_none());
         assert!(FaultSpec::parse("x@y:1:vm:extra").is_none());
     }
 
     #[test]
     fn inject_fails_only_the_leading_attempts_of_the_target() {
-        let spec = FaultSpec::parse("eqntott@w64:2:decode").unwrap();
+        let spec = FaultSpec::parse("eqntott@w64:2:vm").unwrap();
         assert!(spec.inject("xlisp", "w64", 1).is_ok(), "other workload");
         assert!(spec.inject("eqntott", "full", 1).is_ok(), "other label");
         assert!(matches!(
             spec.inject("eqntott", "w64", 1),
-            Err(CellError::TraceDecode(_))
+            Err(CellError::Vm(_))
         ));
         assert!(spec.inject("eqntott", "w64", 2).is_err());
         assert!(spec.inject("eqntott", "w64", 3).is_ok(), "past the window");

@@ -1781,7 +1781,6 @@ fn cmd_sweep_grid(opts: &Options) -> Result<(), CliError> {
         jobs: opts
             .num("jobs")
             .unwrap_or_else(paragraph_bench::jobs_from_env),
-        arena_budget_bytes: 0,
         // Each CLI sweep is self-contained: it writes no stage markers
         // into the output directory, and a rerun recomputes every cell.
         reuse_stages: false,
@@ -1858,13 +1857,12 @@ fn cmd_sweep_grid(opts: &Options) -> Result<(), CliError> {
         .map_err(|e| io_err(&manifest.display().to_string(), e))?;
     }
     eprintln!(
-        "sweep: {} cells on {} worker(s) in {:.2}s (arena: {} decode(s), {} hit(s), {} eviction(s))",
+        "sweep: {} cells on {} worker(s) in {:.2}s (arena: {} decode(s), {} hit(s))",
         outcome.cells.len(),
         outcome.jobs,
         outcome.wall_ns as f64 / 1e9,
         outcome.arena.misses,
         outcome.arena.hits,
-        outcome.arena.evictions,
     );
     if outcome.quarantined() > 0 {
         let details: Vec<String> = outcome

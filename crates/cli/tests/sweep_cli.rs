@@ -103,8 +103,16 @@ fn grid_sweep_is_byte_identical_across_job_counts() {
         let a = fs::read(dir_seq.join(name)).expect("read sequential artifact");
         let b = fs::read(dir_par.join(name)).expect("read parallel artifact");
         if name == "sweep.json" {
-            // The manifest records wall-clock timings and the job count;
-            // mask the volatile fields, then demand identity.
+            // The manifest records wall-clock timings, the job count and
+            // the arena's peak residency, which depends on how many traces
+            // the workers hold at once. One worker holds one trace at a
+            // time, so its peak is never above eight workers' peak. Mask
+            // the volatile fields, then demand identity.
+            let (peak_seq, peak_par) = (peak_resident(&a), peak_resident(&b));
+            assert!(
+                0 < peak_seq && peak_seq <= peak_par,
+                "peak resident bytes {peak_seq} at --jobs 1, {peak_par} at --jobs 8"
+            );
             assert_eq!(mask_timings(&a), mask_timings(&b), "{name} differs");
         } else {
             assert_eq!(a, b, "{name} differs between --jobs 1 and --jobs 8");
@@ -115,13 +123,26 @@ fn grid_sweep_is_byte_identical_across_job_counts() {
     let _ = fs::remove_dir_all(&dir_par);
 }
 
-/// Zeroes `"wall_ns":...` and `"jobs":...` values so manifests from runs
-/// with different job counts can be compared structurally.
+/// The manifest's `"peak_resident_bytes":...` value.
+fn peak_resident(bytes: &[u8]) -> u64 {
+    let text = String::from_utf8_lossy(bytes);
+    let key = "\"peak_resident_bytes\":";
+    let at = text.find(key).expect("the manifest reports the arena peak") + key.len();
+    text[at..]
+        .split(|c: char| !c.is_ascii_digit())
+        .next()
+        .and_then(|digits| digits.parse().ok())
+        .expect("a byte count")
+}
+
+/// Zeroes `"wall_ns":...`, `"jobs":...` and `"peak_resident_bytes":...`
+/// values so manifests from runs with different job counts can be
+/// compared structurally.
 fn mask_timings(bytes: &[u8]) -> String {
     let text = String::from_utf8_lossy(bytes);
     let mut out = String::with_capacity(text.len());
     let mut rest = text.as_ref();
-    while let Some(pos) = ["\"wall_ns\":", "\"jobs\":"]
+    while let Some(pos) = ["\"wall_ns\":", "\"jobs\":", "\"peak_resident_bytes\":"]
         .iter()
         .filter_map(|k| rest.find(k).map(|i| i + k.len()))
         .min()

@@ -12,7 +12,9 @@
 //!   that slice of the trace, analyzed as a trace of its own;
 //! - a quarantined cell leaves every sibling's result unchanged;
 //! - a stage marker left by a run with other inputs (scale, fuel, seed) is
-//!   never restored: the cell is recomputed.
+//!   never restored: the cell is recomputed;
+//! - each workload's trace is generated once per sweep, retries included,
+//!   and held only while one of its cells is pending.
 //!
 //! `run_sweep` reads its fault injector from `PARAGRAPH_FAULT_CELL`, so
 //! every sweep here holds one lock, and the test that sets the variable
@@ -310,4 +312,75 @@ fn stage_markers_left_under_other_inputs_are_recomputed() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The arena holds a trace exactly while a cell of its workload is
+/// pending. One worker finishes xlisp before it opens eqntott, so the peak
+/// is the larger trace, not the two together. With two workers, a
+/// workload whose cells sit in two separate blocks and a cell that fails
+/// once and is retried still generate each trace once.
+#[test]
+fn each_trace_is_generated_once_and_held_only_while_a_cell_needs_it() {
+    let _lock = serialize();
+    let study = study("residency");
+    let configs = mixed_configs();
+    let cells: Vec<SweepCell> = grid(&configs[..3])
+        .into_iter()
+        .filter(|cell| cell.workload != WorkloadId::Matrix300)
+        .collect();
+    let one = run_sweep(&study, "residency", &cells, &options(1));
+    assert_eq!(one.quarantined(), 0);
+    assert_eq!(one.arena.misses, 2);
+    let bytes = [WorkloadId::Xlisp, WorkloadId::Eqntott]
+        .map(|id| study.collect_interned(id).unwrap().resident_bytes() as u64);
+    assert_eq!(
+        one.arena.peak_resident_bytes,
+        bytes[0].max(bytes[1]),
+        "one trace at a time, not {} + {}",
+        bytes[0],
+        bytes[1]
+    );
+
+    // [xlisp…, eqntott…, xlisp…]: xlisp stays resident across the gap.
+    let split: Vec<SweepCell> = [
+        (WorkloadId::Xlisp, &configs[..4]),
+        (WorkloadId::Eqntott, &configs[..4]),
+        (WorkloadId::Xlisp, &configs[4..8]),
+    ]
+    .into_iter()
+    .flat_map(|(id, configs)| {
+        configs
+            .iter()
+            .map(move |(label, config)| SweepCell::new(id, label.clone(), config.clone()))
+    })
+    .collect();
+    let retry = SweepOptions {
+        retries: 1,
+        ..options(2)
+    };
+    let clean = run_sweep(&study, "residency-split", &split, &retry);
+    let faulted_label = &configs[7].0;
+    std::env::set_var(
+        "PARAGRAPH_FAULT_CELL",
+        format!("xlisp@{faulted_label}:1:vm"),
+    );
+    let retried = run_sweep(&study, "residency-split", &split, &retry);
+    std::env::remove_var("PARAGRAPH_FAULT_CELL");
+    for outcome in [&clean, &retried] {
+        assert_eq!(outcome.quarantined(), 0);
+        assert_eq!(outcome.arena.misses, 2, "one generation per workload");
+    }
+    for (a, b) in clean.cells.iter().zip(&retried.cells) {
+        assert_eq!(
+            ok(a).report_json,
+            ok(b).report_json,
+            "{}@{}",
+            b.workload,
+            b.label
+        );
+        assert_eq!(ok(a).profile, ok(b).profile);
+        let was_faulted = b.workload == WorkloadId::Xlisp && &b.label == faulted_label;
+        assert_eq!(b.attempts, if was_faulted { 2 } else { 1 });
+    }
+    let _ = std::fs::remove_dir_all(study.out_dir());
 }
